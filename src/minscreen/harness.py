@@ -15,10 +15,9 @@ from dataclasses import asdict, dataclass, replace
 from typing import AbstractSet, Mapping, Sequence
 
 from .minhash import Signature, make_family, sign
-from .sets import jaccard_fraction
+from .sets import jaccard_at_least
 from .screening import (
     ABOVE,
-    BELOW,
     PairOutcome,
     ScreenConfig,
     build_table,
@@ -89,10 +88,12 @@ def screen_signatures(
     fr_strict: dict[int, float] = {}
     fr_resolved: dict[int, float] = {}
     if outcomes:
+        filtered = resolved = 0
         for point in cfg.schedule:
-            strict, resolved = filtering_rate(outcomes, point, cfg.schedule)
-            fr_strict[point] = strict
-            fr_resolved[point] = resolved
+            filtered += summary.filtered_at[point]
+            resolved += summary.filtered_at[point] + summary.output_at[point]
+            fr_strict[point] = filtered / summary.n_pairs
+            fr_resolved[point] = resolved / summary.n_pairs
 
     accuracy = None
     if baseline:
@@ -107,9 +108,8 @@ def screen_signatures(
     if sets is not None and outcomes:
         hits = 0
         for (id_a, id_b), outcome in zip(pairs, outcomes):
-            exact = jaccard_fraction(sets[id_a], sets[id_b])
-            truth = ABOVE if exact >= cfg.threshold else BELOW
-            hits += outcome.decision == truth
+            truth = jaccard_at_least(sets[id_a], sets[id_b], cfg.threshold)
+            hits += (outcome.decision == ABOVE) == truth
         agreement_vs_exact = hits / len(outcomes)
 
     report = ExperimentReport(

@@ -36,6 +36,18 @@ def jaccard_fraction(a: AbstractSet[int], b: AbstractSet[int]) -> Fraction:
     return Fraction(len(a & b), len(a | b))
 
 
+def jaccard_at_least(a: AbstractSet[int], b: AbstractSet[int], threshold: float) -> bool:
+    """Exact test of jaccard_fraction(a, b) >= threshold, on integers only.
+
+    A float is a dyadic rational num / den, so cross-multiplying decides the
+    comparison exactly, as comparing the Fraction with the float would.
+    """
+    if not a and not b:
+        raise ValueError("undefined Jaccard: both sets are empty")
+    num, den = threshold.as_integer_ratio()
+    return len(a & b) * den >= len(a | b) * num
+
+
 def exact_jaccard(a: AbstractSet[int], b: AbstractSet[int]) -> float:
     """Exact Jaccard similarity as a float in [0, 1]."""
     return float(jaccard_fraction(a, b))

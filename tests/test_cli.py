@@ -15,7 +15,7 @@ from minscreen.harness import (
     sign_all,
     write_outcomes_csv,
 )
-from minscreen.screening import ScreenConfig
+from minscreen.screening import ScreenConfig, filtering_rate
 from minscreen.workload import WorkloadGroup, WorkloadSpec, gen_synthetic
 
 
@@ -51,6 +51,33 @@ class TestHarness:
         assert report.accuracy == 1.0
         assert report.total_comparisons == report.baseline_comparisons
         assert all(o.resolution_kind == "FullComparison" for o in outcomes)
+
+    def test_report_rates_equal_filtering_rate(self):
+        sets, pairs = small_workload()
+        cfg = ScreenConfig(threshold=0.5, e=1e-2, schedule=(50, 100, 150), k=200, master_seed=5)
+        outcomes, report = run_screen(sets, pairs, cfg)
+        for point in cfg.schedule:
+            expected = filtering_rate(outcomes, point, cfg.schedule)
+            assert (report.fr_strict[point], report.fr_resolved[point]) == expected
+        assert report.fr_resolved[150] > report.fr_strict[150] > 0
+
+    @pytest.mark.parametrize(
+        "threshold, a, b, agreement",
+        [
+            (0.5, {1, 2, 3}, {2, 3, 4}, 1.0),
+            (0.3, set(range(7)), set(range(4, 10)), 1.0),
+            (0.1, {0}, set(range(10)), 0.0),
+        ],
+    )
+    def test_exact_truth_is_decided_exactly(self, threshold, a, b, agreement):
+        # Identical signatures decide the pair as above, so the agreement
+        # shows whether exact J >= threshold: J equals the threshold's
+        # decimal in each case, and the float 0.1 lies just above 1/10.
+        sig = sign_all({0: {1}}, [(0, 0)], ScreenConfig(schedule=(), k=20))[0]
+        cfg = ScreenConfig(threshold=threshold, schedule=(), k=20)
+        outcomes, report = screen_signatures({0: sig, 1: sig}, [(0, 1)], cfg, sets={0: a, 1: b})
+        assert outcomes[0].decision == "AboveThreshold"
+        assert report.agreement_vs_exact == agreement
 
     def test_run_screen_rejects_unknown_ids(self):
         sets, pairs = small_workload()

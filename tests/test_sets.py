@@ -8,6 +8,7 @@ import pytest
 from minscreen.sets import (
     exact_jaccard,
     exhaustive_collision_probability,
+    jaccard_at_least,
     jaccard_fraction,
     validate_tokens,
 )
@@ -38,6 +39,32 @@ def test_exact_jaccard_both_empty_rejected():
 def test_jaccard_fraction_is_exact_rational():
     assert jaccard_fraction({1, 2, 3}, {2, 3, 4}) == Fraction(1, 2)
     assert jaccard_fraction({0, 1, 2}, {2, 3}) == Fraction(1, 4)
+
+
+def test_jaccard_at_least_on_boundaries():
+    # J = 1/2 exactly at T = 0.5 counts as above.
+    assert jaccard_at_least({1, 2, 3}, {2, 3, 4}, 0.5)
+    assert not jaccard_at_least({1, 2, 3}, {3, 4, 5}, 0.5)
+    # The float 0.3 lies just below 3/10, so J = 3/10 is above it.
+    three_tenths = (set(range(7)), set(range(4, 10)))
+    assert jaccard_fraction(*three_tenths) == Fraction(3, 10)
+    assert jaccard_at_least(*three_tenths, 0.3)
+    # The float 0.1 lies just above 1/10, so J = 1/10 is below it.
+    one_tenth = (set(range(1)), set(range(10)))
+    assert jaccard_fraction(*one_tenth) == Fraction(1, 10)
+    assert not jaccard_at_least(*one_tenth, 0.1)
+    with pytest.raises(ValueError, match="undefined Jaccard"):
+        jaccard_at_least(set(), set(), 0.5)
+
+
+def test_jaccard_at_least_agrees_with_fraction_comparison():
+    rng = random.Random(11)
+    thresholds = [0.1, 0.2, 0.3, 1 / 3, 0.5, 0.6, 2 / 3, 0.7, 0.9, 0.999]
+    for _ in range(400):
+        a = set(rng.sample(range(30), rng.randint(1, 20)))
+        b = set(rng.sample(range(30), rng.randint(1, 20)))
+        for t in thresholds:
+            assert jaccard_at_least(a, b, t) == (jaccard_fraction(a, b) >= t)
 
 
 def test_jaccard_symmetry_and_self_similarity():
