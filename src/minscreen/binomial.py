@@ -14,6 +14,15 @@ about 1.5e-17), so both tails are evaluated by exponentiating log-domain
 terms and summing the smaller tail directly with math.fsum. Every term is
 positive, there is no cancellation, and the larger tail is obtained from the
 complement, which keeps relative error around 1e-13 across the whole range.
+
+Both cutoffs at a checkpoint come from one mass vector: the k + 1 terms of
+Binomial(k, t), computed with numpy from a table of log-factorials that a
+threshold table builds once up to its largest checkpoint. A running sum of
+that vector locates each cutoff, and the exact tail, a math.fsum over a
+slice of the same vector, confirms it in about two evaluations: the tail
+holds at the cutoff and fails one step past it. The terms are the floats the
+scalar log_binom_pmf gives and math.fsum is correctly rounded, so tails and
+cutoffs are those of summing term by term and bisecting.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ import io
 import math
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 # Cutoff solvers accept a tail that exceeds e by up to this relative margin.
 # Significance levels are conventionally quoted to at most three significant
@@ -57,9 +68,37 @@ def log_binom_pmf(i: int, k: int, p: float) -> float:
     return coeff + i * math.log(p) + (k - i) * math.log1p(-p)
 
 
-def _tail_sum(lo: int, hi: int, k: int, p: float) -> float:
-    """Sum of pmf(i; k, p) for i in [lo, hi], all terms positive."""
-    return math.fsum(math.exp(log_binom_pmf(i, k, p)) for i in range(lo, hi + 1))
+def _log_factorials(n: int) -> np.ndarray:
+    """log(j!) = math.lgamma(j + 1) for j in 0..n, the values log_binom_pmf uses."""
+    return np.array([math.lgamma(j + 1) for j in range(n + 1)])
+
+
+def _pmf(k: int, p: float, log_fact: np.ndarray) -> list[float]:
+    """Binomial(k, p) masses at 0..k for 0 < p < 1; log_fact reaches at least k.
+
+    Term i is the float math.exp(log_binom_pmf(i, k, p)): numpy performs the
+    same IEEE operations in the same order, and math.exp exponentiates
+    because np.exp may differ in the last ulp. Tails summed from this vector
+    are therefore the floats the scalar route gives.
+    """
+    i = np.arange(k + 1)
+    logs = (log_fact[k] - log_fact[: k + 1]) - log_fact[k::-1]
+    logs = logs + i * math.log(p) + (k - i) * math.log1p(-p)
+    return [math.exp(x) for x in logs.tolist()]
+
+
+def _cdf(pmf: list[float], m: int, k: int, p: float) -> float:
+    """P(X <= m): the side below the mean summed, the other complemented."""
+    if m < k * p:
+        return math.fsum(pmf[: m + 1])
+    return 1.0 - math.fsum(pmf[m + 1 :])
+
+
+def _upper_tail(pmf: list[float], m: int, k: int, p: float) -> float:
+    """P(X > m), the exact complement of _cdf."""
+    if m < k * p:
+        return 1.0 - math.fsum(pmf[: m + 1])
+    return math.fsum(pmf[m + 1 :])
 
 
 def binom_cdf(m: int, k: int, p: float) -> float:
@@ -74,9 +113,7 @@ def binom_cdf(m: int, k: int, p: float) -> float:
         return 1.0
     if p == 1.0:
         return 1.0 if m == k else 0.0
-    if m < k * p:
-        return _tail_sum(0, m, k, p)
-    return 1.0 - _tail_sum(m + 1, k, k, p)
+    return _cdf(_pmf(k, p, _log_factorials(k)), m, k, p)
 
 
 def binom_upper_tail(m: int, k: int, p: float) -> float:
@@ -86,9 +123,7 @@ def binom_upper_tail(m: int, k: int, p: float) -> float:
         return 0.0
     if p == 1.0:
         return 0.0 if m == k else 1.0
-    if m < k * p:
-        return 1.0 - _tail_sum(0, m, k, p)
-    return _tail_sum(m + 1, k, k, p)
+    return _upper_tail(_pmf(k, p, _log_factorials(k)), m, k, p)
 
 
 def _validate_solver_args(k: int, t: float, e: float) -> None:
@@ -100,6 +135,38 @@ def _validate_solver_args(k: int, t: float, e: float) -> None:
         raise ValueError(f"significance e must lie in (0, 1), got {e}")
 
 
+def _lower_cutoff(pmf: list[float], k: int, t: float, e: float) -> int | None:
+    """solve_lower on the mass vector of Binomial(k, t).
+
+    A running sum of the masses locates the candidate; the exact tail then
+    confirms it, stepping until it holds at m and fails at m + 1.
+    """
+    bound = e * (1.0 + E_ROUNDING_SLACK)
+    m = int(np.searchsorted(np.cumsum(pmf), bound, side="right")) - 1
+    while m < k and _cdf(pmf, m + 1, k, t) <= bound:
+        m += 1
+    while m >= 0 and _cdf(pmf, m, k, t) > bound:
+        m -= 1
+    return None if m < 0 else m
+
+
+def _upper_cutoff(pmf: list[float], k: int, t: float, e: float) -> int:
+    """solve_upper on the mass vector of Binomial(k, t).
+
+    The running sum from the top, whose entry j approximates P(X >= k - j),
+    locates the candidate; the exact tail then confirms it, stepping until
+    it holds at m and fails at m - 1.
+    """
+    bound = e * (1.0 + E_ROUNDING_SLACK)
+    from_top = np.cumsum(pmf[::-1])
+    m = max(0, k - int(np.searchsorted(from_top, bound, side="right")))
+    while m > 0 and _upper_tail(pmf, m - 1, k, t) <= bound:
+        m -= 1
+    while _upper_tail(pmf, m, k, t) > bound:
+        m += 1
+    return m
+
+
 def solve_lower(k: int, t: float, e: float) -> int | None:
     """Largest m with P(X <= m) <= e for X ~ Binomial(k, t), or None.
 
@@ -109,17 +176,7 @@ def solve_lower(k: int, t: float, e: float) -> int | None:
     the significance guarantee of the early discard.
     """
     _validate_solver_args(k, t, e)
-    bound = e * (1.0 + E_ROUNDING_SLACK)
-    if binom_cdf(0, k, t) > bound:
-        return None
-    lo, hi = 0, k
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if binom_cdf(mid, k, t) <= bound:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return _lower_cutoff(_pmf(k, t, _log_factorials(k)), k, t, e)
 
 
 def solve_upper(k: int, t: float, e: float) -> int:
@@ -129,15 +186,7 @@ def solve_upper(k: int, t: float, e: float) -> int:
     A result of k means only a perfect match count accepts early.
     """
     _validate_solver_args(k, t, e)
-    bound = e * (1.0 + E_ROUNDING_SLACK)
-    lo, hi = 0, k
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if binom_upper_tail(mid, k, t) <= bound:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _upper_cutoff(_pmf(k, t, _log_factorials(k)), k, t, e)
 
 
 @dataclass(frozen=True)
@@ -203,11 +252,14 @@ def build_threshold_table(
         if k <= prev:
             raise ValueError(f"checkpoints must be strictly increasing, got {points}")
         prev = k
-    rows = tuple(
-        ThresholdRow(k=k, m_l=solve_lower(k, t, e), m_u=solve_upper(k, t, e_up))
-        for k in points
-    )
-    return ThresholdTable(threshold=t, e_lower=e, e_upper=e_up, rows=rows)
+    log_fact = _log_factorials(max(points, default=0))
+    rows = []
+    for k in points:
+        pmf = _pmf(k, t, log_fact)
+        rows.append(
+            ThresholdRow(k=k, m_l=_lower_cutoff(pmf, k, t, e), m_u=_upper_cutoff(pmf, k, t, e_up))
+        )
+    return ThresholdTable(threshold=t, e_lower=e, e_upper=e_up, rows=tuple(rows))
 
 
 def threshold_table_csv(table: ThresholdTable) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -124,21 +124,33 @@ def read_cache(path: str) -> SignatureCache:
     else:
         raise ValueError(f"{path}: corrupt cache (truncated or inconsistent record section)")
 
+    if bits == 64:
+        records = np.frombuffer(
+            data, dtype=np.dtype([("id", "<u8"), ("v", "<u8", (k,))]), count=count, offset=body_off
+        )
+        rows = zip(records["id"].tolist(), records["v"])
+    else:
+        rows = _reduced_rows(data, k, bits, count, body_off)
+    signatures: dict[int, Signature] = {}
+    for set_id, values in rows:
+        if set_id in signatures:
+            raise ValueError(f"{path}: corrupt cache (duplicate set id {set_id})")
+        signatures[set_id] = Signature(values=values, fingerprint=fp, bits=bits)
+    return SignatureCache(master_seed=master_seed, k=k, bits=bits, signatures=signatures)
+
+
+def _reduced_rows(
+    data: bytes, k: int, bits: int, count: int, body_off: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(set_id, values) per record of a reduced cache, values widened to u64."""
     cb = _slot_bytes(bits)
     record = 8 + k * cb
     shifts = np.arange(cb, dtype=np.uint64) * np.uint64(8)
-    signatures: dict[int, Signature] = {}
     for i in range(count):
         off = body_off + i * record
         (set_id,) = struct.unpack_from("<Q", data, off)
         raw = data[off + 8 : off + record]
-        if bits == 64:
-            values = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
-        else:
-            grid = np.frombuffer(raw, dtype=np.uint8).reshape(k, cb).astype(np.uint64)
-            values = (grid << shifts).sum(axis=1, dtype=np.uint64)
-        if set_id in signatures:
-            raise ValueError(f"{path}: corrupt cache (duplicate set id {set_id})")
+        grid = np.frombuffer(raw, dtype=np.uint8).reshape(k, cb).astype(np.uint64)
+        values = (grid << shifts).sum(axis=1, dtype=np.uint64)
         values.setflags(write=False)
-        signatures[set_id] = Signature(values=values, fingerprint=fp, bits=bits)
-    return SignatureCache(master_seed=master_seed, k=k, bits=bits, signatures=signatures)
+        yield set_id, values

@@ -143,23 +143,27 @@ def run_screen(
 
 
 def outcomes_csv(pairs: Sequence[tuple[int, int]], outcomes: Sequence[PairOutcome]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(OUTCOME_COLUMNS)
+    """The outcomes as CSV, one row per pair.
+
+    No field can contain a comma, quote or newline, so plain joins give the
+    bytes csv.writer would. screen_batch shares one PairOutcome among pairs
+    resolved alike, so each distinct object's tail of five fields is
+    formatted once; the list keeps the objects alive, so id() is a safe key.
+    """
+    tails: dict[int, str] = {}
+    lines = [",".join(OUTCOME_COLUMNS)]
     for index, ((id_a, id_b), outcome) in enumerate(zip(pairs, outcomes)):
-        writer.writerow(
-            [
-                index,
-                id_a,
-                id_b,
-                outcome.decision,
-                outcome.resolution_kind,
-                "" if outcome.resolution_checkpoint is None else outcome.resolution_checkpoint,
-                outcome.comparisons_used,
-                repr(outcome.estimate),
-            ]
-        )
-    return buf.getvalue()
+        tail = tails.get(id(outcome))
+        if tail is None:
+            checkpoint = outcome.resolution_checkpoint
+            tail = tails[id(outcome)] = (
+                f"{outcome.decision},{outcome.resolution_kind},"
+                f"{'' if checkpoint is None else checkpoint},"
+                f"{outcome.comparisons_used},{outcome.estimate!r}"
+            )
+        lines.append(f"{index},{id_a},{id_b},{tail}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def write_outcomes_csv(

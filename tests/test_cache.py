@@ -55,6 +55,18 @@ def test_round_trip_signatures_stay_comparable(tmp_path):
     assert match_count(back.signatures[0], fresh, 30).k_examined == 30
 
 
+def test_full_width_rows_are_read_only_views_and_rewrite_identically(tmp_path):
+    path = tmp_path / "full.mhsg"
+    write_cache(str(path), 42, _some_signatures())
+    back = read_cache(str(path))
+    for sig in back.signatures.values():
+        assert sig.values.dtype == np.uint64
+        assert not sig.values.flags.writeable
+    again = tmp_path / "again.mhsg"
+    write_cache(str(again), 42, back.signatures)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.mhsg"
     path.write_bytes(b"NOPE" + bytes(60))

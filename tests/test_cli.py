@@ -1,5 +1,7 @@
 """Harness plumbing and the command-line workflow, end to end."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -15,7 +17,7 @@ from minscreen.harness import (
     sign_all,
     write_outcomes_csv,
 )
-from minscreen.screening import ScreenConfig, filtering_rate
+from minscreen.screening import ScreenConfig, build_table, compare_pair, filtering_rate
 from minscreen.workload import WorkloadGroup, WorkloadSpec, gen_synthetic
 
 
@@ -98,6 +100,30 @@ class TestHarness:
     def test_outcomes_csv_header_is_pinned(self):
         text = outcomes_csv([], [])
         assert text == ",".join(OUTCOME_COLUMNS) + "\n"
+
+    @pytest.mark.parametrize("source", ["shared", "unshared", "full_k", "empty"])
+    def test_outcomes_csv_matches_csv_writer(self, source):
+        sets, pairs = small_workload()
+        cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(50, 100), k=200, master_seed=5)
+        if source == "empty":
+            pairs, outcomes = [], []
+        elif source == "unshared":
+            signatures = sign_all(sets, pairs, cfg)
+            table = build_table(cfg)
+            outcomes = [compare_pair(signatures[a], signatures[b], table, cfg) for a, b in pairs]
+        else:
+            if source == "full_k":
+                cfg = ScreenConfig(threshold=0.5, schedule=(), k=200, master_seed=5)
+            outcomes, _ = run_screen(sets, pairs, cfg)
+            assert len({id(o) for o in outcomes}) < len(outcomes)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(OUTCOME_COLUMNS)
+        for index, ((id_a, id_b), o) in enumerate(zip(pairs, outcomes)):
+            checkpoint = "" if o.resolution_checkpoint is None else o.resolution_checkpoint
+            row = [index, id_a, id_b, o.decision, o.resolution_kind, checkpoint]
+            writer.writerow(row + [o.comparisons_used, repr(o.estimate)])
+        assert outcomes_csv(pairs, outcomes) == buf.getvalue()
 
     def test_read_outcomes_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "other.csv"
