@@ -19,6 +19,7 @@ from .minhash import (
     make_family,
     match_count,
     sign,
+    sign_many,
     to_b_bit,
 )
 from .screening import (
@@ -55,6 +56,7 @@ __all__ = [
     "match_count",
     "screen_batch",
     "sign",
+    "sign_many",
     "solve_lower",
     "solve_upper",
 ]

@@ -45,6 +45,11 @@ def _slot_bytes(bits: int) -> int:
     return (bits + 7) // 8
 
 
+def _full_width_records(k: int) -> np.dtype:
+    """One full-width record: set id, then k slot values."""
+    return np.dtype([("id", "<u8"), ("v", "<u8", (k,))])
+
+
 def write_cache(path: str, master_seed: int, signatures: Mapping[int, Signature]) -> None:
     """Write signatures keyed by set id. The flavor (full-width or reduced)
     follows from the signatures themselves; mixing widths is an error."""
@@ -66,20 +71,26 @@ def write_cache(path: str, master_seed: int, signatures: Mapping[int, Signature]
         if sig.fingerprint != expected_fp:
             raise ValueError(f"signature for set {set_id} comes from a different family")
 
-    parts = [MAGIC, struct.pack("<IQQ", VERSION, k, master_seed)]
-    if bits != 64:
-        parts.append(struct.pack("<I", bits))
-    parts.append(struct.pack("<Q", len(sigs)))
+    header = MAGIC + struct.pack("<IQQ", VERSION, k, master_seed)
+    if bits == 64:
+        records = np.empty(len(sigs), dtype=_full_width_records(k))
+        ids = sorted(sigs)
+        records["id"] = ids
+        values = records["v"]
+        for row, set_id in enumerate(ids):
+            values[row] = sigs[set_id].values
+        with open(path, "wb") as fh:
+            fh.write(header + struct.pack("<Q", len(sigs)))
+            records.tofile(fh)
+        return
+
+    parts = [header, struct.pack("<I", bits), struct.pack("<Q", len(sigs))]
     cb = _slot_bytes(bits)
     shifts = np.arange(cb, dtype=np.uint64) * np.uint64(8)
     for set_id in sorted(sigs):
         parts.append(struct.pack("<Q", set_id))
-        values = sigs[set_id].values
-        if bits == 64:
-            parts.append(values.astype("<u8").tobytes())
-        else:
-            packed = ((values[:, np.newaxis] >> shifts) & np.uint64(0xFF)).astype(np.uint8)
-            parts.append(packed.tobytes())
+        packed = ((sigs[set_id].values[:, np.newaxis] >> shifts) & np.uint64(0xFF)).astype(np.uint8)
+        parts.append(packed.tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -126,7 +137,7 @@ def read_cache(path: str) -> SignatureCache:
 
     if bits == 64:
         records = np.frombuffer(
-            data, dtype=np.dtype([("id", "<u8"), ("v", "<u8", (k,))]), count=count, offset=body_off
+            data, dtype=_full_width_records(k), count=count, offset=body_off
         )
         rows = zip(records["id"].tolist(), records["v"])
     else:

@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from . import binomial, cache, harness, workload
-from .minhash import make_family, sign, to_b_bit
+from .minhash import make_family, sign_many, to_b_bit
 from .screening import DEFAULT_SCHEDULE, ScreenConfig
 
 _DEFAULT_SCHEDULE_TEXT = ",".join(str(k) for k in DEFAULT_SCHEDULE)
@@ -50,7 +50,7 @@ def _cmd_sign(args: argparse.Namespace) -> int:
     if not sets:
         raise ValueError(f"{args.sets}: no sets to sign")
     family = make_family(args.k, args.seed)
-    signatures = {set_id: sign(family, tokens) for set_id, tokens in sets.items()}
+    signatures = sign_many(family, sets)
     if args.bits is not None:
         signatures = {set_id: to_b_bit(sig, args.bits) for set_id, sig in signatures.items()}
     cache.write_cache(args.out, args.seed, signatures)

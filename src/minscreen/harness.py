@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import AbstractSet, Mapping, Sequence
 
-from .minhash import Signature, make_family, sign
+from .minhash import Signature, make_family, sign_many
 from .sets import jaccard_at_least
 from .screening import (
     ABOVE,
@@ -61,12 +61,10 @@ def sign_all(
     """Sign every set referenced by the pair list."""
     family = make_family(cfg.k, cfg.master_seed)
     referenced = sorted({set_id for pair in pairs for set_id in pair})
-    signatures: dict[int, Signature] = {}
     for set_id in referenced:
         if set_id not in sets:
             raise ValueError(f"pair list references unknown set id {set_id}")
-        signatures[set_id] = sign(family, sets[set_id])
-    return signatures
+    return sign_many(family, {set_id: sets[set_id] for set_id in referenced})
 
 
 def screen_signatures(

@@ -28,8 +28,11 @@ sample whose success probability is the Jaccard similarity of the sets.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import AbstractSet
+from typing import AbstractSet, Mapping
 
 import numpy as np
 
@@ -46,13 +49,18 @@ _NP_S30 = np.uint64(30)
 _NP_S27 = np.uint64(27)
 _NP_S31 = np.uint64(31)
 
-_SIGN_CHUNK = 512
+# Hash values per block: a block and its shift scratch (512 KiB each) stay
+# in a core's L2 cache. On a Xeon with 2 MiB of L2 per core, 64 Ki signed
+# sets of 20 and of 70 tokens faster than 32 Ki or 128 Ki did.
+_BLOCK_HASHES = 64 * 1024
+# Threads only pay off with several blocks for each of them.
+_BLOCKS_PER_WORKER = 4
 
 
 def slot_hash(token: int, key_add: int, key_mid: int) -> int:
     """Reference implementation of the per-slot keyed hash, one token at a
-    time. sign() computes exactly this with numpy; tests hold the two paths
-    bit-identical."""
+    time. sign_many() computes exactly this with numpy; tests hold the two
+    paths bit-identical."""
     x = (token + key_add) & _MASK64
     x ^= x >> 30
     x = (x * _MULT1) & _MASK64
@@ -155,23 +163,113 @@ def make_family(k: int, master_seed: int) -> HashFamily:
 
 def sign(family: HashFamily, tokens: AbstractSet[int]) -> Signature:
     """Signature of a non-empty token set: slotwise minimum keyed hash."""
-    if not tokens:
-        raise ValueError("minhash undefined on empty set")
-    validate_tokens(tokens)
-    toks = np.fromiter(tokens, dtype=np.uint64, count=len(tokens))
-    best = np.full(family.k, _MASK64, dtype=np.uint64)
-    for start in range(0, len(toks), _SIGN_CHUNK):
-        chunk = toks[start : start + _SIGN_CHUNK, np.newaxis]
-        x = chunk + family.key_add
-        x ^= x >> _NP_S30
+    return sign_many(family, {0: tokens})[0]
+
+
+def sign_many(family: HashFamily, sets: Mapping[int, AbstractSet[int]]) -> dict[int, Signature]:
+    """Signatures of non-empty token sets, keyed and ordered like sets.
+
+    All tokens go into one array and all signatures into one (n, k) matrix;
+    each Signature.values is a read-only row of it. The hashing runs in
+    blocks of whole sets holding at most _BLOCK_HASHES hash values, so that
+    a block and its shift scratch stay in a core's L2 cache; a set larger
+    than that is hashed in ranges of slot columns. When there are several
+    blocks per CPU, threads share them out (numpy releases the GIL inside
+    each ufunc). Blocks write disjoint parts of the matrix and a slotwise
+    minimum is exact, so the values do not depend on the block split or on
+    the number of threads.
+    """
+    for tokens in sets.values():
+        if not tokens:
+            raise ValueError("minhash undefined on empty set")
+        validate_tokens(tokens)
+    if not sets:
+        return {}
+    offsets = [0, *itertools.accumulate(map(len, sets.values()))]
+    toks = np.fromiter(
+        itertools.chain.from_iterable(sets.values()), dtype=np.uint64, count=offsets[-1]
+    )
+    out = np.empty((len(sets), family.k), dtype=np.uint64)
+    blocks = _blocks(offsets, family.k)
+    largest = max((offsets[end] - offsets[first]) * (hi - lo) for first, end, lo, hi in blocks)
+    workers = len(blocks) // _BLOCKS_PER_WORKER
+    workers = min(workers, _cpu_count()) if workers > 1 else 1
+    if workers == 1:
+        _hash_blocks(family, toks, offsets, out, blocks, np.empty(2 * largest, dtype=np.uint64))
+    else:
+        # Scratch is allocated here, not in the worker threads, so that it
+        # does not come from per-thread malloc arenas.
+        jobs = [(blocks[i::workers], np.empty(2 * largest, dtype=np.uint64)) for i in range(workers)]
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(_hash_blocks, family, toks, offsets, out, *job) for job in jobs]
+            for future in futures:
+                future.result()
+    out.setflags(write=False)
+    fp = family.fingerprint
+    return {
+        set_id: Signature(values=row, fingerprint=fp, bits=64) for set_id, row in zip(sets, out)
+    }
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blocks(offsets: list[int], k: int) -> list[tuple[int, int, int, int]]:
+    """(first set, end set, first slot, end slot) per block: runs of whole
+    sets up to _BLOCK_HASHES hash values, or one set over a slot range."""
+    blocks = []
+    first = 0
+    n = len(offsets) - 1
+    while first < n:
+        rows = offsets[first + 1] - offsets[first]
+        if rows * k > _BLOCK_HASHES:
+            width = max(1, _BLOCK_HASHES // rows)
+            blocks.extend((first, first + 1, lo, min(lo + width, k)) for lo in range(0, k, width))
+            first += 1
+            continue
+        end = first + 1
+        limit = offsets[first] + _BLOCK_HASHES // k
+        while end < n and offsets[end + 1] <= limit:
+            end += 1
+        blocks.append((first, end, 0, k))
+        first = end
+    return blocks
+
+
+def _hash_blocks(
+    family: HashFamily,
+    toks: np.ndarray,
+    offsets: list[int],
+    out: np.ndarray,
+    blocks: list[tuple[int, int, int, int]],
+    scratch: np.ndarray,
+) -> None:
+    """Fill out[first:end, lo:hi] for each block: keyed hashes of the
+    block's tokens, then each set's slotwise minimum."""
+    for first, end, lo, hi in blocks:
+        start = offsets[first]
+        rows = offsets[end] - start
+        size = rows * (hi - lo)
+        x = scratch[:size].reshape(rows, hi - lo)
+        t = scratch[size : 2 * size].reshape(rows, hi - lo)
+        np.add(toks[start : start + rows, np.newaxis], family.key_add[lo:hi], out=x)
+        np.right_shift(x, _NP_S30, out=t)
+        x ^= t
         x *= _NP_MULT1
-        x ^= x >> _NP_S27
-        x += family.key_mid
+        np.right_shift(x, _NP_S27, out=t)
+        x ^= t
+        x += family.key_mid[lo:hi]
         x *= _NP_MULT2
-        x ^= x >> _NP_S31
-        np.minimum(best, x.min(axis=0), out=best)
-    best.setflags(write=False)
-    return Signature(values=best, fingerprint=family.fingerprint, bits=64)
+        np.right_shift(x, _NP_S31, out=t)
+        x ^= t
+        for row in range(first, end):
+            np.minimum.reduce(
+                x[offsets[row] - start : offsets[row + 1] - start], axis=0, out=out[row, lo:hi]
+            )
 
 
 def match_count(a: Signature, b: Signature, upto: int) -> MatchCount:

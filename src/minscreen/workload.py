@@ -1,9 +1,11 @@
-"""Set and pair files, plus synthetic workloads with exact target Jaccard.
+r"""Set and pair files, plus synthetic workloads with exact target Jaccard.
 
 Sets file: one set per line, whitespace-separated decimal token ids. The
 0-based physical line number is the set id, so comment lines (leading '#')
 still consume an id. Pairs file: two set ids per line; comments and blank
-lines are skipped.
+lines are skipped. Both are read with universal newlines, so a line ends at
+"\n", "\r\n" or a lone "\r"; form feed, vertical tab and the separators
+\x1c-\x1e are whitespace inside a line.
 
 Synthetic pairs are constructed, not sampled: a target similarity a/b in
 lowest terms becomes a*c shared tokens out of b*c union tokens, so the
@@ -24,13 +26,23 @@ logger = logging.getLogger(__name__)
 _MASK64 = (1 << 64) - 1
 
 
+def _lines(text: str) -> list[str]:
+    r"""The lines of text split at "\n", without the empty field after a
+    final newline. str.splitlines would also break lines at form feeds,
+    vertical tabs and \x1c-\x1e, shifting every later set id."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def load_sets(path: str) -> dict[int, frozenset[int]]:
     """Parse a sets file into {line number: token set}."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     sets: dict[int, frozenset[int]] = {}
     duplicates = 0
-    for lineno, line in enumerate(text.splitlines()):
+    for lineno, line in enumerate(_lines(text)):
         if line.lstrip().startswith("#"):
             continue
         fields = line.split()
@@ -61,7 +73,7 @@ def load_pairs(path: str) -> list[tuple[int, int]]:
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     pairs: list[tuple[int, int]] = []
-    for lineno, line in enumerate(text.splitlines()):
+    for lineno, line in enumerate(_lines(text)):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

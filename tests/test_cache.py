@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from minscreen.cache import MAGIC, SignatureCache, read_cache, write_cache
-from minscreen.minhash import make_family, sign, to_b_bit
+from minscreen.minhash import make_family, sign, sign_many, to_b_bit
 
 
 def _some_signatures(k=50, seed=42, n=5, bits=None):
@@ -65,6 +65,37 @@ def test_full_width_rows_are_read_only_views_and_rewrite_identically(tmp_path):
     again = tmp_path / "again.mhsg"
     write_cache(str(again), 42, back.signatures)
     assert again.read_bytes() == path.read_bytes()
+
+
+def _struct_cache_bytes(master_seed, signatures):
+    """A full-width cache built field by field with struct, as the format
+    in the cache module docstring describes it."""
+    k = next(iter(signatures.values())).k
+    parts = [MAGIC, struct.pack("<IQQQ", 1, k, master_seed, len(signatures))]
+    for set_id in sorted(signatures):
+        parts.append(struct.pack("<Q", set_id))
+        parts.append(struct.pack(f"<{k}Q", *signatures[set_id].values.tolist()))
+    return b"".join(parts)
+
+
+def test_full_width_bytes_match_the_documented_layout(tmp_path):
+    family = make_family(33, 2**64 - 1)
+    sigs = sign_many(
+        family, {2**64 - 1: {1, 2}, 0: {3}, 17: {2**64 - 1, 0, 9}, 2**63: {4, 5, 6}}
+    )
+    sigs[5] = sign(family, {7})
+    path = tmp_path / "layout.mhsg"
+    write_cache(str(path), 2**64 - 1, sigs)
+    assert path.read_bytes() == _struct_cache_bytes(2**64 - 1, sigs)
+    back = read_cache(str(path))
+    assert list(back.signatures) == [0, 5, 17, 2**63, 2**64 - 1]
+
+
+def test_full_width_write_rejects_out_of_range_ids(tmp_path):
+    sigs = _some_signatures(k=4, n=1)
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"set id {bad} outside unsigned 64-bit range"):
+            write_cache(str(tmp_path / "z.mhsg"), 42, {bad: sigs[0]})
 
 
 def test_rejects_bad_magic(tmp_path):

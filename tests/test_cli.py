@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from minscreen.cache import read_cache
 from minscreen.cli import main
 from minscreen.harness import (
     OUTCOME_COLUMNS,
@@ -18,7 +20,10 @@ from minscreen.harness import (
     write_outcomes_csv,
 )
 from minscreen.screening import ScreenConfig, build_table, compare_pair, filtering_rate
-from minscreen.workload import WorkloadGroup, WorkloadSpec, gen_synthetic
+from minscreen.minhash import make_family, slot_hash
+from minscreen.workload import WorkloadGroup, WorkloadSpec, gen_synthetic, load_sets
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def small_workload():
@@ -420,3 +425,29 @@ class TestCli:
         )
         assert code == 1
         assert "conflicts" in capsys.readouterr().err
+
+
+class TestGoldenSignatureCache:
+    """tests/golden/sign_k256_seed42.mhsg was written by the per-set signer
+    that sign_many replaced, from tests/golden/sign_sets.txt (sets of 1, 2,
+    22, 700, 3 and 19 tokens; 700 x 256 hash values is more than one block)."""
+
+    SETS = GOLDEN / "sign_sets.txt"
+    CACHE = GOLDEN / "sign_k256_seed42.mhsg"
+
+    def test_sign_output_is_byte_identical(self, tmp_path):
+        out = tmp_path / "sigs.mhsg"
+        args = ["sign", "--sets", str(self.SETS), "--k", "256", "--seed", "42", "--out", str(out)]
+        assert main(args) == 0
+        assert out.read_bytes() == self.CACHE.read_bytes()
+
+    def test_golden_cache_holds_the_slot_hash_minima(self):
+        sets = load_sets(str(self.SETS))
+        assert sorted(len(tokens) for tokens in sets.values()) == [1, 2, 3, 19, 22, 700]
+        stored = read_cache(str(self.CACHE))
+        family = make_family(256, 42)
+        add, mid = family.key_add.tolist(), family.key_mid.tolist()
+        assert sorted(stored.signatures) == sorted(sets)
+        for set_id, tokens in sets.items():
+            want = [min(slot_hash(t, add[i], mid[i]) for t in tokens) for i in range(256)]
+            assert stored.signatures[set_id].values.tolist() == want

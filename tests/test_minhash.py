@@ -7,10 +7,12 @@ and catches any unintended dtype promotion in the numpy path.
 """
 
 import random
+import threading
 
 import numpy as np
 import pytest
 
+from minscreen import minhash
 from minscreen.minhash import (
     HashFamily,
     MatchCount,
@@ -19,6 +21,7 @@ from minscreen.minhash import (
     make_family,
     match_count,
     sign,
+    sign_many,
     slot_hash,
     to_b_bit,
 )
@@ -146,6 +149,142 @@ class TestSign:
             sign(family, {-3})
         with pytest.raises(ValueError):
             sign(family, {1 << 64})
+
+
+def ref_signature(family: HashFamily, tokens) -> list[int]:
+    add = family.key_add.tolist()
+    mid = family.key_mid.tolist()
+    return [min(ref_slot(t, add[i], mid[i]) for t in tokens) for i in range(family.k)]
+
+
+class TestSignMany:
+    """The blocked, threaded kernel equals the scalar recipe on every block
+    split and worker count."""
+
+    K = 64
+    SIZES = (1, 2, 3, 17, 1, 40, 100, 5)
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = random.Random(31)
+        family = make_family(self.K, 77)
+        sets = {}
+        for set_id, size in zip((9, 3, 100, 0, 7, 2**64 - 1, 5, 8), self.SIZES):
+            tokens = {rng.randrange(0, 1 << 64) for _ in range(size - 1)} | {set_id % 1000}
+            sets[set_id] = frozenset(tokens)
+        sets[7] = frozenset({2**64 - 1})
+        want = {set_id: ref_signature(family, tokens) for set_id, tokens in sets.items()}
+        return family, sets, want
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            1,  # one slot column of one set per block
+            64,  # one row: every set of two or more tokens splits into columns
+            4 * 64,  # blocks of several small sets; 17, 40, 100 split
+            1 << 16,  # everything in one block
+        ],
+    )
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_matches_oracle_on_every_split(self, corpus, monkeypatch, budget, cpus):
+        family, sets, want = corpus
+        monkeypatch.setattr(minhash, "_BLOCK_HASHES", budget)
+        monkeypatch.setattr(minhash, "_BLOCKS_PER_WORKER", 1)
+        monkeypatch.setattr(minhash, "_cpu_count", lambda: cpus)
+        got = sign_many(family, sets)
+        assert {set_id: sig.values.tolist() for set_id, sig in got.items()} == want
+        for set_id, tokens in sets.items():
+            assert np.array_equal(got[set_id].values, sign(family, tokens).values)
+            assert got[set_id].fingerprint == family.fingerprint
+            assert got[set_id].bits == 64
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_blocks_are_shared_out_to_one_task_per_cpu(self, corpus, monkeypatch, cpus):
+        family, sets, want = corpus
+        monkeypatch.setattr(minhash, "_BLOCK_HASHES", 4 * 64)
+        monkeypatch.setattr(minhash, "_BLOCKS_PER_WORKER", 1)
+        monkeypatch.setattr(minhash, "_cpu_count", lambda: cpus)
+        calls = []
+        hash_blocks = minhash._hash_blocks
+
+        def recording(*args):
+            calls.append((threading.get_ident(), len(args[4])))
+            hash_blocks(*args)
+
+        monkeypatch.setattr(minhash, "_hash_blocks", recording)
+        got = sign_many(family, sets)
+        assert {set_id: sig.values.tolist() for set_id, sig in got.items()} == want
+        assert len(calls) == cpus
+        if cpus > 1:
+            assert threading.get_ident() not in {ident for ident, _ in calls}
+        blocks = minhash._blocks([0, *np.cumsum(self.SIZES).tolist()], self.K)
+        assert sum(n for _, n in calls) == len(blocks)
+
+    def test_few_blocks_stay_on_the_calling_thread(self, corpus, monkeypatch):
+        family, sets, _ = corpus
+        monkeypatch.setattr(minhash, "_cpu_count", lambda: 8)
+        calls = []
+        hash_blocks = minhash._hash_blocks
+
+        def recording(*args):
+            calls.append(threading.get_ident())
+            hash_blocks(*args)
+
+        monkeypatch.setattr(minhash, "_hash_blocks", recording)
+        sign_many(family, sets)
+        assert calls == [threading.get_ident()]
+
+    def test_blocks_respect_the_budget_and_cover_every_slot(self, monkeypatch):
+        monkeypatch.setattr(minhash, "_BLOCK_HASHES", 100)
+        sizes = [1, 2, 3, 30, 1, 1, 7, 200]
+        offsets = [0, *np.cumsum(sizes).tolist()]
+        k = 20
+        blocks = minhash._blocks(offsets, k)
+        covered = np.zeros((len(sizes), k), dtype=int)
+        for first, end, lo, hi in blocks:
+            rows = offsets[end] - offsets[first]
+            assert end == first + 1 or rows * k <= 100
+            assert lo < hi
+            covered[first:end, lo:hi] += 1
+        assert (covered == 1).all()
+        # sets of 30 and 200 tokens are hashed in ranges of 3 and 1 slots
+        assert [hi - lo for first, _, lo, hi in blocks if first == 3] == [3] * 6 + [2]
+        assert len([b for b in blocks if b[0] == 7]) == k
+
+    def test_keeps_input_order(self):
+        family = make_family(8, 1)
+        got = sign_many(family, {5: {1}, 2: {2, 3}, 9: {4}, 0: {5}})
+        assert list(got) == [5, 2, 9, 0]
+
+    def test_rows_are_read_only_uint64(self):
+        family = make_family(16, 1)
+        got = sign_many(family, {0: {1, 2}, 1: {3}})
+        for sig in got.values():
+            assert sig.values.dtype == np.uint64
+            assert sig.values.shape == (16,)
+            assert not sig.values.flags.writeable
+            with pytest.raises(ValueError):
+                sig.values[0] = 0
+
+    def test_empty_mapping(self):
+        assert sign_many(make_family(8, 1), {}) == {}
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (set(), "minhash undefined on empty set"),
+            ({1.5}, "token 1.5 is not an integer"),
+            ({True}, "token True is not an integer"),
+            ({-3}, "token -3 outside unsigned 64-bit range"),
+            ({1 << 64}, f"token {1 << 64} outside unsigned 64-bit range"),
+        ],
+    )
+    def test_error_messages_match_sign(self, bad, message):
+        family = make_family(8, 0)
+        for call in (lambda: sign(family, bad), lambda: sign_many(family, {0: {1}, 1: bad})):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
 
 class TestMatchCount:

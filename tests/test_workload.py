@@ -66,6 +66,39 @@ class TestLoadSets:
             load_sets(str(path))
 
 
+    def test_only_newline_ends_a_line(self, tmp_path):
+        # form feed, vertical tab and the ASCII separators are whitespace
+        # inside their line, not line breaks
+        path = tmp_path / "sets.txt"
+        path.write_bytes(b"1 2\x0c3\n4\x0b5\n7\x1c8\x1d9\x1e10\n")
+        assert load_sets(str(path)) == {0: {1, 2, 3}, 1: {4, 5}, 2: {7, 8, 9, 10}}
+
+    def test_lone_carriage_return_ends_a_line(self, tmp_path):
+        # files are read with universal newlines
+        path = tmp_path / "sets.txt"
+        path.write_bytes(b"1 2\r3\r")
+        assert load_sets(str(path)) == {0: {1, 2}, 1: {3}}
+
+    def test_crlf_file(self, tmp_path):
+        path = tmp_path / "sets.txt"
+        path.write_bytes(b"# header\r\n1 2\r\n3\r\n")
+        assert load_sets(str(path)) == {1: {1, 2}, 2: {3}}
+
+    def test_no_final_newline(self, tmp_path):
+        path = tmp_path / "sets.txt"
+        path.write_bytes(b"1 2\n3")
+        assert load_sets(str(path)) == {0: {1, 2}, 1: {3}}
+
+    def test_error_line_numbers_are_physical(self, tmp_path):
+        path = tmp_path / "sets.txt"
+        path.write_bytes(b"1 2\x0c3\n4\x0b5\n6 x\n")
+        with pytest.raises(ValueError, match="bad token 'x' at line 2"):
+            load_sets(str(path))
+        path.write_bytes(b"1\r\n2\x0c\r\n\r\n")
+        with pytest.raises(ValueError, match="empty set at line 2"):
+            load_sets(str(path))
+
+
 class TestLoadPairs:
     def test_basic(self, tmp_path):
         path = tmp_path / "pairs.txt"
@@ -87,6 +120,28 @@ class TestLoadPairs:
         path = tmp_path / "pairs.txt"
         path.write_text("0 -1\n")
         with pytest.raises(ValueError, match="negative"):
+            load_pairs(str(path))
+
+
+    def test_only_newline_ends_a_line(self, tmp_path):
+        path = tmp_path / "pairs.txt"
+        path.write_bytes(b"0\x0c1\n2\x0b3\n\x0c\n4 5\x1e\n")
+        assert load_pairs(str(path)) == [(0, 1), (2, 3), (4, 5)]
+
+    def test_crlf_file(self, tmp_path):
+        path = tmp_path / "pairs.txt"
+        path.write_bytes(b"# header\r\n\r\n0 1\r\n2 3\r\n")
+        assert load_pairs(str(path)) == [(0, 1), (2, 3)]
+
+    def test_error_line_numbers_are_physical(self, tmp_path):
+        # a vertical tab does not start a line, so "2 3\x0b4 5" is one
+        # line with four fields
+        path = tmp_path / "pairs.txt"
+        path.write_bytes(b"0 1\x0c\n2 3\x0b4 5\n")
+        with pytest.raises(ValueError, match="expected two set ids at line 1"):
+            load_pairs(str(path))
+        path.write_bytes(b"0\x0b1\n\x0c\n2 -3\n")
+        with pytest.raises(ValueError, match="negative set id at line 2"):
             load_pairs(str(path))
 
 
