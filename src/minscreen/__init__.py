@@ -20,7 +20,6 @@ from .minhash import (
     match_count,
     sign,
     sign_many,
-    to_b_bit,
 )
 from .screening import (
     PairOutcome,

@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -126,13 +127,31 @@ def binom_upper_tail(m: int, k: int, p: float) -> float:
     return _upper_tail(_pmf(k, p, _log_factorials(k)), m, k, p)
 
 
-def _validate_solver_args(k: int, t: float, e: float) -> None:
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+def validate_table_args(
+    t: float, e: float, checkpoints: Iterable[int], e_upper: float | None = None
+) -> tuple[int, ...]:
+    """Check a threshold, its significance levels and a checkpoint schedule;
+    return the checkpoints as a tuple of ints.
+
+    Checkpoints must be strictly increasing positive integers. They are
+    converted with operator.index, so Python and numpy integers pass and
+    floats or strings are refused rather than truncated.
+    """
     if not 0.0 < t < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {t}")
     if not 0.0 < e < 1.0:
         raise ValueError(f"significance e must lie in (0, 1), got {e}")
+    if e_upper is not None and not 0.0 < e_upper < 1.0:
+        raise ValueError(f"significance e_upper must lie in (0, 1), got {e_upper}")
+    checkpoints = tuple(checkpoints)
+    problem = f"checkpoints must be strictly increasing positive integers, got {checkpoints!r}"
+    try:
+        points = tuple(operator.index(k) for k in checkpoints)
+    except TypeError:
+        raise ValueError(problem) from None
+    if any(k <= prev for prev, k in zip((0, *points), points)):
+        raise ValueError(problem)
+    return points
 
 
 def _lower_cutoff(pmf: list[float], k: int, t: float, e: float) -> int | None:
@@ -175,8 +194,7 @@ def solve_lower(k: int, t: float, e: float) -> int | None:
     cutoff tail never exceeds e beyond E_ROUNDING_SLACK), which preserves
     the significance guarantee of the early discard.
     """
-    _validate_solver_args(k, t, e)
-    return _lower_cutoff(_pmf(k, t, _log_factorials(k)), k, t, e)
+    return build_threshold_table(t, e, (k,)).rows[0].m_l
 
 
 def solve_upper(k: int, t: float, e: float) -> int:
@@ -185,8 +203,7 @@ def solve_upper(k: int, t: float, e: float) -> int:
     Always defined: P(X > k) is an empty sum, so the result is at most k.
     A result of k means only a perfect match count accepts early.
     """
-    _validate_solver_args(k, t, e)
-    return _upper_cutoff(_pmf(k, t, _log_factorials(k)), k, t, e)
+    return build_threshold_table(t, e, (k,)).rows[0].m_u
 
 
 @dataclass(frozen=True)
@@ -237,21 +254,11 @@ def build_threshold_table(
 
     e applies to the discard (lower) side; e_upper, when given, replaces it
     on the accept side, mirroring configurations that quote the two tails
-    separately. Checkpoints must be strictly increasing positive integers.
-    The table is built once per configuration and reused across all pairs.
+    separately. The arguments are checked by validate_table_args. The
+    table is built once per configuration and reused across all pairs.
     """
-    points = tuple(int(k) for k in checkpoints)
+    points = validate_table_args(t, e, checkpoints, e_upper)
     e_up = e if e_upper is None else e_upper
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {t}")
-    for value in (e, e_up):
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"significance e must lie in (0, 1), got {value}")
-    prev = 0
-    for k in points:
-        if k <= prev:
-            raise ValueError(f"checkpoints must be strictly increasing, got {points}")
-        prev = k
     log_fact = _log_factorials(max(points, default=0))
     rows = []
     for k in points:

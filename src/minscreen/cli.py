@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from . import binomial, cache, harness, workload
-from .minhash import make_family, sign_many, to_b_bit
+from .minhash import make_family, sign_many
 from .screening import DEFAULT_SCHEDULE, ScreenConfig
 
 _DEFAULT_SCHEDULE_TEXT = ",".join(str(k) for k in DEFAULT_SCHEDULE)
@@ -51,8 +51,6 @@ def _cmd_sign(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.sets}: no sets to sign")
     family = make_family(args.k, args.seed)
     signatures = sign_many(family, sets)
-    if args.bits is not None:
-        signatures = {set_id: to_b_bit(sig, args.bits) for set_id, sig in signatures.items()}
     cache.write_cache(args.out, args.seed, signatures)
     print(f"signed {len(signatures)} sets (k={args.k}, seed={args.seed}) into {args.out}")
     return 0
@@ -63,10 +61,6 @@ def _cmd_screen(args: argparse.Namespace) -> int:
     schedule = _parse_schedule(args.schedule)
     if args.cache is not None:
         stored = cache.read_cache(args.cache)
-        if stored.bits != 64:
-            raise ValueError(
-                f"{args.cache}: screening needs full-width signatures, cache is {stored.bits}-bit"
-            )
         if args.k is not None and args.k != stored.k:
             raise ValueError(f"--k {args.k} conflicts with cache k={stored.k}")
         if args.seed is not None and args.seed != stored.master_seed:
@@ -160,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sign.add_argument("--sets", required=True)
     p_sign.add_argument("--k", type=int, default=1000)
     p_sign.add_argument("--seed", type=int, default=42)
-    p_sign.add_argument("--bits", type=int, default=None, help="store only the low b bits")
     p_sign.add_argument("--out", required=True)
     p_sign.set_defaults(func=_cmd_sign)
 

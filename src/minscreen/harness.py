@@ -18,9 +18,12 @@ from .minhash import Signature, make_family, sign_many
 from .sets import jaccard_at_least
 from .screening import (
     ABOVE,
+    BELOW,
+    FILTERED_EARLY,
+    FULL_COMPARISON,
+    OUTPUT_EARLY,
     PairOutcome,
     ScreenConfig,
-    build_table,
     filtering_rate,
     screen_batch,
 )
@@ -172,6 +175,8 @@ def write_outcomes_csv(
 
 
 def read_outcomes_csv(path: str) -> tuple[list[tuple[int, int]], list[PairOutcome]]:
+    """Pairs and outcomes from an outcomes CSV. A malformed row fails with
+    path:line (1-based, the header being line 1)."""
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -180,19 +185,35 @@ def read_outcomes_csv(path: str) -> tuple[list[tuple[int, int]], list[PairOutcom
         pairs: list[tuple[int, int]] = []
         outcomes: list[PairOutcome] = []
         for row in reader:
-            if len(row) != len(OUTCOME_COLUMNS):
-                raise ValueError(f"{path}: malformed outcomes row {row}")
-            pairs.append((int(row[1]), int(row[2])))
-            outcomes.append(
-                PairOutcome(
-                    decision=row[3],
-                    resolution_kind=row[4],
-                    resolution_checkpoint=None if row[5] == "" else int(row[5]),
-                    comparisons_used=int(row[6]),
-                    estimate=float(row[7]),
-                )
-            )
+            try:
+                pair, outcome = _parse_outcome_row(row)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            pairs.append(pair)
+            outcomes.append(outcome)
     return pairs, outcomes
+
+
+def _parse_outcome_row(row: list[str]) -> tuple[tuple[int, int], PairOutcome]:
+    """One outcomes row: a known decision and resolution kind, and a
+    checkpoint on early rows only, as screen_batch writes them."""
+    if len(row) != len(OUTCOME_COLUMNS):
+        raise ValueError(f"expected {len(OUTCOME_COLUMNS)} fields, got {len(row)}")
+    _, id_a, id_b, decision, kind, checkpoint, used, estimate = row
+    if decision not in (ABOVE, BELOW):
+        raise ValueError(f"unknown decision {decision!r}")
+    if kind not in (OUTPUT_EARLY, FILTERED_EARLY, FULL_COMPARISON):
+        raise ValueError(f"unknown resolution kind {kind!r}")
+    if kind == FULL_COMPARISON and checkpoint:
+        raise ValueError(f"{kind} row with resolution_checkpoint {checkpoint!r}")
+    if kind != FULL_COMPARISON and not checkpoint:
+        raise ValueError(f"{kind} row without resolution_checkpoint")
+    try:
+        resolved_at = int(checkpoint) if checkpoint else None
+        outcome = PairOutcome(decision, kind, resolved_at, int(used), float(estimate))
+        return (int(id_a), int(id_b)), outcome
+    except ValueError as exc:
+        raise ValueError(f"bad number ({exc})") from None
 
 
 def report_fr_curves(

@@ -36,9 +36,8 @@ from typing import AbstractSet, Mapping
 
 import numpy as np
 
-from .sets import validate_tokens
+from .sets import U64_MAX, validate_tokens
 
-_MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
@@ -61,21 +60,21 @@ def slot_hash(token: int, key_add: int, key_mid: int) -> int:
     """Reference implementation of the per-slot keyed hash, one token at a
     time. sign_many() computes exactly this with numpy; tests hold the two
     paths bit-identical."""
-    x = (token + key_add) & _MASK64
+    x = (token + key_add) & U64_MAX
     x ^= x >> 30
-    x = (x * _MULT1) & _MASK64
+    x = (x * _MULT1) & U64_MAX
     x ^= x >> 27
-    x = (x + key_mid) & _MASK64
-    x = (x * _MULT2) & _MASK64
+    x = (x + key_mid) & U64_MAX
+    x = (x * _MULT2) & U64_MAX
     x ^= x >> 31
     return x
 
 
 def _mix_state(z: int) -> int:
     z ^= z >> 30
-    z = (z * _MULT1) & _MASK64
+    z = (z * _MULT1) & U64_MAX
     z ^= z >> 27
-    z = (z * _MULT2) & _MASK64
+    z = (z * _MULT2) & U64_MAX
     z ^= z >> 31
     return z
 
@@ -91,7 +90,7 @@ def derive_keys(master_seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     words = []
     state = master_seed
     for _ in range(2 * k):
-        state = (state + _GOLDEN) & _MASK64
+        state = (state + _GOLDEN) & U64_MAX
         words.append(_mix_state(state))
     key_add = np.array(words[0::2], dtype=np.uint64)
     key_mid = np.array(words[1::2], dtype=np.uint64)
@@ -108,12 +107,6 @@ def family_fingerprint(master_seed: int, k: int) -> str:
     return digest.hexdigest()
 
 
-def reduced_fingerprint(base: str, bits: int) -> str:
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(f"{base}|b{bits}".encode("ascii"))
-    return digest.hexdigest()
-
-
 @dataclass(frozen=True)
 class HashFamily:
     """k keyed hash slots derived deterministically from one master seed."""
@@ -127,12 +120,10 @@ class HashFamily:
 
 @dataclass(frozen=True)
 class Signature:
-    """Per-slot minima for one token set, tagged with the family it came
-    from. bits is 64 for full-width values, smaller after to_b_bit."""
+    """Per-slot minima for one token set, tagged with the family it came from."""
 
     values: np.ndarray
     fingerprint: str
-    bits: int = 64
 
     @property
     def k(self) -> int:
@@ -145,12 +136,17 @@ class MatchCount:
     k_examined: int
 
 
-def make_family(k: int, master_seed: int) -> HashFamily:
-    """Derive the keyed slots for a family of k hash functions."""
+def validate_family_args(k: int, master_seed: int) -> None:
+    """Reject a family size below 1 or a seed outside the unsigned 64-bit range."""
     if k < 1:
         raise ValueError(f"family size k must be at least 1, got {k}")
-    if not 0 <= master_seed <= _MASK64:
+    if not 0 <= master_seed <= U64_MAX:
         raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
+
+
+def make_family(k: int, master_seed: int) -> HashFamily:
+    """Derive the keyed slots for a family of k hash functions."""
+    validate_family_args(k, master_seed)
     key_add, key_mid = derive_keys(master_seed, k)
     return HashFamily(
         k=k,
@@ -206,9 +202,7 @@ def sign_many(family: HashFamily, sets: Mapping[int, AbstractSet[int]]) -> dict[
                 future.result()
     out.setflags(write=False)
     fp = family.fingerprint
-    return {
-        set_id: Signature(values=row, fingerprint=fp, bits=64) for set_id, row in zip(sets, out)
-    }
+    return {set_id: Signature(values=row, fingerprint=fp) for set_id, row in zip(sets, out)}
 
 
 def _cpu_count() -> int:
@@ -297,19 +291,3 @@ def estimator_variance(j: float, k: int) -> float:
         raise ValueError(f"k must be at least 1, got {k}")
     return j * (1.0 - j) / k
 
-
-def to_b_bit(sig: Signature, b: int) -> Signature:
-    """Keep only the lowest b bits of every slot value.
-
-    Cuts storage at the price of accidental slot collisions, which occur at
-    rate 2**-b between slots that genuinely differ. Only full-width
-    signatures can be reduced, and the result carries b in its fingerprint
-    so it is never compared against signatures reduced differently.
-    """
-    if not 1 <= b <= 32:
-        raise ValueError(f"b must lie in [1, 32], got {b}")
-    if sig.bits != 64:
-        raise ValueError(f"signature already reduced to {sig.bits} bits")
-    values = sig.values & np.uint64((1 << b) - 1)
-    values.setflags(write=False)
-    return Signature(values=values, fingerprint=reduced_fingerprint(sig.fingerprint, b), bits=b)

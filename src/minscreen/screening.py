@@ -27,8 +27,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .binomial import ThresholdTable, build_threshold_table
-from .minhash import Signature
+from .binomial import ThresholdTable, build_threshold_table, validate_table_args
+from .minhash import Signature, validate_family_args
 
 ABOVE = "AboveThreshold"
 BELOW = "BelowThreshold"
@@ -38,8 +38,6 @@ FILTERED_EARLY = "FilteredEarly"
 FULL_COMPARISON = "FullComparison"
 
 DEFAULT_SCHEDULE = tuple(range(100, 1000, 100))
-
-_MASK64 = (1 << 64) - 1
 
 # Signature rows one block of pairs may reference. A window holds a column
 # range of every row that unresolved pairs of the block reference, so fewer
@@ -82,22 +80,9 @@ class ScreenConfig:
     master_seed: int = 42
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "schedule", tuple(int(v) for v in self.schedule))
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if not 0.0 < self.e < 1.0:
-            raise ValueError(f"significance e must lie in (0, 1), got {self.e}")
-        if self.e_upper is not None and not 0.0 < self.e_upper < 1.0:
-            raise ValueError(f"significance e_upper must lie in (0, 1), got {self.e_upper}")
-        if self.k < 1:
-            raise ValueError(f"signature length k must be at least 1, got {self.k}")
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
-        prev = 0
-        for point in self.schedule:
-            if point <= prev:
-                raise ValueError(f"schedule must be strictly increasing, got {self.schedule}")
-            prev = point
+        schedule = validate_table_args(self.threshold, self.e, self.schedule, self.e_upper)
+        object.__setattr__(self, "schedule", schedule)
+        validate_family_args(self.k, self.master_seed)
         if self.schedule and self.schedule[-1] > self.k:
             raise ValueError(
                 f"schedule reaches {self.schedule[-1]} but signatures have only {self.k} slots"
@@ -149,11 +134,6 @@ def screen_batch(
         if set_id not in signatures:
             raise ValueError(f"no signature for set id {set_id}")
     sigs = [signatures[set_id] for set_id in row_of]
-    for set_id, sig in zip(row_of, sigs):
-        if sig.bits != 64:
-            raise ValueError(
-                f"screening needs full-width signatures, set id {set_id} is {sig.bits}-bit"
-            )
     # A batch may span families as long as each pair shares one, so only a
     # mixed batch is checked pair by pair, with the per-pair messages.
     families = {(sig.fingerprint, sig.k) for sig in sigs}

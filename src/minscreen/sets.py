@@ -11,7 +11,9 @@ from fractions import Fraction
 from itertools import permutations
 from typing import AbstractSet
 
-TOKEN_MAX = 2**64 - 1
+# Largest unsigned 64-bit integer: the top of the token, set id and seed
+# ranges, and the mask of 64-bit arithmetic.
+U64_MAX = 2**64 - 1
 
 ORACLE_UNIVERSE_LIMIT = 8
 
@@ -21,7 +23,7 @@ def validate_tokens(tokens: AbstractSet[int]) -> None:
     for t in tokens:
         if not isinstance(t, int) or isinstance(t, bool):
             raise ValueError(f"token {t!r} is not an integer")
-        if t < 0 or t > TOKEN_MAX:
+        if t < 0 or t > U64_MAX:
             raise ValueError(f"token {t} outside unsigned 64-bit range")
 
 

@@ -19,11 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Mapping, Sequence
 
-from .sets import TOKEN_MAX
+from .sets import U64_MAX
 
 logger = logging.getLogger(__name__)
-
-_MASK64 = (1 << 64) - 1
 
 
 def _lines(text: str) -> list[str]:
@@ -54,7 +52,7 @@ def load_sets(path: str) -> dict[int, frozenset[int]]:
                 value = int(field, 10)
             except ValueError:
                 raise ValueError(f"{path}: bad token {field!r} at line {lineno}") from None
-            if not 0 <= value <= TOKEN_MAX:
+            if not 0 <= value <= U64_MAX:
                 raise ValueError(
                     f"{path}: token {value} at line {lineno} outside unsigned 64-bit range"
                 )
@@ -134,7 +132,7 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "groups", tuple(self.groups))
-        if not 0 <= self.seed <= _MASK64:
+        if not 0 <= self.seed <= U64_MAX:
             raise ValueError("workload seed must be an unsigned 64-bit integer")
 
 
@@ -194,8 +192,8 @@ def gen_synthetic(spec: WorkloadSpec) -> tuple[dict[int, frozenset[int]], list[t
 
     def take(n: int) -> list[int]:
         nonlocal counter
-        block = [(counter + i) & _MASK64 for i in range(n)]
-        counter = (counter + n) & _MASK64
+        block = [(counter + i) & U64_MAX for i in range(n)]
+        counter = (counter + n) & U64_MAX
         return block
 
     for group in spec.groups:

@@ -8,6 +8,8 @@ anchored to exact values computed by an independent route.
 import math
 from fractions import Fraction
 
+import numpy as np
+
 import pytest
 
 from minscreen.binomial import (
@@ -241,6 +243,16 @@ class TestThresholdTable:
             build_threshold_table(0.5, 1e-3, [200, 100])
         with pytest.raises(ValueError, match="strictly increasing"):
             build_threshold_table(0.5, 1e-3, [0, 100])
+
+    @pytest.mark.parametrize("checkpoints", [[100.9, 200.2], [100, "200"], [100.0]])
+    def test_rejects_non_integer_checkpoints(self, checkpoints):
+        with pytest.raises(ValueError, match="strictly increasing positive integers"):
+            build_threshold_table(0.5, 1e-3, checkpoints)
+
+    def test_numpy_integer_checkpoints_become_ints(self):
+        table = build_threshold_table(0.5, 1e-3, np.array([100, 200], dtype=np.int64))
+        assert table == build_threshold_table(0.5, 1e-3, [100, 200])
+        assert [type(k) for k in table.checkpoints] == [int, int]
 
     def test_csv_header_and_rows_are_pinned(self):
         table = build_threshold_table(0.5, 1e-3, [100, 200])

@@ -1,20 +1,22 @@
 """Signature cache round trips and corruption handling."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from minscreen.cache import MAGIC, SignatureCache, read_cache, write_cache
-from minscreen.minhash import make_family, sign, sign_many, to_b_bit
+from minscreen.minhash import make_family, sign, sign_many
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
-def _some_signatures(k=50, seed=42, n=5, bits=None):
+def _some_signatures(k=50, seed=42, n=5):
     family = make_family(k, seed)
     sigs = {}
     for set_id in range(n):
-        sig = sign(family, {set_id * 3 + 1, set_id * 7 + 2, 1 << 60})
-        sigs[set_id * 10] = sig if bits is None else to_b_bit(sig, bits)
+        sigs[set_id * 10] = sign(family, {set_id * 3 + 1, set_id * 7 + 2, 1 << 60})
     return sigs
 
 
@@ -23,22 +25,8 @@ def test_full_width_round_trip(tmp_path):
     sigs = _some_signatures()
     write_cache(path, 42, sigs)
     back = read_cache(path)
-    assert back == SignatureCache(master_seed=42, k=50, bits=64, signatures=back.signatures)
+    assert back == SignatureCache(master_seed=42, k=50, signatures=back.signatures)
     assert set(back.signatures) == set(sigs)
-    for set_id, sig in sigs.items():
-        assert np.array_equal(back.signatures[set_id].values, sig.values)
-        assert back.signatures[set_id].fingerprint == sig.fingerprint
-        assert back.signatures[set_id].bits == 64
-
-
-@pytest.mark.parametrize("bits", [1, 7, 8, 12, 24, 32])
-def test_reduced_round_trip(tmp_path, bits):
-    path = str(tmp_path / f"b{bits}.mhsg")
-    sigs = _some_signatures(bits=bits)
-    write_cache(path, 42, sigs)
-    back = read_cache(path)
-    assert back.bits == bits
-    assert back.k == 50
     for set_id, sig in sigs.items():
         assert np.array_equal(back.signatures[set_id].values, sig.values)
         assert back.signatures[set_id].fingerprint == sig.fingerprint
@@ -115,7 +103,7 @@ def test_rejects_unknown_version(tmp_path):
 def test_rejects_truncated_file(tmp_path):
     path = str(tmp_path / "t.mhsg")
     write_cache(path, 42, _some_signatures())
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     clipped = tmp_path / "clipped.mhsg"
     clipped.write_bytes(data[:-5])
     with pytest.raises(ValueError, match="corrupt"):
@@ -124,6 +112,25 @@ def test_rejects_truncated_file(tmp_path):
     padded.write_bytes(data + b"\x00")
     with pytest.raises(ValueError, match="corrupt"):
         read_cache(str(padded))
+
+
+@pytest.mark.parametrize("bits", [1, 8])
+def test_rejects_reduced_caches_of_earlier_releases(bits):
+    """Earlier releases could write b-bit caches: the full-width header with
+    a u32 b after master_seed, then the set count, then ceil(b/8) bytes per
+    slot. The golden files were written that way from sign_sets.txt with
+    k = 64 and seed 42.
+
+    No such file can pass for a full-width cache. The u64 read as set_count
+    holds b in its low half and the reduced count, at least 1, in its high
+    half, so it is at least 2**32, and no file under 64 GiB is as long as
+    32 + set_count * 8 * (k + 1) bytes.
+    """
+    path = GOLDEN / f"sign_k64_seed42_b{bits}.mhsg"
+    data = path.read_bytes()
+    assert struct.unpack_from("<IQQIQ", data, 4) == (1, 64, 42, bits, 6)
+    with pytest.raises(ValueError, match="corrupt cache"):
+        read_cache(str(path))
 
 
 def test_rejects_duplicate_set_ids(tmp_path):

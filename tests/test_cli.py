@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,29 @@ class TestHarness:
         path = tmp_path / "other.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="not an outcomes CSV"):
+            read_outcomes_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("0,1,2,Maybe,FilteredEarly,100,100,0.1", "unknown decision 'Maybe'"),
+            ("0,1,2,BelowThreshold,Whatever,100,100,0.1", "unknown resolution kind 'Whatever'"),
+            (
+                "0,1,2,AboveThreshold,FullComparison,100,200,0.9",
+                "FullComparison row with resolution_checkpoint '100'",
+            ),
+            ("0,1,2,AboveThreshold,OutputEarly,,100,0.9", "OutputEarly row without resolution_checkpoint"),
+            ("0,1,x,BelowThreshold,FilteredEarly,100,100,0.1", "bad number"),
+            ("0,1,2,BelowThreshold,FilteredEarly,1e2,100,0.1", "bad number"),
+            ("0,1,2,BelowThreshold,FilteredEarly,100,100,low", "bad number"),
+            ("0,1,2,BelowThreshold", "expected 8 fields, got 4"),
+        ],
+    )
+    def test_read_outcomes_rejects_bad_rows_at_file_and_line(self, tmp_path, row, problem):
+        path = tmp_path / "bad.csv"
+        good = "0,1,2,BelowThreshold,FilteredEarly,100,100,0.1"
+        path.write_text("\n".join([",".join(OUTCOME_COLUMNS), good, row, good, ""]))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: {problem}")):
             read_outcomes_csv(str(path))
 
     def test_fr_curves_rows_are_cumulative(self):
@@ -338,39 +362,19 @@ class TestCli:
         )
         assert path.read_text().splitlines()[1] == "100,34,0.34,65,0.65"
 
-    def test_reduced_cache_roundtrip_and_screen_rejection(self, workdir, capsys):
-        from minscreen.cache import read_cache
+    def test_sign_has_no_bits_option(self, workdir, capsys):
+        out = workdir / "b8.mhsg"
+        with pytest.raises(SystemExit) as exc:
+            main(["sign", "--sets", str(workdir / "sets.txt"), "--bits", "8", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bits 8" in capsys.readouterr().err
+        assert not out.exists()
 
-        assert (
-            main(
-                [
-                    "sign",
-                    "--sets",
-                    str(workdir / "sets.txt"),
-                    "--k",
-                    "100",
-                    "--bits",
-                    "8",
-                    "--out",
-                    str(workdir / "b8.mhsg"),
-                ]
-            )
-            == 0
-        )
-        assert read_cache(str(workdir / "b8.mhsg")).bits == 8
-        code = main(
-            [
-                "screen",
-                "--cache",
-                str(workdir / "b8.mhsg"),
-                "--pairs",
-                str(workdir / "pairs.txt"),
-                "--out",
-                str(workdir / "nope.csv"),
-            ]
-        )
-        assert code == 1
-        assert "full-width" in capsys.readouterr().err
+    def test_fr_refuses_rows_it_would_miscount(self, tmp_path, capsys):
+        path = tmp_path / "odd.csv"
+        path.write_text(",".join(OUTCOME_COLUMNS) + "\n0,1,2,Maybe,Whatever,100,100,0.5\n")
+        assert main(["fr", "--outcomes", str(path), "--schedule", "100"]) == 1
+        assert f"{path}:2: unknown decision 'Maybe'" in capsys.readouterr().err
 
     def test_error_paths_exit_nonzero_with_diagnostics(self, workdir, capsys):
         assert main(["gen", "--group", "junk", "--out-sets", "s", "--out-pairs", "p"]) == 1

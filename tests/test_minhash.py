@@ -1,4 +1,4 @@
-"""Hash family, signatures, estimator, and the b-bit reduction.
+"""Hash family, signatures, and the estimator.
 
 The reference implementation below re-derives the documented mixing recipe
 with plain Python integers. The vectorized kernel in minscreen.minhash must
@@ -23,7 +23,6 @@ from minscreen.minhash import (
     sign,
     sign_many,
     slot_hash,
-    to_b_bit,
 )
 
 MASK = (1 << 64) - 1
@@ -196,7 +195,6 @@ class TestSignMany:
         for set_id, tokens in sets.items():
             assert np.array_equal(got[set_id].values, sign(family, tokens).values)
             assert got[set_id].fingerprint == family.fingerprint
-            assert got[set_id].bits == 64
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_blocks_are_shared_out_to_one_task_per_cpu(self, corpus, monkeypatch, cpus):
@@ -306,7 +304,7 @@ class TestMatchCount:
         values[1] ^= np.uint64(1)
         values[4] ^= np.uint64(1)
         values.setflags(write=False)
-        b = type(a)(values=values, fingerprint=a.fingerprint, bits=a.bits)
+        b = type(a)(values=values, fingerprint=a.fingerprint)
         assert match_count(a, b, 6).x == 4
         assert match_count(a, b, 2).x == 1
         assert match_count(a, b, 1).x == 1
@@ -358,52 +356,3 @@ class TestEstimator:
             covered += abs(estimate(mc) - j) <= tolerance
         assert covered >= 297
 
-
-class TestBBit:
-    def test_reduction_keeps_low_bits_only(self):
-        family = make_family(64, 21)
-        sig = sign(family, {3, 9, 1 << 50})
-        for b in (1, 8, 13, 32):
-            reduced = to_b_bit(sig, b)
-            assert reduced.bits == b
-            mask = (1 << b) - 1
-            assert reduced.values.tolist() == [v & mask for v in sig.values.tolist()]
-
-    def test_identical_signatures_reduce_identically(self):
-        family = make_family(64, 2)
-        one = to_b_bit(sign(family, {1, 2}), 4)
-        two = to_b_bit(sign(family, {1, 2}), 4)
-        assert one.fingerprint == two.fingerprint
-        assert np.array_equal(one.values, two.values)
-
-    def test_fingerprint_tracks_the_width(self):
-        family = make_family(16, 2)
-        sig = sign(family, {1})
-        assert to_b_bit(sig, 4).fingerprint != sig.fingerprint
-        assert to_b_bit(sig, 4).fingerprint != to_b_bit(sig, 5).fingerprint
-        with pytest.raises(ValueError, match="different hash families"):
-            match_count(to_b_bit(sig, 4), to_b_bit(sig, 5), 8)
-
-    def test_rejects_bad_width_and_double_reduction(self):
-        sig = sign(make_family(8, 1), {1})
-        with pytest.raises(ValueError):
-            to_b_bit(sig, 0)
-        with pytest.raises(ValueError):
-            to_b_bit(sig, 33)
-        with pytest.raises(ValueError, match="already reduced"):
-            to_b_bit(to_b_bit(sig, 8), 8)
-
-    def test_collision_rate_follows_the_width_model(self):
-        """GIVEN a pair with exact Jaccard 1/3 and 4-bit slots
-        WHEN slot agreement is measured over k=2000 slots
-        THEN the rate sits within 3 sigma of 2**-4 + (1 - 2**-4) / 3."""
-        a = set(range(10))
-        b = set(range(5, 15))
-        expected = 2.0**-4 + (1.0 - 2.0**-4) / 3.0
-        k = 2000
-        sigma = (expected * (1.0 - expected) / k) ** 0.5
-        family = make_family(k, 1234)
-        freq = estimate(
-            match_count(to_b_bit(sign(family, a), 4), to_b_bit(sign(family, b), 4), k)
-        )
-        assert abs(freq - expected) <= 3.0 * sigma

@@ -24,7 +24,7 @@ CRAFTED = "crafted-family"
 def _sig(values: np.ndarray) -> Signature:
     values = values.astype(np.uint64)
     values.setflags(write=False)
-    return Signature(values=values, fingerprint=CRAFTED, bits=64)
+    return Signature(values=values, fingerprint=CRAFTED)
 
 
 def pair_with_matches(k: int, matching) -> tuple[Signature, Signature]:
@@ -280,11 +280,20 @@ def test_config_validation():
     assert cfg.master_seed == 42
 
 
+def test_config_rejects_non_integer_schedule():
+    for schedule in ((100.9, "200"), (100, 200.0), ("100",)):
+        with pytest.raises(ValueError, match="strictly increasing positive integers"):
+            ScreenConfig(schedule=schedule, k=1000)
+    cfg = ScreenConfig(schedule=np.arange(100, 1000, 100), k=1000)
+    assert cfg.schedule == tuple(range(100, 1000, 100))
+    assert all(type(k) is int for k in cfg.schedule)
+
+
 def test_compare_pair_validates_inputs():
     cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(100,), k=100)
     table = build_table(cfg)
     a, b = pair_with_matches(100, range(10))
-    foreign = Signature(values=b.values, fingerprint="other-family", bits=64)
+    foreign = Signature(values=b.values, fingerprint="other-family")
     with pytest.raises(ValueError, match="different hash families"):
         compare_pair(a, foreign, table, cfg)
     short_cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(), k=50)

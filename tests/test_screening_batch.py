@@ -1,6 +1,8 @@
 """The checkpoint-major batch walk against a per-pair reference walk, and the
 checks screen_batch makes before it compares anything."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from minscreen import screening
 from minscreen.binomial import ThresholdTable
 from minscreen.cli import main
 from minscreen.harness import screen_signatures
-from minscreen.minhash import Signature, make_family, sign, to_b_bit
+from minscreen.minhash import Signature, make_family, sign
 from minscreen.screening import (
     ABOVE,
     BELOW,
@@ -19,12 +21,12 @@ from minscreen.screening import (
     PairOutcome,
     ScreenConfig,
     build_table,
-    compare_pair,
     screen_batch,
 )
 from minscreen.workload import write_pairs
 
 CRAFTED = "crafted-family"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def oracle_compare_pair(
@@ -87,7 +89,7 @@ def crafted_signatures(k: int, n: int, rng: np.random.Generator) -> dict[int, Si
         redrawn = rng.random(k) < rng.uniform(0.0, 0.7)
         values[redrawn] = rng.integers(2**63, 2**64 - 1, size=int(redrawn.sum()), dtype=np.uint64)
         values.setflags(write=False)
-        signatures[1000 + 7 * i] = Signature(values=values, fingerprint=CRAFTED, bits=64)
+        signatures[1000 + 7 * i] = Signature(values=values, fingerprint=CRAFTED)
     return signatures
 
 
@@ -223,21 +225,23 @@ def _one_in_39_signatures(k: int = 1000):
     return a, b
 
 
-def test_reduced_signatures_are_refused():
+def test_reduced_signatures_are_refused(tmp_path, capsys):
+    """Only full-width signatures exist: a J = 1/39 pair is discarded at the
+    first checkpoint, and the b-bit caches earlier releases wrote (golden
+    files, see test_cache) are refused by screen --cache with exit 1."""
     cfg = ScreenConfig(threshold=0.5, e=1e-3, k=1000)
     a, b = _one_in_39_signatures()
     full, _ = screen_batch([(1, 2)], {1: a, 2: b}, cfg)
     assert full[0].resolution_kind == FILTERED_EARLY
     assert full[0].resolution_checkpoint == 100
-    one_bit = {1: to_b_bit(a, 1), 2: to_b_bit(b, 1)}
-    with pytest.raises(ValueError, match="screening needs full-width signatures"):
-        screen_batch([(1, 2)], one_bit, cfg)
-    with pytest.raises(ValueError, match="screening needs full-width signatures"):
-        compare_pair(one_bit[1], one_bit[2], build_table(cfg), cfg)
-    with pytest.raises(ValueError, match="screening needs full-width signatures"):
-        screen_signatures(one_bit, [(1, 2)], cfg)
-    with pytest.raises(ValueError, match="full-width.*set id 2"):
-        screen_batch([(1, 1), (1, 2)], {1: a, 2: to_b_bit(b, 8)}, cfg)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 1\n2 3\n")
+    for bits in (1, 8):
+        path = GOLDEN / f"sign_k64_seed42_b{bits}.mhsg"
+        args = ["screen", "--cache", str(path), "--pairs", str(pairs), "--schedule", "32"]
+        assert main([*args, "--out", str(tmp_path / "out.csv")]) == 1
+        assert f"{path}: corrupt cache" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("missing", [-5, 2**64, 2**70])
