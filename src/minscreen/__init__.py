@@ -14,6 +14,7 @@ from .minhash import (
     HashFamily,
     MatchCount,
     Signature,
+    SignatureMatrix,
     estimate,
     estimator_variance,
     make_family,
@@ -38,6 +39,7 @@ __all__ = [
     "PairOutcome",
     "ScreenConfig",
     "Signature",
+    "SignatureMatrix",
     "ThresholdRow",
     "ThresholdTable",
     "binom_cdf",

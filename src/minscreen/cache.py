@@ -6,7 +6,8 @@ Little-endian layout:
     then per set, in increasing set id order: set_id u64, k slot values as u64
 
 The record section fills the rest of the file, so a cache is exactly
-32 + set_count * 8 * (k + 1) bytes long; any other length is refused.
+32 + set_count * 8 * (k + 1) bytes long; any other length, k or set_count
+of 0, or set ids that do not increase is refused.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .minhash import Signature, family_fingerprint
-from .sets import U64_MAX
+from .minhash import Signature, SignatureMatrix, family_fingerprint
 
 MAGIC = b"MHSG"
 VERSION = 1
@@ -28,7 +28,7 @@ VERSION = 1
 class SignatureCache:
     master_seed: int
     k: int
-    signatures: dict[int, Signature]
+    signatures: SignatureMatrix
 
 
 def _records(k: int) -> np.dtype:
@@ -40,29 +40,20 @@ def write_cache(path: str, master_seed: int, signatures: Mapping[int, Signature]
     """Write signatures of one family keyed by set id."""
     if not signatures:
         raise ValueError("refusing to write an empty signature cache")
-    k = next(iter(signatures.values())).k
-    expected_fp = family_fingerprint(master_seed, k)
-    for set_id, sig in signatures.items():
-        if not 0 <= set_id <= U64_MAX:
-            raise ValueError(f"set id {set_id} outside unsigned 64-bit range")
-        if sig.k != k:
-            raise ValueError("cannot mix signature shapes in one cache")
-        if sig.fingerprint != expected_fp:
-            raise ValueError(f"signature for set {set_id} comes from a different family")
-
-    ids = sorted(signatures)
-    records = np.empty(len(ids), dtype=_records(k))
-    records["id"] = ids
-    values = records["v"]
-    for row, set_id in enumerate(ids):
-        values[row] = signatures[set_id].values
+    matrix = SignatureMatrix.stack(signatures)
+    if matrix.fingerprint != family_fingerprint(master_seed, matrix.k):
+        raise ValueError(f"signatures come from a different family than seed {master_seed}")
+    records = np.empty(len(matrix), dtype=_records(matrix.k))
+    records["id"] = matrix.ids
+    records["v"] = matrix.matrix
     with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<IQQQ", VERSION, k, master_seed, len(ids)))
+        fh.write(MAGIC + struct.pack("<IQQQ", VERSION, matrix.k, master_seed, len(matrix)))
         records.tofile(fh)
 
 
 def read_cache(path: str) -> SignatureCache:
-    """Read a cache into one buffer; each Signature.values is a read-only row."""
+    """Read a cache into one buffer; the signature matrix is a read-only
+    view of it."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 32 or data[:4] != MAGIC:
@@ -70,16 +61,15 @@ def read_cache(path: str) -> SignatureCache:
     version, k, master_seed, count = struct.unpack_from("<IQQQ", data, 4)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported cache version {version}")
-    if k < 1:
-        raise ValueError(f"{path}: corrupt cache (k = {k})")
+    if k < 1 or count < 1:
+        raise ValueError(f"{path}: corrupt cache (k = {k}, set count = {count})")
     if 32 + count * 8 * (k + 1) != len(data):
         raise ValueError(f"{path}: corrupt cache (truncated or inconsistent record section)")
 
     records = np.frombuffer(data, dtype=_records(k), count=count, offset=32)
     fp = family_fingerprint(master_seed, k)
-    signatures: dict[int, Signature] = {}
-    for set_id, values in zip(records["id"].tolist(), records["v"]):
-        if set_id in signatures:
-            raise ValueError(f"{path}: corrupt cache (duplicate set id {set_id})")
-        signatures[set_id] = Signature(values=values, fingerprint=fp)
+    try:
+        signatures = SignatureMatrix(records["id"], records["v"], fp)
+    except ValueError as exc:
+        raise ValueError(f"{path}: corrupt cache ({exc})") from None
     return SignatureCache(master_seed=master_seed, k=k, signatures=signatures)

@@ -58,34 +58,29 @@ def _cmd_sign(args: argparse.Namespace) -> int:
 
 def _cmd_screen(args: argparse.Namespace) -> int:
     pairs = workload.load_pairs(args.pairs)
-    schedule = _parse_schedule(args.schedule)
+    k = args.k if args.k is not None else 1000
+    seed = args.seed if args.seed is not None else 42
     if args.cache is not None:
         stored = cache.read_cache(args.cache)
         if args.k is not None and args.k != stored.k:
             raise ValueError(f"--k {args.k} conflicts with cache k={stored.k}")
         if args.seed is not None and args.seed != stored.master_seed:
             raise ValueError(f"--seed {args.seed} conflicts with cache seed={stored.master_seed}")
-        cfg = ScreenConfig(
-            threshold=args.threshold,
-            e=args.e,
-            e_upper=args.e_upper,
-            schedule=schedule,
-            k=stored.k,
-            master_seed=stored.master_seed,
-        )
+        k, seed = stored.k, stored.master_seed
+    cfg = ScreenConfig(
+        threshold=args.threshold,
+        e=args.e,
+        e_upper=args.e_upper,
+        schedule=_parse_schedule(args.schedule),
+        k=k,
+        master_seed=seed,
+    )
+    if args.cache is not None:
         outcomes, report = harness.screen_signatures(
             stored.signatures, pairs, cfg, baseline=args.baseline
         )
     else:
         sets = workload.load_sets(args.sets)
-        cfg = ScreenConfig(
-            threshold=args.threshold,
-            e=args.e,
-            e_upper=args.e_upper,
-            schedule=schedule,
-            k=args.k if args.k is not None else 1000,
-            master_seed=args.seed if args.seed is not None else 42,
-        )
         outcomes, report = harness.run_screen(sets, pairs, cfg, baseline=args.baseline)
     harness.write_outcomes_csv(args.out, pairs, outcomes)
     report_path = args.report if args.report is not None else args.out + ".report.json"

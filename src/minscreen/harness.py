@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import AbstractSet, Mapping, Sequence
 
-from .minhash import Signature, make_family, sign_many
+from .minhash import Signature, SignatureMatrix, make_family, sign_many
 from .sets import jaccard_at_least
 from .screening import (
     ABOVE,
@@ -60,8 +60,8 @@ class ExperimentReport:
 
 def sign_all(
     sets: Mapping[int, AbstractSet[int]], pairs: Sequence[tuple[int, int]], cfg: ScreenConfig
-) -> dict[int, Signature]:
-    """Sign every set referenced by the pair list."""
+) -> SignatureMatrix:
+    """Sign every set referenced by the pair list, in increasing id order."""
     family = make_family(cfg.k, cfg.master_seed)
     referenced = sorted({set_id for pair in pairs for set_id in pair})
     for set_id in referenced:
@@ -100,9 +100,7 @@ def screen_signatures(
     if baseline:
         full_cfg = replace(cfg, schedule=())
         full_outcomes, _ = screen_batch(pairs, signatures, full_cfg)
-        agree = sum(
-            1 for o, f in zip(outcomes, full_outcomes) if o.decision == f.decision
-        )
+        agree = sum(o.decision == f.decision for o, f in zip(outcomes, full_outcomes))
         accuracy = agree / len(outcomes) if outcomes else 1.0
 
     agreement_vs_exact = None
@@ -177,7 +175,7 @@ def write_outcomes_csv(
 def read_outcomes_csv(path: str) -> tuple[list[tuple[int, int]], list[PairOutcome]]:
     """Pairs and outcomes from an outcomes CSV. A malformed row fails with
     path:line (1-based, the header being line 1)."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != OUTCOME_COLUMNS:
@@ -197,6 +195,8 @@ def read_outcomes_csv(path: str) -> tuple[list[tuple[int, int]], list[PairOutcom
 def _parse_outcome_row(row: list[str]) -> tuple[tuple[int, int], PairOutcome]:
     """One outcomes row: a known decision and resolution kind, and a
     checkpoint on early rows only, as screen_batch writes them."""
+    if not all(field.isascii() for field in row):
+        raise ValueError("non-ASCII byte")
     if len(row) != len(OUTCOME_COLUMNS):
         raise ValueError(f"expected {len(OUTCOME_COLUMNS)} fields, got {len(row)}")
     _, id_a, id_b, decision, kind, checkpoint, used, estimate = row

@@ -30,9 +30,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+from collections.abc import Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping
+from typing import AbstractSet
 
 import numpy as np
 
@@ -130,6 +131,70 @@ class Signature:
         return len(self.values)
 
 
+class SignatureMatrix(Mapping[int, Signature]):
+    """Signatures of one hash family as one read-only (n, k) uint64 matrix.
+
+    ids holds the set ids in strictly increasing order and matrix[i] is the
+    signature of set ids[i]. As a mapping it reads like a dict of
+    Signatures: each item is a read-only row view of the matrix.
+    """
+
+    def __init__(self, ids: np.ndarray, matrix: np.ndarray, fingerprint: str) -> None:
+        later = np.flatnonzero(ids[1:] <= ids[:-1])
+        if later.size:
+            set_id = int(ids[later[0] + 1])
+            problem = "duplicate" if set_id == ids[later[0]] else "out-of-order"
+            raise ValueError(f"{problem} set id {set_id}")
+        # Contiguous ids: searchsorted would copy strided ones on every call.
+        self.ids = np.ascontiguousarray(ids, dtype=np.uint64)
+        self.matrix = matrix
+        self.fingerprint = fingerprint
+        for array in (self.ids, self.matrix):
+            array.setflags(write=False)
+
+    @classmethod
+    def stack(cls, signatures: Mapping[int, Signature]) -> SignatureMatrix:
+        """A mapping of Signatures as one matrix (a SignatureMatrix as it
+        is). A mapping that mixes lengths or families is refused."""
+        if isinstance(signatures, SignatureMatrix):
+            return signatures
+        ids = sorted(signatures)
+        sigs = [signatures[set_id] for set_id in ids]
+        lengths = sorted({sig.k for sig in sigs})
+        if len(lengths) > 1:
+            raise ValueError(f"cannot mix signature lengths {lengths[0]} and {lengths[-1]}")
+        if len({sig.fingerprint for sig in sigs}) > 1:
+            raise ValueError("signatures come from different hash families")
+        matrix = np.array([sig.values for sig in sigs], dtype=np.uint64)
+        matrix = matrix.reshape(len(sigs), lengths[0] if sigs else 0)
+        return cls(_id_array(ids), matrix, sigs[0].fingerprint if sigs else "")
+
+    @property
+    def k(self) -> int:
+        return self.matrix.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids.tolist())
+
+    def __getitem__(self, set_id: int) -> Signature:
+        if isinstance(set_id, (int, np.integer)) and 0 <= set_id <= U64_MAX:
+            row = int(self.ids.searchsorted(set_id))
+            if row < len(self.ids) and self.ids[row] == set_id:
+                return Signature(values=self.matrix[row], fingerprint=self.fingerprint)
+        raise KeyError(set_id)
+
+
+def _id_array(ids: list[int]) -> np.ndarray:
+    """Sorted set ids as a uint64 array; an id outside that range is refused."""
+    for set_id in ids[:1] + ids[-1:]:
+        if not 0 <= set_id <= U64_MAX:
+            raise ValueError(f"set id {set_id} outside unsigned 64-bit range")
+    return np.array(ids, dtype=np.uint64)
+
+
 @dataclass(frozen=True)
 class MatchCount:
     x: int
@@ -162,30 +227,31 @@ def sign(family: HashFamily, tokens: AbstractSet[int]) -> Signature:
     return sign_many(family, {0: tokens})[0]
 
 
-def sign_many(family: HashFamily, sets: Mapping[int, AbstractSet[int]]) -> dict[int, Signature]:
-    """Signatures of non-empty token sets, keyed and ordered like sets.
+def sign_many(family: HashFamily, sets: Mapping[int, AbstractSet[int]]) -> SignatureMatrix:
+    """Signatures of non-empty token sets, one matrix row per set in
+    increasing set id order.
 
-    All tokens go into one array and all signatures into one (n, k) matrix;
-    each Signature.values is a read-only row of it. The hashing runs in
-    blocks of whole sets holding at most _BLOCK_HASHES hash values, so that
-    a block and its shift scratch stay in a core's L2 cache; a set larger
-    than that is hashed in ranges of slot columns. When there are several
-    blocks per CPU, threads share them out (numpy releases the GIL inside
-    each ufunc). Blocks write disjoint parts of the matrix and a slotwise
-    minimum is exact, so the values do not depend on the block split or on
-    the number of threads.
+    All tokens go into one array and all signatures into one (n, k) matrix.
+    The hashing runs in blocks of whole sets holding at most _BLOCK_HASHES
+    hash values, so that a block and its shift scratch stay in a core's L2
+    cache; a set larger than that is hashed in ranges of slot columns. When
+    there are several blocks per CPU, threads share them out (numpy releases
+    the GIL inside each ufunc). Blocks write disjoint parts of the matrix
+    and a slotwise minimum is exact, so the values do not depend on the
+    block split, on the number of threads or on the order of the sets.
     """
-    for tokens in sets.values():
+    ids = sorted(sets)
+    ordered = [sets[set_id] for set_id in ids]
+    for tokens in ordered:
         if not tokens:
             raise ValueError("minhash undefined on empty set")
         validate_tokens(tokens)
-    if not sets:
-        return {}
-    offsets = [0, *itertools.accumulate(map(len, sets.values()))]
-    toks = np.fromiter(
-        itertools.chain.from_iterable(sets.values()), dtype=np.uint64, count=offsets[-1]
-    )
-    out = np.empty((len(sets), family.k), dtype=np.uint64)
+    set_ids = _id_array(ids)
+    out = np.empty((len(ids), family.k), dtype=np.uint64)
+    if not ids:
+        return SignatureMatrix(set_ids, out, family.fingerprint)
+    offsets = [0, *itertools.accumulate(map(len, ordered))]
+    toks = np.fromiter(itertools.chain.from_iterable(ordered), dtype=np.uint64, count=offsets[-1])
     blocks = _blocks(offsets, family.k)
     largest = max((offsets[end] - offsets[first]) * (hi - lo) for first, end, lo, hi in blocks)
     workers = len(blocks) // _BLOCKS_PER_WORKER
@@ -200,9 +266,7 @@ def sign_many(family: HashFamily, sets: Mapping[int, AbstractSet[int]]) -> dict[
             futures = [pool.submit(_hash_blocks, family, toks, offsets, out, *job) for job in jobs]
             for future in futures:
                 future.result()
-    out.setflags(write=False)
-    fp = family.fingerprint
-    return {set_id: Signature(values=row, fingerprint=fp) for set_id, row in zip(sets, out)}
+    return SignatureMatrix(set_ids, out, family.fingerprint)
 
 
 def _cpu_count() -> int:

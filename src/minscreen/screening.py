@@ -8,27 +8,26 @@ from the binomial threshold table, so each early resolution is wrong with
 probability at most the configured significance (per checkpoint).
 
 screen_batch walks a batch checkpoint by checkpoint rather than pair by
-pair. Within a block of consecutive pairs it gathers, one window of slot
-columns at a time, the columns of the signatures that unresolved pairs
-reference; for each interval [k_{i-1}, k_i) inside the window it compares
-only those pairs' slots, adds the matches to their running counts, and
-drops the pairs the checkpoint resolves. A pair resolved at checkpoint k
-therefore costs k slot comparisons in time as well as in the count, and no
-columns past the last checkpoint a block reaches are copied. The full-width
-baseline is the same call with an empty schedule, and compare_pair is a
-batch of one.
+pair, over one signature matrix. For each interval [k_{i-1}, k_i) it
+gathers only the unresolved pairs' slots of that interval straight from the
+matrix, adds the matches to their running counts, and drops the pairs the
+checkpoint resolves. A pair resolved at checkpoint k therefore costs k slot
+comparisons in time as well as in the count, and no column past the last
+checkpoint a pair reaches is read. The full-width baseline is the same call
+with an empty schedule, and compare_pair is a batch of one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .binomial import ThresholdTable, build_threshold_table, validate_table_args
-from .minhash import Signature, validate_family_args
+from .minhash import Signature, SignatureMatrix, validate_family_args
 
 ABOVE = "AboveThreshold"
 BELOW = "BelowThreshold"
@@ -39,19 +38,12 @@ FULL_COMPARISON = "FullComparison"
 
 DEFAULT_SCHEDULE = tuple(range(100, 1000, 100))
 
-# Signature rows one block of pairs may reference. A window holds a column
-# range of every row that unresolved pairs of the block reference, so fewer
-# rows make for wider windows and fewer row-by-row gathers.
-_BLOCK_ROWS = 1024
-# Bytes of one window of signature columns. Wider windows mean fewer
-# row-by-row gathers, but a buffer of several MiB may be handed back to the
-# OS between calls and page-fault in again on the next, which makes a
-# call's cost vary with what ran before it. Windows stay well below that
-# and below numpy's 4 MiB huge-page threshold.
-_WINDOW_BYTES = 2 << 20
-# Bytes of slot slices one comparison step gathers from a window. Steps
-# that stay in a core's cache compare several times faster than larger ones.
-_STEP_BYTES = 1 << 20
+# Bytes of slot slices one comparison step gathers from the signature
+# matrix. Steps stay in a core's cache, and glibc's malloc keeps slices this
+# small on its heap: with 1 MiB steps it handed the freed slices back to the
+# OS after every step, and a full-K pass over 9,000 pairs at K = 1000 took
+# 30k minor page faults and three times as long.
+_STEP_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -128,84 +120,50 @@ def screen_batch(
     survives every checkpoint is decided by its full-width match frequency,
     ties at the threshold counting as above.
     """
-    ids = [set_id for id_a, id_b in pairs for set_id in (id_a, id_b)]
-    row_of = {set_id: row for row, set_id in enumerate(dict.fromkeys(ids))}
-    for set_id in row_of:
-        if set_id not in signatures:
-            raise ValueError(f"no signature for set id {set_id}")
-    sigs = [signatures[set_id] for set_id in row_of]
-    # A batch may span families as long as each pair shares one, so only a
-    # mixed batch is checked pair by pair, with the per-pair messages.
-    families = {(sig.fingerprint, sig.k) for sig in sigs}
-    if len(families) > 1 or any(k != cfg.k for _, k in families):
-        for id_a, id_b in pairs:
-            _check_pair(signatures[id_a], signatures[id_b], cfg)
+    matrix = SignatureMatrix.stack(signatures)
+    pair_rows = _pair_rows(matrix, pairs)
+    if len(matrix) and matrix.k != cfg.k:
+        raise ValueError(f"expected signatures of length {cfg.k}, got {matrix.k}")
     if table is None:
         table = build_table(cfg)
     if table.rows and table.rows[-1].k > cfg.k:
         raise ValueError(
             f"threshold table checkpoint {table.rows[-1].k} exceeds signature length {cfg.k}"
         )
-
-    pair_rows = np.fromiter(map(row_of.__getitem__, ids), dtype=np.intp, count=len(ids))
-    pair_rows = pair_rows.reshape(-1, 2)
-    resolved_at = np.empty(len(pair_rows), dtype=np.int64)
-    matches = np.empty(len(pair_rows), dtype=np.int64)
-    values = [sig.values for sig in sigs]
-    for block in _blocks(pair_rows):
-        rows = pair_rows[block]
-        resolved_at[block], matches[block] = _walk(values, rows[:, 0], rows[:, 1], table, cfg.k)
+    resolved_at, matches = _walk(matrix.matrix, pair_rows[:, 0], pair_rows[:, 1], table, cfg.k)
     return _collect(pairs, resolved_at, matches, table, cfg)
 
 
-def _check_pair(a: Signature, b: Signature, cfg: ScreenConfig) -> None:
-    if a.fingerprint != b.fingerprint:
-        raise ValueError("signatures come from different hash families")
-    if a.k != cfg.k or b.k != cfg.k:
-        raise ValueError(f"expected signatures of length {cfg.k}, got {a.k} and {b.k}")
-
-
-def _blocks(pair_rows: np.ndarray) -> list[slice]:
-    """Split consecutive pairs into blocks that reference at most
-    _BLOCK_ROWS signature rows.
-
-    A block ending at pair e references no row above the running maximum
-    row at e. Rows are numbered in order of first reference, so a leading
-    run of pairs that reuses few signatures, as an all-pairs join does,
-    fits one block. Past that run a block holds _BLOCK_ROWS / 2 pairs.
-    """
-    if not len(pair_rows):
-        return []
-    top = np.maximum.accumulate(pair_rows.max(axis=1))
-    within = int(np.searchsorted(top, _BLOCK_ROWS))
-    blocks = []
-    start = 0
-    while start < len(pair_rows):
-        end = min(len(pair_rows), max(start + _BLOCK_ROWS // 2, within))
-        blocks.append(slice(start, end))
-        start = end
-    return blocks
+def _pair_rows(matrix: SignatureMatrix, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The matrix rows of each pair's two set ids, as an (n, 2) array. The
+    first id in pair order with no signature (a float has none) is named."""
+    try:
+        flat = map(operator.index, itertools.chain.from_iterable(pairs))
+        ids = np.fromiter(flat, dtype=np.uint64, count=2 * len(pairs)).reshape(-1, 2)
+        rows = np.searchsorted(matrix.ids, ids)
+        if np.array_equal(np.take(matrix.ids, rows, mode="clip"), ids):
+            return rows
+    except (OverflowError, TypeError, IndexError):
+        pass  # an id outside uint64 or no integer, or pairs but an empty matrix
+    missing = next(set_id for pair in pairs for set_id in pair if set_id not in matrix)
+    raise ValueError(f"no signature for set id {missing}")
 
 
 def _count_matches(
-    window: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int
+    values: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int
 ) -> np.ndarray:
-    """Equal slots in window columns [lo, hi) between window rows a[i] and
-    b[i], compared in steps that gather at most _STEP_BYTES."""
+    """Equal slots in columns [lo, hi) between matrix rows a[i] and b[i],
+    compared in steps that gather at most _STEP_BYTES."""
     step = max(1, _STEP_BYTES // (2 * 8 * (hi - lo)))
     parts = [
-        (window[a[i : i + step], lo:hi] == window[b[i : i + step], lo:hi]).sum(axis=1)
+        (values[a[i : i + step], lo:hi] == values[b[i : i + step], lo:hi]).sum(axis=1)
         for i in range(0, len(a), step)
     ]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _walk(
-    values: Sequence[np.ndarray],
-    a: np.ndarray,
-    b: np.ndarray,
-    table: ThresholdTable,
-    k: int,
+    values: np.ndarray, a: np.ndarray, b: np.ndarray, table: ThresholdTable, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Checkpoint-major walk of the pairs of signature rows (a[i], b[i]).
 
@@ -214,40 +172,29 @@ def _walk(
     alive lists the unresolved pairs and x holds their running counts.
     """
     rows = table.rows
-    stops = [row.k for row in rows] + [k]
+    stops = [row.k for row in rows]
+    if not stops or stops[-1] < k:
+        stops.append(k)
     resolved_at = np.full(len(a), len(rows), dtype=np.int64)
     counts = np.empty(len(a), dtype=np.int64)
     alive = np.arange(len(a))
     x = np.zeros(len(a), dtype=np.int64)
-    index = 0
     lo = 0
-    while alive.size and lo < k:
-        # The window runs to the furthest checkpoint its byte budget
-        # reaches, or stops inside the next interval if that is too wide.
-        live, local = np.unique(np.concatenate((a[alive], b[alive])), return_inverse=True)
-        width = max(1, _WINDOW_BYTES // (8 * len(live)))
-        reach = bisect_right(stops, lo + width)
-        hi = stops[reach - 1] if reach and stops[reach - 1] > lo else lo + width
-        window = np.concatenate([values[row][lo:hi] for row in live.tolist()])
-        window = window.reshape(len(live), hi - lo)
-        la, lb = local[: alive.size], local[alive.size :]
-        start = lo
-        while start < hi and alive.size:
-            end = min(hi, stops[index])
-            x += _count_matches(window, la, lb, start - lo, end - lo)
-            start = end
-            if index < len(rows) and end == rows[index].k:
-                row = rows[index]
-                done = x >= row.m_u
-                if row.m_l is not None:
-                    done |= x <= row.m_l
-                if done.any():
-                    resolved_at[alive[done]] = index
-                    counts[alive[done]] = x[done]
-                    kept = ~done
-                    alive, la, lb, x = alive[kept], la[kept], lb[kept], x[kept]
-                index += 1
+    for index, hi in enumerate(stops):
+        if not alive.size:
+            break
+        x += _count_matches(values, a, b, lo, hi)
         lo = hi
+        if index < len(rows):
+            row = rows[index]
+            done = x >= row.m_u
+            if row.m_l is not None:
+                done |= x <= row.m_l
+            if done.any():
+                resolved_at[alive[done]] = index
+                counts[alive[done]] = x[done]
+                kept = ~done
+                alive, a, b, x = alive[kept], a[kept], b[kept], x[kept]
     counts[alive] = x
     return resolved_at, counts
 
@@ -312,13 +259,7 @@ def filtering_rate(
         raise ValueError(f"checkpoint {k} not in schedule {tuple(schedule)}")
     if not outcomes:
         raise ValueError("filtering rate undefined over zero outcomes")
-    filtered = 0
-    resolved = 0
-    for outcome in outcomes:
-        cp = outcome.resolution_checkpoint
-        if cp is None or cp > k:
-            continue
-        resolved += 1
-        if outcome.resolution_kind == FILTERED_EARLY:
-            filtered += 1
-    return filtered / len(outcomes), resolved / len(outcomes)
+    early = [o for o in outcomes if o.resolution_checkpoint is not None]
+    resolved = [o for o in early if o.resolution_checkpoint <= k]
+    filtered = sum(o.resolution_kind == FILTERED_EARLY for o in resolved)
+    return filtered / len(outcomes), len(resolved) / len(outcomes)

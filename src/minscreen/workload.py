@@ -5,7 +5,8 @@ Sets file: one set per line, whitespace-separated decimal token ids. The
 still consume an id. Pairs file: two set ids per line; comments and blank
 lines are skipped. Both are read with universal newlines, so a line ends at
 "\n", "\r\n" or a lone "\r"; form feed, vertical tab and the separators
-\x1c-\x1e are whitespace inside a line.
+\x1c-\x1e are whitespace inside a line. A byte outside ASCII is an error
+that names its line.
 
 Synthetic pairs are constructed, not sampled: a target similarity a/b in
 lowest terms becomes a*c shared tokens out of b*c union tokens, so the
@@ -36,11 +37,13 @@ def _lines(text: str) -> list[str]:
 
 def load_sets(path: str) -> dict[int, frozenset[int]]:
     """Parse a sets file into {line number: token set}."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         text = fh.read()
     sets: dict[int, frozenset[int]] = {}
     duplicates = 0
     for lineno, line in enumerate(_lines(text)):
+        if not line.isascii():
+            raise ValueError(f"{path}: non-ASCII byte at line {lineno}")
         if line.lstrip().startswith("#"):
             continue
         fields = line.split()
@@ -68,10 +71,12 @@ def load_sets(path: str) -> dict[int, frozenset[int]]:
 
 def load_pairs(path: str) -> list[tuple[int, int]]:
     """Parse a pairs file into an ordered list of (id, id)."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         text = fh.read()
     pairs: list[tuple[int, int]] = []
     for lineno, line in enumerate(_lines(text)):
+        if not line.isascii():
+            raise ValueError(f"{path}: non-ASCII byte at line {lineno}")
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -1,5 +1,6 @@
 """Signature cache round trips and corruption handling."""
 
+import re
 import struct
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from minscreen.cache import MAGIC, SignatureCache, read_cache, write_cache
-from minscreen.minhash import make_family, sign, sign_many
+from minscreen.minhash import SignatureMatrix, make_family, sign, sign_many
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -68,8 +69,8 @@ def _struct_cache_bytes(master_seed, signatures):
 
 def test_full_width_bytes_match_the_documented_layout(tmp_path):
     family = make_family(33, 2**64 - 1)
-    sigs = sign_many(
-        family, {2**64 - 1: {1, 2}, 0: {3}, 17: {2**64 - 1, 0, 9}, 2**63: {4, 5, 6}}
+    sigs = dict(
+        sign_many(family, {2**64 - 1: {1, 2}, 0: {3}, 17: {2**64 - 1, 0, 9}, 2**63: {4, 5, 6}})
     )
     sigs[5] = sign(family, {7})
     path = tmp_path / "layout.mhsg"
@@ -77,6 +78,24 @@ def test_full_width_bytes_match_the_documented_layout(tmp_path):
     assert path.read_bytes() == _struct_cache_bytes(2**64 - 1, sigs)
     back = read_cache(str(path))
     assert list(back.signatures) == [0, 5, 17, 2**63, 2**64 - 1]
+
+
+def test_reads_one_strided_matrix_and_writes_it_with_the_same_bytes(tmp_path):
+    family = make_family(40, 3)
+    signed = sign_many(family, {9: {1, 2}, 4: {3}, 6: {2, 5, 8}})
+    path = tmp_path / "m.mhsg"
+    write_cache(str(path), 3, signed)
+    back = read_cache(str(path)).signatures
+    assert isinstance(back, SignatureMatrix)
+    assert back.ids.tolist() == [4, 6, 9]
+    assert back.fingerprint == family.fingerprint
+    # Rows are read in place from the file's records: id, then k values.
+    assert back.matrix.strides == (8 * 41, 8)
+    assert not back.matrix.flags.writeable
+    assert np.array_equal(back.matrix, signed.matrix)
+    again = tmp_path / "again.mhsg"
+    write_cache(str(again), 3, back)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_full_width_write_rejects_out_of_range_ids(tmp_path):
@@ -140,6 +159,26 @@ def test_rejects_duplicate_set_ids(tmp_path):
     path = tmp_path / "dup.mhsg"
     path.write_bytes(header + record + record)
     with pytest.raises(ValueError, match="duplicate set id"):
+        read_cache(str(path))
+
+
+@pytest.mark.parametrize("k", [5, 2**62])
+def test_rejects_header_without_sets(tmp_path, k):
+    """write_cache refuses to write an empty cache, so a 32-byte header with
+    set count 0 is corrupt, also when its k is too large for any dtype."""
+    path = tmp_path / "empty.mhsg"
+    path.write_bytes(MAGIC + struct.pack("<IQQQ", 1, k, 0, 0))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: corrupt cache")):
+        read_cache(str(path))
+
+
+def test_rejects_set_ids_out_of_order(tmp_path):
+    header = MAGIC + struct.pack("<IQQQ", 1, 1, 0, 3)
+    records = b"".join(struct.pack("<QQ", set_id, 0) for set_id in (2, 7, 5))
+    path = tmp_path / "order.mhsg"
+    path.write_bytes(header + records)
+    message = f"{path}: corrupt cache (out-of-order set id 5)"
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_cache(str(path))
 
 

@@ -376,6 +376,32 @@ class TestCli:
         assert main(["fr", "--outcomes", str(path), "--schedule", "100"]) == 1
         assert f"{path}:2: unknown decision 'Maybe'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sign", "screen"])
+    def test_non_ascii_byte_in_sets_file_names_file_and_line(self, workdir, capsys, command):
+        sets = workdir / "sets.txt"
+        sets.write_bytes(b"1 2 3\n# comment \xff\n4 5\n")
+        args = {
+            "sign": ["sign", "--sets", str(sets), "--out", str(workdir / "s.mhsg")],
+            "screen": ["screen", "--sets", str(sets), "--pairs", str(workdir / "pairs.txt"),
+                       "--out", str(workdir / "o.csv")],
+        }[command]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {sets}: non-ASCII byte at line 1\n"
+
+    def test_non_ascii_byte_in_pairs_file_names_file_and_line(self, workdir, capsys):
+        pairs = workdir / "pairs.txt"
+        pairs.write_bytes(b"0 1\n\n2 3\xe9\n")
+        args = ["screen", "--sets", str(workdir / "sets.txt"), "--pairs", str(pairs)]
+        assert main([*args, "--out", str(workdir / "o.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {pairs}: non-ASCII byte at line 2\n"
+
+    def test_non_ascii_byte_in_outcomes_file_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "odd.csv"
+        row = b"0,1,2,AboveThreshold,FullComparison,,100,0.5\n"
+        path.write_bytes(",".join(OUTCOME_COLUMNS).encode() + b"\n" + row + b"\x80" + row)
+        assert main(["fr", "--outcomes", str(path), "--schedule", "100"]) == 1
+        assert capsys.readouterr().err == f"error: {path}:3: non-ASCII byte\n"
+
     def test_error_paths_exit_nonzero_with_diagnostics(self, workdir, capsys):
         assert main(["gen", "--group", "junk", "--out-sets", "s", "--out-pairs", "p"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from minscreen import minhash
 from minscreen.minhash import (
     HashFamily,
     MatchCount,
+    SignatureMatrix,
     estimate,
     estimator_variance,
     make_family,
@@ -250,9 +251,15 @@ class TestSignMany:
         assert len([b for b in blocks if b[0] == 7]) == k
 
     def test_keeps_input_order(self):
+        """Rows come in increasing set id order, whatever the mapping's
+        order; each set keeps its own signature."""
         family = make_family(8, 1)
-        got = sign_many(family, {5: {1}, 2: {2, 3}, 9: {4}, 0: {5}})
-        assert list(got) == [5, 2, 9, 0]
+        sets = {5: {1}, 2: {2, 3}, 9: {4}, 0: {5}}
+        got = sign_many(family, sets)
+        assert list(got) == [0, 2, 5, 9]
+        assert got.ids.tolist() == [0, 2, 5, 9]
+        for row, set_id in enumerate(got):
+            assert np.array_equal(got.matrix[row], sign(family, sets[set_id]).values)
 
     def test_rows_are_read_only_uint64(self):
         family = make_family(16, 1)
@@ -283,6 +290,70 @@ class TestSignMany:
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == message
+
+
+class TestSignatureMatrix:
+    """The matrix reads like the dict of Signatures it replaced."""
+
+    @pytest.fixture()
+    def signed(self):
+        family = make_family(16, 3)
+        sets = {40: {1, 2}, 7: {3}, 2**64 - 1: {4, 5}, 0: {6}}
+        return family, sets, sign_many(family, sets)
+
+    def test_reads_as_a_mapping(self, signed):
+        family, sets, got = signed
+        assert len(got) == 4
+        assert sorted(got) == list(got) == [0, 7, 40, 2**64 - 1]
+        assert all(type(set_id) is int for set_id in got)
+        assert 7 in got and np.uint64(40) in got
+        for absent in (1, -1, 2**64, "7", None):
+            assert absent not in got
+            with pytest.raises(KeyError):
+                got[absent]
+        for set_id, sig in got.items():
+            assert sig.k == got.k == 16
+            assert sig.fingerprint == family.fingerprint
+            assert np.array_equal(sig.values, sign(family, sets[set_id]).values)
+            assert not sig.values.flags.writeable
+            with pytest.raises(ValueError):
+                sig.values[0] = 0
+        assert got.get(8) is None
+
+    def test_empty_matrix_equals_an_empty_dict(self):
+        got = sign_many(make_family(8, 1), {})
+        assert got == {} and len(got) == 0 and got.matrix.shape == (0, 8)
+
+    def test_stacks_a_dict_of_signatures(self, signed):
+        family, sets, got = signed
+        plain = {set_id: sign(family, tokens) for set_id, tokens in sets.items()}
+        stacked = SignatureMatrix.stack(plain)
+        assert np.array_equal(stacked.ids, got.ids)
+        assert np.array_equal(stacked.matrix, got.matrix)
+        assert stacked.fingerprint == family.fingerprint
+        assert SignatureMatrix.stack(got) is got
+        assert len(SignatureMatrix.stack({})) == 0
+
+    def test_stacking_refuses_mixed_lengths_families_and_ids(self, signed):
+        family, _, got = signed
+        wide = sign(make_family(17, 3), {1})
+        with pytest.raises(ValueError, match="cannot mix signature lengths 16 and 17"):
+            SignatureMatrix.stack({**got, 1: wide})
+        foreign = sign(make_family(16, 4), {1})
+        with pytest.raises(ValueError, match="different hash families"):
+            SignatureMatrix.stack({**got, 1: foreign})
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match=f"set id {bad} outside unsigned 64-bit range"):
+                SignatureMatrix.stack({bad: got[0]})
+
+    def test_ids_must_increase(self):
+        values = np.zeros((3, 4), dtype=np.uint64)
+        for ids, message in (
+            ([1, 1, 2], "duplicate set id 1"),
+            ([1, 3, 2], "out-of-order set id 2"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                SignatureMatrix(np.array(ids, dtype=np.uint64), values, "fp")
 
 
 class TestMatchCount:

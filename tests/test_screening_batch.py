@@ -8,9 +8,10 @@ import pytest
 
 from minscreen import screening
 from minscreen.binomial import ThresholdTable
+from minscreen.cache import read_cache, write_cache
 from minscreen.cli import main
 from minscreen.harness import screen_signatures
-from minscreen.minhash import Signature, make_family, sign
+from minscreen.minhash import Signature, make_family, sign, sign_many
 from minscreen.screening import (
     ABOVE,
     BELOW,
@@ -140,67 +141,74 @@ def test_batch_walk_matches_per_pair_walk(name):
     assert 0 < len(summary.above_threshold) < len(pairs)
 
 
+def signed_sets(k: int, n: int, rng: np.random.Generator):
+    """n token sets drawn from four pools of 80 tokens, so that sets of one
+    pool overlap anywhere from little to all, and their SignatureMatrix
+    from a real family."""
+    sets = {}
+    for i in range(n):
+        pool = np.arange(80, dtype=np.uint64) + 1000 * (i % 4)
+        size = int(rng.integers(20, 81))
+        sets[1000 + 7 * i] = frozenset(rng.choice(pool, size, replace=False).tolist())
+    family = make_family(k, 5)
+    return family, sets, sign_many(family, sets)
+
+
 @pytest.mark.parametrize("name", ["mid-schedule", "no-schedule", "ends-below-k"])
-def test_batch_walk_matches_across_many_small_blocks(name, monkeypatch):
+def test_batch_walk_matches_across_many_small_blocks(name, monkeypatch, tmp_path):
+    """Every input form gives the oracle's outcomes with comparison steps of
+    three pairs, so that each interval between checkpoints is split into
+    many steps."""
     cfg = CONFIGS[name]
     rng = np.random.default_rng(77)
-    signatures = crafted_signatures(cfg.k, 60, rng)
-    pairs = crafted_pairs(signatures, 400, rng)
-    expected = oracle_screen_batch(pairs, signatures, cfg, build_table(cfg))
-    # Six signature rows per block, windows of a few dozen columns, which
-    # end inside intervals as well as at checkpoints, and steps of a few
-    # pairs each.
-    monkeypatch.setattr(screening, "_BLOCK_ROWS", 6)
-    monkeypatch.setattr(screening, "_WINDOW_BYTES", 6 * 8 * 35)
+    family, sets, matrix = signed_sets(cfg.k, 60, rng)
+    write_cache(str(tmp_path / "sigs.mhsg"), 5, matrix)
+    stored = read_cache(str(tmp_path / "sigs.mhsg")).signatures
+    assert not stored.matrix.flags.c_contiguous
+    plain = {set_id: sign(family, tokens) for set_id, tokens in sets.items()}
+    pairs = crafted_pairs(sets, 400, rng)
+    expected = oracle_screen_batch(pairs, plain, cfg, build_table(cfg))
+    kinds = {o.resolution_kind for o in expected[0]}
+    if cfg.schedule:
+        assert kinds == {OUTPUT_EARLY, FILTERED_EARLY, FULL_COMPARISON}
+    else:
+        assert kinds == {FULL_COMPARISON}
     monkeypatch.setattr(screening, "_STEP_BYTES", 3 * 2 * 8 * 50)
-    split = []
-    blocks = screening._blocks
-    monkeypatch.setattr(screening, "_blocks", lambda rows: split.append(blocks(rows)) or split[-1])
-    assert screen_batch(pairs, signatures, cfg) == expected
-    assert len(split[0]) > 100
+    for signatures in (matrix, stored, plain):
+        assert screen_batch(pairs, signatures, cfg) == expected
 
 
-def test_windows_stay_within_budget_and_stop_at_the_last_checkpoint_reached(monkeypatch):
-    rng = np.random.default_rng(9)
-    signatures = crafted_signatures(200, 12, rng)
-    # Self-pairs all resolve as accepted at the first checkpoint.
-    pairs = [(i, i) for i in sorted(signatures)]
-    monkeypatch.setattr(screening, "_WINDOW_BYTES", 12 * 8 * 60)
-    shapes = []
+def test_walk_compares_no_column_past_the_last_checkpoint_reached(monkeypatch):
+    """Each interval is compared once, for exactly the pairs still alive
+    at its start, and the walk stops at the last checkpoint any pair
+    reaches; with schedule=() every pair's K columns are compared once."""
+    calls = []
     count = screening._count_matches
 
-    def spy(window, a, b, lo, hi):
-        shapes.append(window.shape)
-        return count(window, a, b, lo, hi)
+    def spy(values, a, b, lo, hi):
+        calls.append((len(a), lo, hi))
+        return count(values, a, b, lo, hi)
 
     monkeypatch.setattr(screening, "_count_matches", spy)
-    outcomes, _ = screen_batch(pairs, signatures, CONFIGS["mid-schedule"])
+    rng = np.random.default_rng(9)
+    signatures = crafted_signatures(200, 40, rng)
+    pairs = crafted_pairs(signatures, 300, rng)
+    for name in ("mid-schedule", "ends-below-k", "ends-at-k", "no-schedule"):
+        calls.clear()
+        outcomes, summary = screen_batch(pairs, signatures, CONFIGS[name])
+        used = [o.comparisons_used for o in outcomes]
+        assert [lo for _, lo, _ in calls] == [0] + [hi for _, _, hi in calls[:-1]]
+        assert calls[-1][2] == max(used)
+        for alive, _, hi in calls:
+            assert alive == sum(u >= hi for u in used)
+        assert sum(n * (hi - lo) for n, lo, hi in calls) == summary.total_comparisons
+    assert calls == [(len(pairs), 0, 200)]
+    # Self-pairs all resolve as accepted at the first checkpoint.
+    calls.clear()
+    self_pairs = [(i, i) for i in sorted(signatures)[:12]]
+    outcomes, _ = screen_batch(self_pairs, signatures, CONFIGS["mid-schedule"])
     assert {o.resolution_checkpoint for o in outcomes} == {50}
-    assert shapes == [(12, 50)]
-    shapes.clear()
-    # Without checkpoints the windows split the one interval.
-    outcomes, _ = screen_batch(pairs, signatures, CONFIGS["no-schedule"])
-    assert {o.estimate for o in outcomes} == {1.0}
-    assert shapes == [(12, 60)] * 3 + [(12, 20)]
-
-
-def test_blocks_cover_the_batch_and_respect_the_row_budget(monkeypatch):
-    rng = np.random.default_rng(3)
-    monkeypatch.setattr(screening, "_BLOCK_ROWS", 10)
-    # A join-like prefix that reuses five rows, then pairs of new rows, then
-    # pairs drawn from all rows; rows are numbered in order of first use.
-    head = [[a, b] for a in range(5) for b in range(a, 5)] * 3
-    fresh = [[5 + 2 * i, 6 + 2 * i] for i in range(40)]
-    mixed = rng.integers(0, 85, size=(60, 2)).tolist()
-    pair_rows = np.array(head + fresh + mixed)
-    blocks = screening._blocks(pair_rows)
-    # Rows 0..8 fit the ten-row budget; the next fresh pair needs rows 9, 10.
-    assert blocks[0] == slice(0, len(head) + 2)
-    assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
-    assert blocks[-1].stop == len(pair_rows)
-    for block in blocks:
-        assert len(np.unique(pair_rows[block])) <= 10
-    assert screening._blocks(np.empty((0, 2), dtype=np.intp)) == []
+    assert calls == [(12, 0, 50)]
 
 
 def test_empty_pair_list_matches_reference():
@@ -262,6 +270,14 @@ def test_first_missing_id_in_pair_order_is_named():
         screen_batch([(0, 1), (1, 8), (9, 0)], {0: a, 1: b}, cfg)
 
 
+def test_non_integer_ids_are_named_not_truncated():
+    cfg = ScreenConfig(schedule=(), k=1000)
+    a, b = _one_in_39_signatures()
+    for missing in (1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match=f"no signature for set id {missing}$"):
+            screen_batch([(0, 1), (0, missing)], {0: a, 1: b}, cfg)
+
+
 def test_cli_names_an_id_above_uint64_range(tmp_path, capsys):
     sets_path = tmp_path / "sets.txt"
     sets_path.write_text("1 2 3\n2 3 4\n")
@@ -275,14 +291,19 @@ def test_cli_names_an_id_above_uint64_range(tmp_path, capsys):
 
 
 def test_mixed_families_are_checked_per_pair():
+    """A batch's signatures come from one family of the configured length:
+    a mapping that spans two families is refused even where each pair
+    shares one."""
     cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(100,), k=1000)
     a, b = _one_in_39_signatures()
     other = sign(make_family(1000, 7), {1, 2, 3})
     signatures = {0: a, 1: b, 2: other}
-    outcomes, _ = screen_batch([(0, 1), (2, 2)], signatures, cfg)
-    assert outcomes[1].decision == ABOVE
-    with pytest.raises(ValueError, match="different hash families"):
-        screen_batch([(0, 1), (0, 2)], signatures, cfg)
+    for pairs in ([(0, 1), (2, 2)], [(0, 1), (0, 2)]):
+        with pytest.raises(ValueError, match="different hash families"):
+            screen_batch(pairs, signatures, cfg)
     short = Signature(values=a.values[:500], fingerprint=a.fingerprint)
-    with pytest.raises(ValueError, match="expected signatures of length 1000, got 1000 and 500"):
-        screen_batch([(0, 1), (0, 3)], {**signatures, 3: short}, cfg)
+    with pytest.raises(ValueError, match="cannot mix signature lengths 500 and 1000"):
+        screen_batch([(0, 1)], {0: a, 1: b, 3: short}, cfg)
+    short_cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(100,), k=500)
+    with pytest.raises(ValueError, match="expected signatures of length 500, got 1000"):
+        screen_batch([(0, 1)], {0: a, 1: b}, short_cfg)
