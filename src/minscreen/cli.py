@@ -4,9 +4,9 @@
         --seed 42 --out-sets sets.txt --out-pairs pairs.txt
     minscreen sign --sets sets.txt --k 1000 --seed 42 --out sigs.mhsg
     minscreen screen --sets sets.txt --pairs pairs.txt --threshold 0.5 \
-        --e 1e-5 --schedule 100,200,300,400,500,600,700,800,900 \
+        --e 1e-3 --schedule 100,200,300,400,500,600,700,800,900 \
         --baseline --out outcomes.csv
-    minscreen thresholds --threshold 0.5 --e 1e-5 --schedule 100,200,300
+    minscreen thresholds --threshold 0.5 --e 1e-3 --schedule 100,200,300
     minscreen fr --outcomes e3=a.csv --outcomes e5=b.csv --schedule 100,200
 
 Exit status is 0 on success, 1 on any error (diagnostic on stderr).
@@ -20,9 +20,10 @@ from typing import Sequence
 
 from . import binomial, cache, harness, workload
 from .minhash import make_family, sign_many
-from .screening import DEFAULT_SCHEDULE, ScreenConfig
+from .screening import ScreenConfig
 
-_DEFAULT_SCHEDULE_TEXT = ",".join(str(k) for k in DEFAULT_SCHEDULE)
+# Option defaults are the dataclasses' field defaults, read from the class.
+_DEFAULT_SCHEDULE_TEXT = ",".join(str(k) for k in ScreenConfig.schedule)
 
 
 def _parse_schedule(text: str) -> tuple[int, ...]:
@@ -30,7 +31,7 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        return tuple(int(part.strip(), 10) for part in text.split(","))
+        return tuple(workload.parse_decimal(part.strip()) for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad schedule {text!r}, expected comma-separated integers") from None
 
@@ -58,8 +59,8 @@ def _cmd_sign(args: argparse.Namespace) -> int:
 
 def _cmd_screen(args: argparse.Namespace) -> int:
     pairs = workload.load_pairs(args.pairs)
-    k = args.k if args.k is not None else 1000
-    seed = args.seed if args.seed is not None else 42
+    k = ScreenConfig.k if args.k is None else args.k
+    seed = ScreenConfig.master_seed if args.seed is None else args.seed
     if args.cache is not None:
         stored = cache.read_cache(args.cache)
         if args.k is not None and args.k != stored.k:
@@ -113,6 +114,8 @@ def _cmd_fr(args: argparse.Namespace) -> int:
         label, _, path = item.rpartition("=")
         if not label:
             label = path
+        if label in outcome_sets:
+            raise ValueError(f"--outcomes label {label!r} is given twice")
         _, outcomes = harness.read_outcomes_csv(path)
         outcome_sets[label] = outcomes
     text = harness.report_fr_curves(outcome_sets, schedule)
@@ -140,15 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="J:COUNT:LO-HI",
         help="pair group: exact Jaccard, pair count, set-size range (repeatable)",
     )
-    p_gen.add_argument("--seed", type=int, default=42)
+    p_gen.add_argument("--seed", type=int, default=workload.WorkloadSpec.seed)
     p_gen.add_argument("--out-sets", required=True)
     p_gen.add_argument("--out-pairs", required=True)
     p_gen.set_defaults(func=_cmd_gen)
 
     p_sign = sub.add_parser("sign", help="sign a sets file into a signature cache")
     p_sign.add_argument("--sets", required=True)
-    p_sign.add_argument("--k", type=int, default=1000)
-    p_sign.add_argument("--seed", type=int, default=42)
+    p_sign.add_argument("--k", type=int, default=ScreenConfig.k)
+    p_sign.add_argument("--seed", type=int, default=ScreenConfig.master_seed)
     p_sign.add_argument("--out", required=True)
     p_sign.set_defaults(func=_cmd_sign)
 
@@ -157,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--sets")
     source.add_argument("--cache")
     p_screen.add_argument("--pairs", required=True)
-    p_screen.add_argument("--threshold", type=float, default=0.5)
-    p_screen.add_argument("--e", type=float, default=1e-5)
+    p_screen.add_argument("--threshold", type=float, default=ScreenConfig.threshold)
+    p_screen.add_argument("--e", type=float, default=ScreenConfig.e)
     p_screen.add_argument("--e-upper", type=float, default=None, dest="e_upper")
     p_screen.add_argument("--schedule", default=_DEFAULT_SCHEDULE_TEXT)
     p_screen.add_argument("--k", type=int, default=None)
@@ -169,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_screen.set_defaults(func=_cmd_screen)
 
     p_thr = sub.add_parser("thresholds", help="print the cutoff table for a configuration")
-    p_thr.add_argument("--threshold", type=float, default=0.5)
-    p_thr.add_argument("--e", type=float, default=1e-5)
+    p_thr.add_argument("--threshold", type=float, default=ScreenConfig.threshold)
+    p_thr.add_argument("--e", type=float, default=ScreenConfig.e)
     p_thr.add_argument("--e-upper", type=float, default=None, dest="e_upper")
     p_thr.add_argument("--schedule", default=_DEFAULT_SCHEDULE_TEXT)
     p_thr.add_argument("--out", default=None)

@@ -16,6 +16,7 @@ from typing import AbstractSet, Mapping, Sequence
 
 from .minhash import Signature, SignatureMatrix, make_family, sign_many
 from .sets import jaccard_at_least
+from .workload import parse_decimal
 from .screening import (
     ABOVE,
     BELOW,
@@ -82,7 +83,8 @@ def screen_signatures(
     With baseline=True the same signatures are also decided by a plain
     full-width comparison, and accuracy is the fraction of pairs on which
     the screened decision agrees with it. agreement_vs_exact is only
-    available when the underlying sets are supplied.
+    available when the underlying sets are supplied. The cutoffs are
+    cfg.table, so a config whose table is already built is not solved again.
     """
     started = time.perf_counter()
     outcomes, summary = screen_batch(pairs, signatures, cfg)
@@ -116,7 +118,7 @@ def screen_signatures(
         k=cfg.k,
         threshold=cfg.threshold,
         e=cfg.e,
-        e_upper=cfg.e if cfg.e_upper is None else cfg.e_upper,
+        e_upper=cfg.table.e_upper,
         schedule=cfg.schedule,
         total_comparisons=summary.total_comparisons,
         baseline_comparisons=summary.baseline_comparisons,
@@ -193,13 +195,14 @@ def read_outcomes_csv(path: str) -> tuple[list[tuple[int, int]], list[PairOutcom
 
 
 def _parse_outcome_row(row: list[str]) -> tuple[tuple[int, int], PairOutcome]:
-    """One outcomes row: a known decision and resolution kind, and a
-    checkpoint on early rows only, as screen_batch writes them."""
+    """One outcomes row: a known decision and resolution kind, a
+    checkpoint of at least 1 on early rows only, integers in plain decimal
+    digits and a finite estimate in [0, 1], as screen_batch writes them."""
     if not all(field.isascii() for field in row):
         raise ValueError("non-ASCII byte")
     if len(row) != len(OUTCOME_COLUMNS):
         raise ValueError(f"expected {len(OUTCOME_COLUMNS)} fields, got {len(row)}")
-    _, id_a, id_b, decision, kind, checkpoint, used, estimate = row
+    index, id_a, id_b, decision, kind, checkpoint, used, estimate = row
     if decision not in (ABOVE, BELOW):
         raise ValueError(f"unknown decision {decision!r}")
     if kind not in (OUTPUT_EARLY, FILTERED_EARLY, FULL_COMPARISON):
@@ -209,11 +212,17 @@ def _parse_outcome_row(row: list[str]) -> tuple[tuple[int, int], PairOutcome]:
     if kind != FULL_COMPARISON and not checkpoint:
         raise ValueError(f"{kind} row without resolution_checkpoint")
     try:
-        resolved_at = int(checkpoint) if checkpoint else None
-        outcome = PairOutcome(decision, kind, resolved_at, int(used), float(estimate))
-        return (int(id_a), int(id_b)), outcome
+        parse_decimal(index)
+        pair = (parse_decimal(id_a), parse_decimal(id_b))
+        resolved_at = parse_decimal(checkpoint) if checkpoint else None
+        outcome = PairOutcome(decision, kind, resolved_at, parse_decimal(used), float(estimate))
     except ValueError as exc:
         raise ValueError(f"bad number ({exc})") from None
+    if resolved_at == 0:
+        raise ValueError("resolution_checkpoint 0, expected at least 1")
+    if not 0.0 <= outcome.estimate <= 1.0:
+        raise ValueError(f"estimate {estimate!r} is not a number in [0, 1]")
+    return pair, outcome
 
 
 def report_fr_curves(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -64,6 +65,9 @@ class PairOutcome:
 
 @dataclass(frozen=True)
 class ScreenConfig:
+    """One screening configuration. Its field defaults are the command
+    line's defaults."""
+
     threshold: float = 0.5
     e: float = 1e-5
     e_upper: float | None = None
@@ -80,6 +84,13 @@ class ScreenConfig:
                 f"schedule reaches {self.schedule[-1]} but signatures have only {self.k} slots"
             )
 
+    @cached_property
+    def table(self) -> ThresholdTable:
+        """The cutoff table of this configuration, built on first use and
+        kept. It is not a field, so equality, hashing, asdict and replace
+        see only the fields, and replace gives a config with its own table."""
+        return build_threshold_table(self.threshold, self.e, self.schedule, self.e_upper)
+
 
 @dataclass(frozen=True)
 class BatchSummary:
@@ -95,7 +106,7 @@ class BatchSummary:
 
 
 def build_table(cfg: ScreenConfig) -> ThresholdTable:
-    return build_threshold_table(cfg.threshold, cfg.e, cfg.schedule, cfg.e_upper)
+    return cfg.table
 
 
 def compare_pair(
@@ -113,23 +124,26 @@ def screen_batch(
     cfg: ScreenConfig,
     table: ThresholdTable | None = None,
 ) -> tuple[list[PairOutcome], BatchSummary]:
-    """Screen every pair, in order, against a shared threshold table.
+    """Screen every pair, in order, against cfg.table.
 
-    At each checkpoint the accept test runs before the discard test, and a
-    checkpoint with no discard cutoff simply cannot discard. A pair that
-    survives every checkpoint is decided by its full-width match frequency,
-    ties at the threshold counting as above.
+    A table passed in must equal cfg.table: cutoffs solved for another
+    threshold, significance or schedule would decide pairs plausibly but
+    wrongly. At each checkpoint the accept test runs before the discard
+    test, and a checkpoint with no discard cutoff simply cannot discard. A
+    pair that survives every checkpoint is decided by its full-width match
+    frequency, ties at the threshold counting as above.
     """
     matrix = SignatureMatrix.stack(signatures)
     pair_rows = _pair_rows(matrix, pairs)
     if len(matrix) and matrix.k != cfg.k:
         raise ValueError(f"expected signatures of length {cfg.k}, got {matrix.k}")
-    if table is None:
-        table = build_table(cfg)
-    if table.rows and table.rows[-1].k > cfg.k:
+    if table is not None and table != cfg.table:
         raise ValueError(
-            f"threshold table checkpoint {table.rows[-1].k} exceeds signature length {cfg.k}"
+            f"threshold table for threshold {table.threshold}, e {table.e_lower} (upper "
+            f"{table.e_upper}), checkpoints {table.checkpoints} does not match the "
+            "configuration's table"
         )
+    table = cfg.table
     resolved_at, matches = _walk(matrix.matrix, pair_rows[:, 0], pair_rows[:, 1], table, cfg.k)
     return _collect(pairs, resolved_at, matches, table, cfg)
 

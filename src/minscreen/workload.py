@@ -6,7 +6,8 @@ still consume an id. Pairs file: two set ids per line; comments and blank
 lines are skipped. Both are read with universal newlines, so a line ends at
 "\n", "\r\n" or a lone "\r"; form feed, vertical tab and the separators
 \x1c-\x1e are whitespace inside a line. A byte outside ASCII is an error
-that names its line.
+that names its line. Token and set ids are plain ASCII decimal digits: no
+sign, no underscore.
 
 Synthetic pairs are constructed, not sampled: a target similarity a/b in
 lowest terms becomes a*c shared tokens out of b*c union tokens, so the
@@ -23,6 +24,15 @@ from typing import AbstractSet, Mapping, Sequence
 from .sets import U64_MAX
 
 logger = logging.getLogger(__name__)
+
+
+def parse_decimal(text: str) -> int:
+    """A non-negative integer written in ASCII decimal digits only. int()
+    alone would also take a sign, surrounding whitespace, underscores (1_0)
+    and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected decimal digits, got {text!r}")
+    return int(text)
 
 
 def _lines(text: str) -> list[str]:
@@ -49,21 +59,23 @@ def load_sets(path: str) -> dict[int, frozenset[int]]:
         fields = line.split()
         if not fields:
             raise ValueError(f"{path}: empty set at line {lineno}")
-        tokens: set[int] = set()
-        for field in fields:
-            try:
-                value = int(field, 10)
-            except ValueError:
-                raise ValueError(f"{path}: bad token {field!r} at line {lineno}") from None
-            if not 0 <= value <= U64_MAX:
-                raise ValueError(
-                    f"{path}: token {value} at line {lineno} outside unsigned 64-bit range"
-                )
-            if value in tokens:
-                duplicates += 1
-            else:
-                tokens.add(value)
-        sets[lineno] = frozenset(tokens)
+        # One isdigit over the joined line checks every token; the line is
+        # ASCII, so digits are 0-9. int() fails only past its digit limit.
+        try:
+            if not "".join(fields).isdigit():
+                raise ValueError
+            values = list(map(int, fields))
+        except ValueError:
+            bad = next((field for field in fields if not field.isdigit()), max(fields, key=len))
+            raise ValueError(f"{path}: bad token {bad!r} at line {lineno}") from None
+        if max(values) > U64_MAX:
+            value = next(value for value in values if value > U64_MAX)
+            raise ValueError(
+                f"{path}: token {value} at line {lineno} outside unsigned 64-bit range"
+            )
+        tokens = frozenset(values)
+        duplicates += len(values) - len(tokens)
+        sets[lineno] = tokens
     if duplicates:
         logger.warning("%s: deduplicated %d repeated tokens", path, duplicates)
     return sets
@@ -83,13 +95,15 @@ def load_pairs(path: str) -> list[tuple[int, int]]:
         fields = stripped.split()
         if len(fields) != 2:
             raise ValueError(f"{path}: expected two set ids at line {lineno}, got {line!r}")
+        id_a, id_b = fields
         try:
-            id_a, id_b = int(fields[0], 10), int(fields[1], 10)
+            if not (id_a.isdigit() and id_b.isdigit()):
+                raise ValueError
+            pairs.append((int(id_a), int(id_b)))
         except ValueError:
-            raise ValueError(f"{path}: bad set id at line {lineno}") from None
-        if min(id_a, id_b) < 0:
-            raise ValueError(f"{path}: negative set id at line {lineno}")
-        pairs.append((id_a, id_b))
+            negative = any(field[:1] == "-" and field[1:].isdigit() for field in fields)
+            problem = "negative set id" if negative else "bad set id"
+            raise ValueError(f"{path}: {problem} at line {lineno}") from None
     return pairs
 
 
@@ -142,19 +156,25 @@ class WorkloadSpec:
 
 
 def parse_group(text: str) -> WorkloadGroup:
-    """CLI group syntax J:COUNT:SIZE, SIZE being LO-HI or a single value."""
+    """CLI group syntax J:COUNT:SIZE, SIZE being LO-HI or a single value.
+    COUNT, LO and HI are plain decimal digits; a bad group is named."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"group must look like J:COUNT:LO-HI, got {text!r}")
-    jaccard = Fraction(parts[0])
-    count = int(parts[1], 10)
     size = parts[2]
-    if "-" in size:
-        lo_text, hi_text = size.split("-", 1)
-        lo, hi = int(lo_text, 10), int(hi_text, 10)
-    else:
-        lo = hi = int(size, 10)
-    return WorkloadGroup(jaccard=jaccard, pair_count=count, size_lo=lo, size_hi=hi)
+    try:
+        jaccard = Fraction(parts[0])
+        count = parse_decimal(parts[1])
+        if "-" in size:
+            lo_text, hi_text = size.split("-", 1)
+            lo, hi = parse_decimal(lo_text), parse_decimal(hi_text)
+        else:
+            lo = hi = parse_decimal(size)
+        return WorkloadGroup(jaccard=jaccard, pair_count=count, size_lo=lo, size_hi=hi)
+    except ZeroDivisionError:
+        raise ValueError(f"bad group {text!r}: zero denominator") from None
+    except ValueError as exc:
+        raise ValueError(f"bad group {text!r}: {exc}") from None
 
 
 def _pick_scale(group: WorkloadGroup) -> tuple[int, int, int, int]:

@@ -151,6 +151,19 @@ class TestHarness:
             ("0,1,2,BelowThreshold,FilteredEarly,1e2,100,0.1", "bad number"),
             ("0,1,2,BelowThreshold,FilteredEarly,100,100,low", "bad number"),
             ("0,1,2,BelowThreshold", "expected 8 fields, got 4"),
+            ("0,1,2,BelowThreshold,FilteredEarly,-100,100,0.1", "bad number"),
+            ("0,1,2,BelowThreshold,FilteredEarly,1_00,100,0.1", "bad number"),
+            ("0,1,+2,BelowThreshold,FilteredEarly,100,100,0.1", "bad number"),
+            ("x,1,2,BelowThreshold,FilteredEarly,100,100,0.1", "bad number"),
+            ("0,1,2,BelowThreshold,FilteredEarly,100, 100,0.1", "bad number"),
+            (
+                "0,1,2,BelowThreshold,FilteredEarly,0,0,0.1",
+                "resolution_checkpoint 0, expected at least 1",
+            ),
+            ("0,1,2,BelowThreshold,FilteredEarly,100,100,nan", "estimate 'nan' is not a number"),
+            ("0,1,2,AboveThreshold,FullComparison,,100,inf", "estimate 'inf' is not a number"),
+            ("0,1,2,AboveThreshold,OutputEarly,100,100,1.5", "estimate '1.5' is not a number"),
+            ("0,1,2,BelowThreshold,FilteredEarly,100,100,-0.1", "estimate '-0.1' is not a number"),
         ],
     )
     def test_read_outcomes_rejects_bad_rows_at_file_and_line(self, tmp_path, row, problem):
@@ -401,6 +414,35 @@ class TestCli:
         path.write_bytes(",".join(OUTCOME_COLUMNS).encode() + b"\n" + row + b"\x80" + row)
         assert main(["fr", "--outcomes", str(path), "--schedule", "100"]) == 1
         assert capsys.readouterr().err == f"error: {path}:3: non-ASCII byte\n"
+
+    def test_gen_names_a_group_with_a_zero_denominator(self, tmp_path, capsys):
+        args = ["gen", "--group", "1/0:5:10-20", "--out-sets", str(tmp_path / "s.txt")]
+        assert main([*args, "--out-pairs", str(tmp_path / "p.txt")]) == 1
+        assert capsys.readouterr().err == "error: bad group '1/0:5:10-20': zero denominator\n"
+        assert not (tmp_path / "s.txt").exists()
+
+    def test_fr_refuses_a_repeated_label(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path in (a, b):
+            path.write_text(",".join(OUTCOME_COLUMNS) + "\n0,1,2,AboveThreshold,OutputEarly,100,100,0.9\n")
+        for outcomes, label in (([f"x={a}", f"x={b}"], "x"), ([str(a), str(a)], str(a))):
+            args = ["fr", *(f"--outcomes={item}" for item in outcomes), "--schedule", "100"]
+            assert main([*args, "--out", str(tmp_path / "fr.csv")]) == 1
+            assert capsys.readouterr().err == f"error: --outcomes label {label!r} is given twice\n"
+        assert not (tmp_path / "fr.csv").exists()
+        assert main(["fr", "--outcomes", f"x={a}", "--outcomes", f"y={a}", "--schedule", "100"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["x,100,0.0,1.0", "y,100,0.0,1.0"]
+
+    @pytest.mark.parametrize("schedule", ["1_00,200", "100,+200"])
+    def test_schedule_is_plain_decimal_digits(self, workdir, capsys, schedule):
+        assert main(["thresholds", "--schedule", schedule]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad schedule {schedule!r}, expected comma-separated integers\n"
+        )
+        args = ["screen", "--sets", str(workdir / "sets.txt"), "--pairs", str(workdir / "pairs.txt")]
+        assert main([*args, "--schedule", schedule, "--out", str(workdir / "o.csv")]) == 1
+        assert "bad schedule" in capsys.readouterr().err
+        assert main(["thresholds", "--schedule", " 100 , 200 "]) == 0
 
     def test_error_paths_exit_nonzero_with_diagnostics(self, workdir, capsys):
         assert main(["gen", "--group", "junk", "--out-sets", "s", "--out-pairs", "p"]) == 1

@@ -300,5 +300,5 @@ def test_compare_pair_validates_inputs():
     with pytest.raises(ValueError, match="length"):
         compare_pair(a, b, build_table(short_cfg), short_cfg)
     wide_table = build_threshold_table(0.5, 1e-3, [100, 200])
-    with pytest.raises(ValueError, match="exceeds signature length"):
+    with pytest.raises(ValueError, match="does not match the configuration"):
         compare_pair(a, b, wide_table, cfg)

@@ -1,6 +1,7 @@
 """The checkpoint-major batch walk against a per-pair reference walk, and the
 checks screen_batch makes before it compares anything."""
 
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -307,3 +308,74 @@ def test_mixed_families_are_checked_per_pair():
     short_cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(100,), k=500)
     with pytest.raises(ValueError, match="expected signatures of length 500, got 1000"):
         screen_batch([(0, 1)], {0: a, 1: b}, short_cfg)
+
+
+def _near_threshold_pair(k: int = 300):
+    """Two crafted signatures matching on 27 of every 50 slots: J is about
+    0.54 at every checkpoint of (100, 200, 300)."""
+    base = np.arange(1, k + 1, dtype=np.uint64)
+    other = base + np.uint64(10_000_000)
+    matching = [i for i in range(k) if i % 50 < 27]
+    other[matching] = base[matching]
+    return {0: Signature(values=base, fingerprint=CRAFTED),
+            1: Signature(values=other, fingerprint=CRAFTED)}
+
+
+def test_a_table_for_another_configuration_is_refused():
+    """A table solved for T = 0.95 would discard this J = 0.54 pair at
+    k = 100; the config's own table decides it above T after all 300 slots."""
+    schedule = (100, 200, 300)
+    cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=schedule, k=300)
+    signatures = _near_threshold_pair()
+    own = PairOutcome(ABOVE, FULL_COMPARISON, None, 300, 0.54)
+    equal = screening.build_threshold_table(0.5, 1e-3, schedule, 1e-3)
+    for table in (None, cfg.table, equal):
+        outcomes, _ = screen_batch([(0, 1)], signatures, cfg, table)
+        assert outcomes == [own]
+        assert screening.compare_pair(signatures[0], signatures[1], table, cfg) == own
+    foreign = [
+        screening.build_threshold_table(0.95, 1e-3, schedule),
+        screening.build_threshold_table(0.5, 1e-2, schedule),
+        screening.build_threshold_table(0.5, 1e-3, schedule, 1e-2),
+        screening.build_threshold_table(0.5, 1e-3, (100, 200)),
+    ]
+    for table in foreign:
+        with pytest.raises(ValueError, match="does not match the configuration's table"):
+            screen_batch([(0, 1)], signatures, cfg, table)
+        with pytest.raises(ValueError, match="does not match the configuration's table"):
+            screening.compare_pair(signatures[0], signatures[1], table, cfg)
+
+
+def test_a_config_builds_its_table_once_and_keeps_its_value_semantics():
+    cfg = ScreenConfig(threshold=0.5, e=1e-3, e_upper=1e-2, schedule=(100, 200), k=300)
+    table = build_table(cfg)
+    assert table is cfg.table is build_table(cfg)
+    assert table == screening.build_threshold_table(0.5, 1e-3, (100, 200), 1e-2)
+    twin = ScreenConfig(threshold=0.5, e=1e-3, e_upper=1e-2, schedule=(100, 200), k=300)
+    assert cfg == twin and hash(cfg) == hash(twin)
+    assert "table" not in asdict(cfg)
+    narrower = replace(cfg, schedule=(100,))
+    assert narrower.table.checkpoints == (100,)
+    assert cfg.table is table
+
+
+def test_screen_signatures_reuses_a_table_built_before(monkeypatch):
+    cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(100, 200, 300), k=300)
+    build_table(cfg)
+    calls = []
+    original = screening.build_threshold_table
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(screening, "build_threshold_table", spy)
+    signatures = _near_threshold_pair()
+    outcomes, report = screen_signatures(signatures, [(0, 1), (1, 0)], cfg)
+    assert calls == []
+    assert report.e_upper == 1e-3
+    # A new config with the same fields has its own table, built once.
+    twin = replace(cfg)
+    assert screen_signatures(signatures, [(0, 1), (1, 0)], twin)[0] == outcomes
+    screen_batch([(0, 1)], signatures, twin)
+    assert calls == [(0.5, 1e-3, (100, 200, 300), None)]

@@ -1,6 +1,7 @@
 """Set/pair file formats and exact-similarity workload generation."""
 
 import logging
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,13 @@ class TestLoadSets:
             sets = load_sets(str(path))
         assert sets == {0: {5, 6}}
         assert any("deduplicated 1" in record.message for record in caplog.records)
+
+    @pytest.mark.parametrize("token", ["1_0", "+10"])
+    def test_tokens_are_plain_decimal_digits(self, tmp_path, token):
+        path = tmp_path / "sets.txt"
+        path.write_text(f"1 2\n3 {token} 4\n")
+        with pytest.raises(ValueError, match="line 1"):
+            load_sets(str(path))
 
     def test_token_range_enforced(self, tmp_path):
         path = tmp_path / "sets.txt"
@@ -114,6 +122,13 @@ class TestLoadPairs:
         path = tmp_path / "pairs.txt"
         path.write_text("0 1\n0 1 2\n")
         with pytest.raises(ValueError, match="line 1"):
+            load_pairs(str(path))
+
+    @pytest.mark.parametrize("pair", ["1_0 2", "+1 2"])
+    def test_ids_are_plain_decimal_digits(self, tmp_path, pair):
+        path = tmp_path / "pairs.txt"
+        path.write_text(f"0 1\n{pair}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad set id at line 1") + "$"):
             load_pairs(str(path))
 
     def test_negative_id_rejected(self, tmp_path):
@@ -181,6 +196,19 @@ class TestParseGroup:
             parse_group("0.5:10")
         with pytest.raises(ValueError):
             parse_group("x:10:5-6")
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("1/0:5:10-20", "zero denominator"),
+            ("0.5:1_0:10-20", "expected decimal digits, got '1_0'"),
+            ("0.5:10:+10-20", "expected decimal digits, got '+10'"),
+            ("3/2:5:10-20", "target Jaccard must lie strictly in (0, 1)"),
+        ],
+    )
+    def test_bad_group_is_named(self, text, problem):
+        with pytest.raises(ValueError, match=re.escape(f"bad group {text!r}: {problem}")):
+            parse_group(text)
 
 
 class TestGenSynthetic:
