@@ -12,13 +12,9 @@ from .binomial import (
 )
 from .minhash import (
     HashFamily,
-    MatchCount,
     Signature,
     SignatureMatrix,
-    estimate,
-    estimator_variance,
     make_family,
-    match_count,
     sign,
     sign_many,
 )
@@ -35,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HashFamily",
-    "MatchCount",
     "PairOutcome",
     "ScreenConfig",
     "Signature",
@@ -46,15 +41,12 @@ __all__ = [
     "binom_upper_tail",
     "build_threshold_table",
     "compare_pair",
-    "estimate",
-    "estimator_variance",
     "exact_jaccard",
     "exhaustive_collision_probability",
     "filtering_rate",
     "jaccard_fraction",
     "log_binom_pmf",
     "make_family",
-    "match_count",
     "screen_batch",
     "sign",
     "sign_many",

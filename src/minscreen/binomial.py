@@ -131,18 +131,23 @@ def validate_table_args(
     t: float, e: float, checkpoints: Iterable[int], e_upper: float | None = None
 ) -> tuple[int, ...]:
     """Check a threshold, its significance levels and a checkpoint schedule;
-    return the checkpoints as a tuple of ints.
-
-    Checkpoints must be strictly increasing positive integers. They are
-    converted with operator.index, so Python and numpy integers pass and
-    floats or strings are refused rather than truncated.
-    """
+    return the checkpoints as validate_checkpoints does."""
     if not 0.0 < t < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {t}")
     if not 0.0 < e < 1.0:
         raise ValueError(f"significance e must lie in (0, 1), got {e}")
     if e_upper is not None and not 0.0 < e_upper < 1.0:
         raise ValueError(f"significance e_upper must lie in (0, 1), got {e_upper}")
+    return validate_checkpoints(checkpoints)
+
+
+def validate_checkpoints(checkpoints: Iterable[int]) -> tuple[int, ...]:
+    """Check a checkpoint schedule; return it as a tuple of ints.
+
+    Checkpoints must be strictly increasing positive integers. They are
+    converted with operator.index, so Python and numpy integers pass and
+    floats or strings are refused rather than truncated.
+    """
     checkpoints = tuple(checkpoints)
     problem = f"checkpoints must be strictly increasing positive integers, got {checkpoints!r}"
     try:

@@ -59,6 +59,8 @@ def _cmd_sign(args: argparse.Namespace) -> int:
 
 def _cmd_screen(args: argparse.Namespace) -> int:
     pairs = workload.load_pairs(args.pairs)
+    if not pairs:
+        raise ValueError(f"{args.pairs}: no pairs to screen")
     k = ScreenConfig.k if args.k is None else args.k
     seed = ScreenConfig.master_seed if args.seed is None else args.seed
     if args.cache is not None:
@@ -106,7 +108,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_fr(args: argparse.Namespace) -> int:
-    schedule = _parse_schedule(args.schedule)
+    schedule = binomial.validate_checkpoints(_parse_schedule(args.schedule))
     if not schedule:
         raise ValueError("fr needs a non-empty --schedule")
     outcome_sets: dict[str, list] = {}

@@ -25,7 +25,8 @@ from .screening import (
     OUTPUT_EARLY,
     PairOutcome,
     ScreenConfig,
-    filtering_rate,
+    count_early,
+    filtering_rates,
     screen_batch,
 )
 
@@ -88,25 +89,19 @@ def screen_signatures(
     """
     started = time.perf_counter()
     outcomes, summary = screen_batch(pairs, signatures, cfg)
-    fr_strict: dict[int, float] = {}
-    fr_resolved: dict[int, float] = {}
-    if outcomes:
-        filtered = resolved = 0
-        for point in cfg.schedule:
-            filtered += summary.filtered_at[point]
-            resolved += summary.filtered_at[point] + summary.output_at[point]
-            fr_strict[point] = filtered / summary.n_pairs
-            fr_resolved[point] = resolved / summary.n_pairs
+    fr_strict, fr_resolved = filtering_rates(
+        cfg.schedule, summary.filtered_at, summary.output_at, summary.n_pairs
+    )
 
     accuracy = None
     if baseline:
         full_cfg = replace(cfg, schedule=())
         full_outcomes, _ = screen_batch(pairs, signatures, full_cfg)
         agree = sum(o.decision == f.decision for o, f in zip(outcomes, full_outcomes))
-        accuracy = agree / len(outcomes) if outcomes else 1.0
+        accuracy = agree / len(outcomes)
 
     agreement_vs_exact = None
-    if sets is not None and outcomes:
+    if sets is not None:
         hits = 0
         for (id_a, id_b), outcome in zip(pairs, outcomes):
             truth = jaccard_at_least(sets[id_a], sets[id_b], cfg.threshold)
@@ -228,7 +223,9 @@ def _parse_outcome_row(row: list[str]) -> tuple[tuple[int, int], PairOutcome]:
 def report_fr_curves(
     outcome_sets: Mapping[str, Sequence[PairOutcome]], schedule: Sequence[int]
 ) -> str:
-    """Filtering-rate curves as CSV, one labeled block of rows per source."""
+    """Filtering-rate curves as CSV, one labeled block of rows per source.
+    The schedule's points need not be the checkpoints the outcomes were
+    screened with."""
     if not outcome_sets:
         raise ValueError("no outcome sets to report on")
     buf = io.StringIO()
@@ -237,9 +234,9 @@ def report_fr_curves(
     for label, outcomes in outcome_sets.items():
         if not outcomes:
             raise ValueError(f"outcome set {label!r} is empty")
+        strict, resolved = filtering_rates(schedule, *count_early(outcomes), len(outcomes))
         for point in schedule:
-            strict, resolved = filtering_rate(outcomes, point, schedule)
-            writer.writerow([label, point, repr(strict), repr(resolved)])
+            writer.writerow([label, point, repr(strict[point]), repr(resolved[point])])
     return buf.getvalue()
 
 

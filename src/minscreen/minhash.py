@@ -1,4 +1,4 @@
-"""Seeded hash family, signatures, and the match-count estimator.
+"""Seeded hash family and signatures.
 
 Each of the k slots carries its own keyed 64-bit mixing hash standing in for
 an independent random permutation of the token universe. The per-slot hash
@@ -195,12 +195,6 @@ def _id_array(ids: list[int]) -> np.ndarray:
     return np.array(ids, dtype=np.uint64)
 
 
-@dataclass(frozen=True)
-class MatchCount:
-    x: int
-    k_examined: int
-
-
 def validate_family_args(k: int, master_seed: int) -> None:
     """Reject a family size below 1 or a seed outside the unsigned 64-bit range."""
     if k < 1:
@@ -328,30 +322,3 @@ def _hash_blocks(
             np.minimum.reduce(
                 x[offsets[row] - start : offsets[row + 1] - start], axis=0, out=out[row, lo:hi]
             )
-
-
-def match_count(a: Signature, b: Signature, upto: int) -> MatchCount:
-    """Number of slots with equal values among the first upto slots."""
-    if a.fingerprint != b.fingerprint:
-        raise ValueError("signatures come from different hash families")
-    if not 0 <= upto <= a.k:
-        raise ValueError(f"upto must lie in [0, {a.k}], got {upto}")
-    x = int(np.count_nonzero(a.values[:upto] == b.values[:upto]))
-    return MatchCount(x=x, k_examined=upto)
-
-
-def estimate(mc: MatchCount) -> float:
-    """Similarity estimate x / k_examined from a match count."""
-    if mc.k_examined < 1:
-        raise ValueError("estimate undefined over zero examined slots")
-    return mc.x / mc.k_examined
-
-
-def estimator_variance(j: float, k: int) -> float:
-    """Variance j(1-j)/k of the match-frequency estimator at similarity j."""
-    if not 0.0 <= j <= 1.0:
-        raise ValueError(f"similarity must lie in [0, 1], got {j}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    return j * (1.0 - j) / k
-

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -260,20 +261,47 @@ def _collect(
     return [shared[i] for i in inverse.tolist()], summary
 
 
+def count_early(outcomes: Iterable[PairOutcome]) -> tuple[dict[int, int], dict[int, int]]:
+    """Early discards and early accepts among the outcomes, counted by
+    resolving checkpoint: the filtered_at and output_at of a BatchSummary."""
+    tally = Counter((o.resolution_kind, o.resolution_checkpoint) for o in outcomes)
+    filtered_at = {k: n for (kind, k), n in tally.items() if kind == FILTERED_EARLY}
+    output_at = {k: n for (kind, k), n in tally.items() if kind == OUTPUT_EARLY}
+    return filtered_at, output_at
+
+
+def filtering_rates(
+    points: Iterable[int],
+    filtered_at: Mapping[int, int],
+    output_at: Mapping[int, int],
+    n_pairs: int,
+) -> tuple[dict[int, float], dict[int, float]]:
+    """Cumulative filtering rates of n_pairs pairs at each point.
+
+    filtered_at and output_at count early discards and early accepts by
+    resolving checkpoint. A count belongs to every point at or above its
+    checkpoint, so a point need not be a checkpoint. Returns (strict,
+    resolved) by point: strict is the share discarded early, the headline
+    filtering rate; resolved also counts early accepts.
+    """
+    if n_pairs < 1:
+        raise ValueError("filtering rate undefined over zero outcomes")
+    strict: dict[int, float] = {}
+    resolved: dict[int, float] = {}
+    for point in points:
+        filtered = sum(n for k, n in filtered_at.items() if k <= point)
+        accepted = sum(n for k, n in output_at.items() if k <= point)
+        strict[point] = filtered / n_pairs
+        resolved[point] = (filtered + accepted) / n_pairs
+    return strict, resolved
+
+
 def filtering_rate(
     outcomes: Sequence[PairOutcome], k: int, schedule: Sequence[int]
 ) -> tuple[float, float]:
-    """Fraction of pairs resolved by checkpoint k.
-
-    Returns (strict, resolved): strict counts only early discards, the
-    headline filtering rate; resolved also counts early accepts. Both are
-    cumulative over checkpoints up to and including k.
-    """
+    """(strict, resolved) filtering rates of the outcomes by checkpoint k,
+    which must be in the schedule: see filtering_rates."""
     if k not in tuple(schedule):
         raise ValueError(f"checkpoint {k} not in schedule {tuple(schedule)}")
-    if not outcomes:
-        raise ValueError("filtering rate undefined over zero outcomes")
-    early = [o for o in outcomes if o.resolution_checkpoint is not None]
-    resolved = [o for o in early if o.resolution_checkpoint <= k]
-    filtered = sum(o.resolution_kind == FILTERED_EARLY for o in resolved)
-    return filtered / len(outcomes), len(resolved) / len(outcomes)
+    strict, resolved = filtering_rates((k,), *count_early(outcomes), len(outcomes))
+    return strict[k], resolved[k]

@@ -11,11 +11,12 @@ import random
 import statistics
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from minscreen.binomial import binom_cdf, solve_lower, solve_upper
 from minscreen.harness import screen_signatures, sign_all
-from minscreen.minhash import estimate, make_family, match_count, sign
+from minscreen.minhash import make_family, sign_many
 from minscreen.screening import (
     ABOVE,
     BELOW,
@@ -154,8 +155,10 @@ def test_4_estimator_mean_and_variance():
     assert jaccard_fraction(a, b) == Fraction(1, 2)
     estimates = []
     for seed in range(300):
-        family = make_family(1000, seed)
-        estimates.append(estimate(match_count(sign(family, a), sign(family, b), 1000)))
+        cfg = ScreenConfig(schedule=(), k=1000, master_seed=seed)
+        signatures = sign_many(make_family(1000, seed), {0: a, 1: b})
+        (outcome,), _ = screen_batch([(0, 1)], signatures, cfg)
+        estimates.append(outcome.estimate)
     mean = statistics.fmean(estimates)
     var = statistics.variance(estimates)
     mean_tol = 3 * math.sqrt(0.25 / 1000 / 300)
@@ -200,7 +203,7 @@ def test_6_empty_schedule_equals_full_comparison(thirds):
     outcomes, report = screen_signatures(signatures, pairs, cfg, baseline=True)
     plain = [
         ABOVE
-        if estimate(match_count(signatures[i], signatures[j], cfg.k)) >= cfg.threshold
+        if np.count_nonzero(signatures[i].values == signatures[j].values) / cfg.k >= cfg.threshold
         else BELOW
         for i, j in pairs
     ]

@@ -9,6 +9,7 @@ import pytest
 
 from minscreen.cache import MAGIC, SignatureCache, read_cache, write_cache
 from minscreen.minhash import SignatureMatrix, make_family, sign, sign_many
+from minscreen.screening import ScreenConfig, screen_batch
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,14 +35,15 @@ def test_full_width_round_trip(tmp_path):
 
 
 def test_round_trip_signatures_stay_comparable(tmp_path):
-    from minscreen.minhash import match_count
-
     path = str(tmp_path / "c.mhsg")
     sigs = _some_signatures(k=30, seed=9, n=2)
     write_cache(path, 9, sigs)
     back = read_cache(path)
     fresh = sign(make_family(30, 9), {1, 2, 16})
-    assert match_count(back.signatures[0], fresh, 30).k_examined == 30
+    cfg = ScreenConfig(schedule=(), k=30, master_seed=9)
+    (outcome,), _ = screen_batch([(0, 1)], {0: back.signatures[0], 1: fresh}, cfg)
+    assert outcome.comparisons_used == 30
+    assert outcome.estimate == np.count_nonzero(sigs[0].values == fresh.values) / 30
 
 
 def test_full_width_rows_are_read_only_views_and_rewrite_identically(tmp_path):

@@ -20,7 +20,14 @@ from minscreen.harness import (
     sign_all,
     write_outcomes_csv,
 )
-from minscreen.screening import ScreenConfig, build_table, compare_pair, filtering_rate
+from minscreen.screening import (
+    FILTERED_EARLY,
+    OUTPUT_EARLY,
+    ScreenConfig,
+    build_table,
+    compare_pair,
+    filtering_rate,
+)
 from minscreen.minhash import make_family, slot_hash
 from minscreen.workload import WorkloadGroup, WorkloadSpec, gen_synthetic, load_sets
 
@@ -68,6 +75,35 @@ class TestHarness:
             expected = filtering_rate(outcomes, point, cfg.schedule)
             assert (report.fr_strict[point], report.fr_resolved[point]) == expected
         assert report.fr_resolved[150] > report.fr_strict[150] > 0
+
+    @pytest.mark.parametrize("schedule", [(50, 100, 150), ()])
+    def test_every_rate_equals_an_independent_count(self, schedule):
+        sets, pairs = small_workload()
+        cfg = ScreenConfig(threshold=0.5, e=1e-2, schedule=schedule, k=200, master_seed=5)
+        outcomes, report = run_screen(sets, pairs, cfg)
+
+        def share(point, kinds):
+            hits = sum(
+                o.resolution_kind in kinds and o.resolution_checkpoint <= point for o in outcomes
+            )
+            return hits / len(outcomes)
+
+        points = (1, 49, 50, 75, 100, 120, 150, 199, 200)
+        early = {FILTERED_EARLY, OUTPUT_EARLY}
+        expected = {p: (share(p, {FILTERED_EARLY}), share(p, early)) for p in points}
+        if schedule:
+            assert expected[49] == (0.0, 0.0)
+            assert expected[75] == expected[50] != (0.0, 0.0)
+            assert expected[200][1] > expected[200][0] > 0
+        else:
+            assert set(expected.values()) == {(0.0, 0.0)}
+        assert set(report.fr_strict) == set(report.fr_resolved) == set(schedule)
+        for point in schedule:
+            assert (report.fr_strict[point], report.fr_resolved[point]) == expected[point]
+        rows = report_fr_curves({"run": outcomes}, points).splitlines()[1:]
+        assert rows == [f"run,{p},{expected[p][0]!r},{expected[p][1]!r}" for p in points]
+        for point in points:
+            assert filtering_rate(outcomes, point, points) == expected[point]
 
     @pytest.mark.parametrize(
         "threshold, a, b, agreement",
@@ -382,6 +418,41 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --bits 8" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["--sets", "--cache"])
+    def test_screen_refuses_an_empty_pairs_file(self, workdir, capsys, source):
+        inputs = {"--sets": workdir / "sets.txt", "--cache": workdir / "sigs.mhsg"}
+        assert main(["sign", "--sets", str(inputs["--sets"]), "--out", str(inputs["--cache"])]) == 0
+        capsys.readouterr()
+        empty = workdir / "empty.txt"
+        empty.write_text("")
+        out = workdir / "o.csv"
+        args = ["screen", source, str(inputs[source]), "--pairs", str(empty), "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error: {empty}: no pairs to screen\n")
+        assert not out.exists()
+        assert not (workdir / "o.csv.report.json").exists()
+
+    @pytest.mark.parametrize(
+        "schedule, points",
+        [("300,100,100,0", (300, 100, 100, 0)), ("100,100", (100, 100)), ("0", (0,))],
+    )
+    def test_fr_checks_its_schedule_like_screen_and_thresholds(
+        self, workdir, capsys, schedule, points
+    ):
+        path = workdir / "o.csv"
+        row = "0,1,2,AboveThreshold,OutputEarly,100,100,0.9"
+        path.write_text(",".join(OUTCOME_COLUMNS) + f"\n{row}\n")
+        problem = "checkpoints must be strictly increasing positive integers"
+        problem = f"error: {problem}, got {points!r}\n"
+        args = ["--sets", str(workdir / "sets.txt"), "--pairs", str(workdir / "pairs.txt")]
+        for argv in (
+            ["fr", "--outcomes", str(path)],
+            ["thresholds"],
+            ["screen", *args, "--out", str(workdir / "screened.csv")],
+        ):
+            assert main([*argv, "--schedule", schedule]) == 1
+            assert capsys.readouterr() == ("", problem)
 
     def test_fr_refuses_rows_it_would_miscount(self, tmp_path, capsys):
         path = tmp_path / "odd.csv"

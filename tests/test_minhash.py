@@ -1,4 +1,4 @@
-"""Hash family, signatures, and the estimator.
+"""Hash family, signatures, and the match-frequency estimator.
 
 The reference implementation below re-derives the documented mixing recipe
 with plain Python integers. The vectorized kernel in minscreen.minhash must
@@ -15,16 +15,13 @@ import pytest
 from minscreen import minhash
 from minscreen.minhash import (
     HashFamily,
-    MatchCount,
     SignatureMatrix,
-    estimate,
-    estimator_variance,
     make_family,
-    match_count,
     sign,
     sign_many,
     slot_hash,
 )
+from minscreen.screening import ScreenConfig, screen_batch
 
 MASK = (1 << 64) - 1
 MULT1 = 0xBF58476D1CE4E5B9
@@ -356,62 +353,29 @@ class TestSignatureMatrix:
                 SignatureMatrix(np.array(ids, dtype=np.uint64), values, "fp")
 
 
-class TestMatchCount:
+class TestEstimator:
+    """The estimator is screening's full-width match frequency: a batch
+    screened with no checkpoints."""
+
+    @staticmethod
+    def full_width(a, b):
+        cfg = ScreenConfig(schedule=(), k=a.k)
+        (outcome,), _ = screen_batch([(0, 1)], {0: a, 1: b}, cfg)
+        assert outcome.comparisons_used == a.k
+        return outcome.estimate
+
     def test_identical_signatures_match_everywhere(self):
-        family = make_family(100, 4)
-        sig = sign(family, {1, 2, 3})
-        mc = match_count(sig, sig, 100)
-        assert mc == MatchCount(x=100, k_examined=100)
+        sig = sign(make_family(100, 4), {1, 2, 3})
+        assert self.full_width(sig, sig) == 1.0
 
-    def test_empty_prefix(self):
-        family = make_family(10, 4)
-        sig = sign(family, {1})
-        assert match_count(sig, sig, 0) == MatchCount(x=0, k_examined=0)
-
-    def test_counts_only_the_prefix(self):
-        family = make_family(6, 8)
-        a = sign(family, {10, 20})
+    @pytest.mark.parametrize("k, matching, expected", [(100, 20, 0.2), (50, 0, 0.0), (50, 50, 1.0)])
+    def test_estimate_values(self, k, matching, expected):
+        a = sign(make_family(k, 8), {10, 20})
         values = a.values.copy()
-        values[1] ^= np.uint64(1)
-        values[4] ^= np.uint64(1)
+        values[matching:] ^= np.uint64(1)
         values.setflags(write=False)
         b = type(a)(values=values, fingerprint=a.fingerprint)
-        assert match_count(a, b, 6).x == 4
-        assert match_count(a, b, 2).x == 1
-        assert match_count(a, b, 1).x == 1
-
-    def test_rejects_family_mismatch_and_bad_upto(self):
-        sig_a = sign(make_family(10, 1), {1})
-        sig_b = sign(make_family(10, 2), {1})
-        with pytest.raises(ValueError, match="different hash families"):
-            match_count(sig_a, sig_b, 5)
-        with pytest.raises(ValueError):
-            match_count(sig_a, sig_a, 11)
-        with pytest.raises(ValueError):
-            match_count(sig_a, sig_a, -1)
-
-
-class TestEstimator:
-    def test_estimate_values(self):
-        assert estimate(MatchCount(x=20, k_examined=100)) == 0.2
-        assert estimate(MatchCount(x=0, k_examined=50)) == 0.0
-        assert estimate(MatchCount(x=50, k_examined=50)) == 1.0
-
-    def test_estimate_rejects_empty_examination(self):
-        with pytest.raises(ValueError):
-            estimate(MatchCount(x=0, k_examined=0))
-
-    def test_variance_values(self):
-        assert estimator_variance(0.5, 1000) == 0.00025
-        assert estimator_variance(0.0, 10) == 0.0
-        assert estimator_variance(1.0, 10) == 0.0
-        assert estimator_variance(0.3, 100) == pytest.approx(0.0021)
-
-    def test_variance_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            estimator_variance(-0.1, 10)
-        with pytest.raises(ValueError):
-            estimator_variance(0.5, 0)
+        assert self.full_width(a, b) == expected
 
     def test_match_frequency_concentrates_on_jaccard(self):
         # J = |{5..9}| / |{0..14}| = 1/3 exactly
@@ -419,11 +383,9 @@ class TestEstimator:
         b = set(range(5, 15))
         j = 1.0 / 3.0
         k = 256
-        tolerance = 3.0 * estimator_variance(j, k) ** 0.5
+        tolerance = 3.0 * (j * (1.0 - j) / k) ** 0.5
         covered = 0
         for seed in range(3000, 3300):
-            family = make_family(k, seed)
-            mc = match_count(sign(family, a), sign(family, b), k)
-            covered += abs(estimate(mc) - j) <= tolerance
+            signatures = sign_many(make_family(k, seed), {0: a, 1: b})
+            covered += abs(self.full_width(signatures[0], signatures[1]) - j) <= tolerance
         assert covered >= 297
-
