@@ -36,6 +36,16 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad schedule {text!r}, expected comma-separated integers") from None
 
 
+def _write_out(text: str, out: str | None, what: str) -> None:
+    """text on stdout, or in the file out and a line on stdout naming it."""
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+        print(f"{what} written to {out}")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     groups = tuple(workload.parse_group(text) for text in args.group)
     spec = workload.WorkloadSpec(groups=groups, seed=args.seed)
@@ -97,13 +107,7 @@ def _cmd_screen(args: argparse.Namespace) -> int:
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     schedule = _parse_schedule(args.schedule)
     table = binomial.build_threshold_table(args.threshold, args.e, schedule, args.e_upper)
-    text = binomial.threshold_table_csv(table)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-        print(f"threshold table written to {args.out}")
+    _write_out(binomial.threshold_table_csv(table), args.out, "threshold table")
     return 0
 
 
@@ -120,13 +124,7 @@ def _cmd_fr(args: argparse.Namespace) -> int:
             raise ValueError(f"--outcomes label {label!r} is given twice")
         _, outcomes = harness.read_outcomes_csv(path)
         outcome_sets[label] = outcomes
-    text = harness.report_fr_curves(outcome_sets, schedule)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-        print(f"filtering-rate curves written to {args.out}")
+    _write_out(harness.report_fr_curves(outcome_sets, schedule), args.out, "filtering-rate curves")
     return 0
 
 

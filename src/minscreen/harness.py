@@ -65,11 +65,11 @@ def sign_all(
 ) -> SignatureMatrix:
     """Sign every set referenced by the pair list, in increasing id order."""
     family = make_family(cfg.k, cfg.master_seed)
-    referenced = sorted({set_id for pair in pairs for set_id in pair})
-    for set_id in referenced:
-        if set_id not in sets:
-            raise ValueError(f"pair list references unknown set id {set_id}")
-    return sign_many(family, {set_id: sets[set_id] for set_id in referenced})
+    try:
+        referenced = {set_id: sets[set_id] for pair in pairs for set_id in pair}
+    except KeyError as missing:
+        raise ValueError(f"pair list references unknown set id {missing.args[0]}") from None
+    return sign_many(family, referenced)
 
 
 def screen_signatures(

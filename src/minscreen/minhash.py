@@ -30,14 +30,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import AbstractSet
 
 import numpy as np
 
-from .sets import U64_MAX, validate_tokens
+from .sets import U64_MAX, as_u64, as_u64_array
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
@@ -136,7 +136,8 @@ class SignatureMatrix(Mapping[int, Signature]):
 
     ids holds the set ids in strictly increasing order and matrix[i] is the
     signature of set ids[i]. As a mapping it reads like a dict of
-    Signatures: each item is a read-only row view of the matrix.
+    Signatures: each item is a read-only row view of the matrix, found by
+    rows(), the one set id lookup.
     """
 
     def __init__(self, ids: np.ndarray, matrix: np.ndarray, fingerprint: str) -> None:
@@ -158,8 +159,7 @@ class SignatureMatrix(Mapping[int, Signature]):
         is). A mapping that mixes lengths or families is refused."""
         if isinstance(signatures, SignatureMatrix):
             return signatures
-        ids = sorted(signatures)
-        sigs = [signatures[set_id] for set_id in ids]
+        ids, sigs = _by_id(signatures)
         lengths = sorted({sig.k for sig in sigs})
         if len(lengths) > 1:
             raise ValueError(f"cannot mix signature lengths {lengths[0]} and {lengths[-1]}")
@@ -167,7 +167,7 @@ class SignatureMatrix(Mapping[int, Signature]):
             raise ValueError("signatures come from different hash families")
         matrix = np.array([sig.values for sig in sigs], dtype=np.uint64)
         matrix = matrix.reshape(len(sigs), lengths[0] if sigs else 0)
-        return cls(_id_array(ids), matrix, sigs[0].fingerprint if sigs else "")
+        return cls(ids, matrix, sigs[0].fingerprint if sigs else "")
 
     @property
     def k(self) -> int:
@@ -180,32 +180,43 @@ class SignatureMatrix(Mapping[int, Signature]):
         return iter(self.ids.tolist())
 
     def __getitem__(self, set_id: int) -> Signature:
-        if isinstance(set_id, (int, np.integer)) and 0 <= set_id <= U64_MAX:
-            row = int(self.ids.searchsorted(set_id))
-            if row < len(self.ids) and self.ids[row] == set_id:
-                return Signature(values=self.matrix[row], fingerprint=self.fingerprint)
-        raise KeyError(set_id)
+        (row,) = self.rows(((set_id,),))
+        return Signature(values=self.matrix[row], fingerprint=self.fingerprint)
+
+    def rows(self, groups: Iterable[Iterable[int]], count: int = -1) -> np.ndarray:
+        """The rows of the set ids in groups (pairs, say; groups and count as
+        for sets.as_u64_array), or a KeyError naming the first id without one."""
+        try:
+            ids = as_u64_array(groups, "set id", count)
+            rows = self.ids.searchsorted(ids)
+            if np.array_equal(np.take(self.ids, rows, mode="clip"), ids):
+                return rows
+        except (ValueError, IndexError):
+            pass  # a value that is no unsigned 64-bit integer, or ids but no rows
+        flat = list(itertools.chain.from_iterable(groups))
+        # One id has no row itself; of several, name the first without one.
+        raise KeyError(flat[0] if len(flat) == 1 else next(i for i in flat if i not in self))
 
 
-def _id_array(ids: list[int]) -> np.ndarray:
-    """Sorted set ids as a uint64 array; an id outside that range is refused."""
-    for set_id in ids[:1] + ids[-1:]:
-        if not 0 <= set_id <= U64_MAX:
-            raise ValueError(f"set id {set_id} outside unsigned 64-bit range")
-    return np.array(ids, dtype=np.uint64)
+def _by_id(mapping: Mapping) -> tuple[np.ndarray, list]:
+    """The set ids of mapping, sorted, as a uint64 array, and its values in that order."""
+    keys = list(mapping)
+    ids = as_u64_array((keys,), "set id")
+    order = ids.argsort(kind="stable")
+    return ids[order], [mapping[keys[i]] for i in order.tolist()]
 
 
-def validate_family_args(k: int, master_seed: int) -> None:
-    """Reject a family size below 1 or a seed outside the unsigned 64-bit range."""
+def validate_family_args(k: int, master_seed: int) -> tuple[int, int]:
+    """k and the seed as Python ints by sets.as_u64, k at least 1."""
+    k = as_u64(k, "family size k")
     if k < 1:
         raise ValueError(f"family size k must be at least 1, got {k}")
-    if not 0 <= master_seed <= U64_MAX:
-        raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
+    return k, as_u64(master_seed, "master_seed")
 
 
 def make_family(k: int, master_seed: int) -> HashFamily:
     """Derive the keyed slots for a family of k hash functions."""
-    validate_family_args(k, master_seed)
+    k, master_seed = validate_family_args(k, master_seed)
     key_add, key_mid = derive_keys(master_seed, k)
     return HashFamily(
         k=k,
@@ -233,19 +244,16 @@ def sign_many(family: HashFamily, sets: Mapping[int, AbstractSet[int]]) -> Signa
     the GIL inside each ufunc). Blocks write disjoint parts of the matrix
     and a slotwise minimum is exact, so the values do not depend on the
     block split, on the number of threads or on the order of the sets.
+    Set ids and tokens are checked by sets.as_u64_array.
     """
-    ids = sorted(sets)
-    ordered = [sets[set_id] for set_id in ids]
-    for tokens in ordered:
-        if not tokens:
-            raise ValueError("minhash undefined on empty set")
-        validate_tokens(tokens)
-    set_ids = _id_array(ids)
-    out = np.empty((len(ids), family.k), dtype=np.uint64)
-    if not ids:
+    set_ids, ordered = _by_id(sets)
+    if not all(ordered):
+        raise ValueError("minhash undefined on empty set")
+    out = np.empty((len(ordered), family.k), dtype=np.uint64)
+    if not ordered:
         return SignatureMatrix(set_ids, out, family.fingerprint)
     offsets = [0, *itertools.accumulate(map(len, ordered))]
-    toks = np.fromiter(itertools.chain.from_iterable(ordered), dtype=np.uint64, count=offsets[-1])
+    toks = as_u64_array(ordered, "token", offsets[-1])
     blocks = _blocks(offsets, family.k)
     largest = max((offsets[end] - offsets[first]) * (hi - lo) for first, end, lo, hi in blocks)
     workers = len(blocks) // _BLOCKS_PER_WORKER

@@ -19,8 +19,6 @@ with an empty schedule, and compare_pair is a batch of one.
 
 from __future__ import annotations
 
-import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -134,8 +132,14 @@ def screen_batch(
     pair that survives every checkpoint is decided by its full-width match
     frequency, ties at the threshold counting as above.
     """
+    if set(map(len, pairs)) - {2}:
+        index = next(i for i, pair in enumerate(pairs) if len(pair) != 2)
+        raise ValueError(f"pair {index} is {tuple(pairs[index])}, not two set ids")
     matrix = SignatureMatrix.stack(signatures)
-    pair_rows = _pair_rows(matrix, pairs)
+    try:
+        pair_rows = matrix.rows(pairs, 2 * len(pairs)).reshape(-1, 2)
+    except KeyError as missing:
+        raise ValueError(f"no signature for set id {missing.args[0]}") from None
     if len(matrix) and matrix.k != cfg.k:
         raise ValueError(f"expected signatures of length {cfg.k}, got {matrix.k}")
     if table is not None and table != cfg.table:
@@ -147,21 +151,6 @@ def screen_batch(
     table = cfg.table
     resolved_at, matches = _walk(matrix.matrix, pair_rows[:, 0], pair_rows[:, 1], table, cfg.k)
     return _collect(pairs, resolved_at, matches, table, cfg)
-
-
-def _pair_rows(matrix: SignatureMatrix, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """The matrix rows of each pair's two set ids, as an (n, 2) array. The
-    first id in pair order with no signature (a float has none) is named."""
-    try:
-        flat = map(operator.index, itertools.chain.from_iterable(pairs))
-        ids = np.fromiter(flat, dtype=np.uint64, count=2 * len(pairs)).reshape(-1, 2)
-        rows = np.searchsorted(matrix.ids, ids)
-        if np.array_equal(np.take(matrix.ids, rows, mode="clip"), ids):
-            return rows
-    except (OverflowError, TypeError, IndexError):
-        pass  # an id outside uint64 or no integer, or pairs but an empty matrix
-    missing = next(set_id for pair in pairs for set_id in pair if set_id not in matrix)
-    raise ValueError(f"no signature for set id {missing}")
 
 
 def _count_matches(

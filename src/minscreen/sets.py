@@ -7,9 +7,12 @@ against, so divisions happen on integers (or exact rationals) only.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from itertools import permutations
-from typing import AbstractSet
+from itertools import chain, permutations
+from typing import AbstractSet, Iterable
+
+import numpy as np
 
 # Largest unsigned 64-bit integer: the top of the token, set id and seed
 # ranges, and the mask of 64-bit arithmetic.
@@ -18,13 +21,29 @@ U64_MAX = 2**64 - 1
 ORACLE_UNIVERSE_LIMIT = 8
 
 
-def validate_tokens(tokens: AbstractSet[int]) -> None:
-    """Reject anything that is not a set of unsigned 64-bit integers."""
-    for t in tokens:
-        if not isinstance(t, int) or isinstance(t, bool):
-            raise ValueError(f"token {t!r} is not an integer")
-        if t < 0 or t > U64_MAX:
-            raise ValueError(f"token {t} outside unsigned 64-bit range")
+def as_u64(value: object, name: str) -> int:
+    """value as an int in [0, U64_MAX], or a ValueError naming it: the one rule
+    for an unsigned 64-bit integer. An integer is what operator.index takes
+    (Python and numpy integers; a bool is 0 or 1), never a float or a str."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+    if not 0 <= number <= U64_MAX:
+        raise ValueError(f"{name} {number} outside unsigned 64-bit range")
+    return number
+
+
+def as_u64_array(groups: Iterable[Iterable[object]], name: str, count: int = -1) -> np.ndarray:
+    """as_u64 over groups (token sets, pairs, [mapping] for its keys) in order:
+    one uint64 array, of count values if given, in one C-level pass. Only on
+    failure are the collections read again, to name the first bad value."""
+    try:
+        return np.fromiter(map(operator.index, chain.from_iterable(groups)), np.uint64, count)
+    except (TypeError, OverflowError):
+        for value in chain.from_iterable(groups):
+            as_u64(value, name)
+        raise
 
 
 def jaccard_fraction(a: AbstractSet[int], b: AbstractSet[int]) -> Fraction:

@@ -7,7 +7,8 @@ lines are skipped. Both are read with universal newlines, so a line ends at
 "\n", "\r\n" or a lone "\r"; form feed, vertical tab and the separators
 \x1c-\x1e are whitespace inside a line. A byte outside ASCII is an error
 that names its line. Token and set ids are plain ASCII decimal digits: no
-sign, no underscore.
+sign, no underscore. An error names path:N, N counting lines from 1; in a
+sets file also the set id, N-1.
 
 Synthetic pairs are constructed, not sampled: a target similarity a/b in
 lowest terms becomes a*c shared tokens out of b*c union tokens, so the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Mapping, Sequence
 
-from .sets import U64_MAX
+from .sets import U64_MAX, as_u64
 
 logger = logging.getLogger(__name__)
 
@@ -53,12 +54,12 @@ def load_sets(path: str) -> dict[int, frozenset[int]]:
     duplicates = 0
     for lineno, line in enumerate(_lines(text)):
         if not line.isascii():
-            raise ValueError(f"{path}: non-ASCII byte at line {lineno}")
+            raise ValueError(f"{path}:{lineno + 1}: non-ASCII byte (set id {lineno})")
         if line.lstrip().startswith("#"):
             continue
         fields = line.split()
         if not fields:
-            raise ValueError(f"{path}: empty set at line {lineno}")
+            raise ValueError(f"{path}:{lineno + 1}: empty set (set id {lineno})")
         # One isdigit over the joined line checks every token; the line is
         # ASCII, so digits are 0-9. int() fails only past its digit limit.
         try:
@@ -67,11 +68,12 @@ def load_sets(path: str) -> dict[int, frozenset[int]]:
             values = list(map(int, fields))
         except ValueError:
             bad = next((field for field in fields if not field.isdigit()), max(fields, key=len))
-            raise ValueError(f"{path}: bad token {bad!r} at line {lineno}") from None
+            raise ValueError(f"{path}:{lineno + 1}: bad token {bad!r} (set id {lineno})") from None
         if max(values) > U64_MAX:
             value = next(value for value in values if value > U64_MAX)
             raise ValueError(
-                f"{path}: token {value} at line {lineno} outside unsigned 64-bit range"
+                f"{path}:{lineno + 1}: token {value} outside unsigned 64-bit range "
+                f"(set id {lineno})"
             )
         tokens = frozenset(values)
         duplicates += len(values) - len(tokens)
@@ -88,13 +90,13 @@ def load_pairs(path: str) -> list[tuple[int, int]]:
     pairs: list[tuple[int, int]] = []
     for lineno, line in enumerate(_lines(text)):
         if not line.isascii():
-            raise ValueError(f"{path}: non-ASCII byte at line {lineno}")
+            raise ValueError(f"{path}:{lineno + 1}: non-ASCII byte")
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         fields = stripped.split()
         if len(fields) != 2:
-            raise ValueError(f"{path}: expected two set ids at line {lineno}, got {line!r}")
+            raise ValueError(f"{path}:{lineno + 1}: expected two set ids, got {line!r}")
         id_a, id_b = fields
         try:
             if not (id_a.isdigit() and id_b.isdigit()):
@@ -103,7 +105,7 @@ def load_pairs(path: str) -> list[tuple[int, int]]:
         except ValueError:
             negative = any(field[:1] == "-" and field[1:].isdigit() for field in fields)
             problem = "negative set id" if negative else "bad set id"
-            raise ValueError(f"{path}: {problem} at line {lineno}") from None
+            raise ValueError(f"{path}:{lineno + 1}: {problem}") from None
     return pairs
 
 
@@ -151,8 +153,7 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "groups", tuple(self.groups))
-        if not 0 <= self.seed <= U64_MAX:
-            raise ValueError("workload seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "seed", as_u64(self.seed, "workload seed"))
 
 
 def parse_group(text: str) -> WorkloadGroup:

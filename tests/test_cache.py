@@ -107,6 +107,14 @@ def test_full_width_write_rejects_out_of_range_ids(tmp_path):
             write_cache(str(tmp_path / "z.mhsg"), 42, {bad: sigs[0]})
 
 
+def test_write_refuses_a_float_set_id_and_writes_nothing(tmp_path):
+    sig = _some_signatures(k=4, n=1)[0]
+    path = tmp_path / "z.mhsg"
+    with pytest.raises(ValueError, match="^set id 2.7 is not an integer$"):
+        write_cache(str(path), 42, {2.7: sig, 10: sig})
+    assert not path.exists()
+
+
 def test_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.mhsg"
     path.write_bytes(b"NOPE" + bytes(60))

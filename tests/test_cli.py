@@ -470,14 +470,14 @@ class TestCli:
                        "--out", str(workdir / "o.csv")],
         }[command]
         assert main(args) == 1
-        assert capsys.readouterr().err == f"error: {sets}: non-ASCII byte at line 1\n"
+        assert capsys.readouterr().err == f"error: {sets}:2: non-ASCII byte (set id 1)\n"
 
     def test_non_ascii_byte_in_pairs_file_names_file_and_line(self, workdir, capsys):
         pairs = workdir / "pairs.txt"
         pairs.write_bytes(b"0 1\n\n2 3\xe9\n")
         args = ["screen", "--sets", str(workdir / "sets.txt"), "--pairs", str(pairs)]
         assert main([*args, "--out", str(workdir / "o.csv")]) == 1
-        assert capsys.readouterr().err == f"error: {pairs}: non-ASCII byte at line 2\n"
+        assert capsys.readouterr().err == f"error: {pairs}:3: non-ASCII byte\n"
 
     def test_non_ascii_byte_in_outcomes_file_names_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "odd.csv"

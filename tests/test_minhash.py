@@ -95,6 +95,19 @@ class TestFamily:
             make_family(10, -1)
         with pytest.raises(ValueError):
             make_family(10, 1 << 64)
+        with pytest.raises(ValueError, match="^family size k 10.5 is not an integer$"):
+            make_family(10.5, 42)
+        with pytest.raises(ValueError, match="^master_seed 1.5 is not an integer$"):
+            make_family(8, 1.5)
+        with pytest.raises(ValueError, match="^master_seed -1 outside unsigned 64-bit range$"):
+            make_family(8, -1)
+
+    def test_numpy_arguments_give_the_same_family(self):
+        family = make_family(np.int64(8), np.uint64(MASK))
+        assert type(family.k) is int and type(family.master_seed) is int
+        plain = make_family(8, MASK)
+        assert (family.k, family.master_seed, family.fingerprint) == (8, MASK, plain.fingerprint)
+        assert np.array_equal(family.key_add, plain.key_add)
 
 
 class TestSign:
@@ -276,7 +289,7 @@ class TestSignMany:
         [
             (set(), "minhash undefined on empty set"),
             ({1.5}, "token 1.5 is not an integer"),
-            ({True}, "token True is not an integer"),
+            ({"7"}, "token '7' is not an integer"),
             ({-3}, "token -3 outside unsigned 64-bit range"),
             ({1 << 64}, f"token {1 << 64} outside unsigned 64-bit range"),
         ],
@@ -287,6 +300,34 @@ class TestSignMany:
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == message
+
+    def test_integer_tokens_sign_alike_whatever_their_type(self):
+        """numpy integer tokens sign like the same Python ints, and a bool
+        is 0 or 1 ({True, 5} == {1, 5} in Python)."""
+        family = make_family(64, 5)
+        python = sign_many(family, {0: {1, 5}, 1: {0, MASK, 1 << 40}})
+        for sets in (
+            {0: {True, 5}, 1: {False, MASK, 1 << 40}},
+            {0: {np.int64(1), np.uint8(5)}, 1: {np.uint64(0), np.uint64(MASK), np.int64(1 << 40)}},
+            {0: {1, 5}, 1: set(np.array([0, MASK, 1 << 40], dtype=np.uint64))},
+        ):
+            assert np.array_equal(sign_many(family, sets).matrix, python.matrix)
+        assert np.array_equal(sign(family, {True, 5}).values, python[0].values)
+
+    def test_set_ids_are_checked_before_sorting(self):
+        """A set id that is no unsigned 64-bit integer is named, not sorted
+        (a str) or truncated (a float)."""
+        family = make_family(8, 0)
+        for sets, message in (
+            ({1.5: {1}}, "set id 1.5 is not an integer"),
+            ({1.5: {1}, 10: {2}}, "set id 1.5 is not an integer"),
+            ({"7": {1}, 2: {3}}, "set id '7' is not an integer"),
+            ({3: {1}, -1: {2}}, "set id -1 outside unsigned 64-bit range"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                sign_many(family, sets)
+        got = sign_many(family, {np.uint64(MASK): {1}, np.int64(3): {2}, True: {3}})
+        assert got.ids.tolist() == [1, 3, MASK]
 
 
 class TestSignatureMatrix:
@@ -342,6 +383,27 @@ class TestSignatureMatrix:
         for bad in (-1, 2**64):
             with pytest.raises(ValueError, match=f"set id {bad} outside unsigned 64-bit range"):
                 SignatureMatrix.stack({bad: got[0]})
+        with pytest.raises(ValueError, match="^set id 2.7 is not an integer$"):
+            SignatureMatrix.stack({2.7: got[0]})
+        with pytest.raises(ValueError, match="^set id 2.7 is not an integer$"):
+            SignatureMatrix.stack({10: got[0], 2.7: got[7]})
+
+    def test_rows_is_the_one_id_lookup(self, signed):
+        _, _, got = signed
+        assert got.rows([(7, 40), (0,), (np.uint64(2**64 - 1), False)]).tolist() == [1, 2, 0, 3, 0]
+        assert got.rows([]).tolist() == []
+        for groups, missing in (
+            ([(0, 1), (1.5, 7)], 1),
+            ([(0, 7), (7.0, 1)], 7.0),
+            ([(0, 7), ("40", -1)], "40"),
+            ([(2**64, 7)], 2**64),
+        ):
+            with pytest.raises(KeyError) as info:
+                got.rows(groups)
+            assert info.value.args == (missing,)
+        assert np.array_equal(got[False].values, got[0].values) and True not in got
+        with pytest.raises(KeyError):
+            SignatureMatrix.stack({}).rows([(0,)])
 
     def test_ids_must_increase(self):
         values = np.zeros((3, 4), dtype=np.uint64)

@@ -272,6 +272,10 @@ def test_config_validation():
         ScreenConfig(e_upper=2.0)
     with pytest.raises(ValueError, match="at least 1"):
         ScreenConfig(schedule=(), k=0)
+    with pytest.raises(ValueError, match="^family size k 10.5 is not an integer$"):
+        ScreenConfig(schedule=(), k=10.5)
+    with pytest.raises(ValueError, match="^master_seed '42' is not an integer$"):
+        ScreenConfig(master_seed="42")
     cfg = ScreenConfig()
     assert cfg.threshold == 0.5
     assert cfg.e == 1e-5

@@ -1,6 +1,7 @@
 """The checkpoint-major batch walk against a per-pair reference walk, and the
 checks screen_batch makes before it compares anything."""
 
+import re
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from minscreen import screening
 from minscreen.binomial import ThresholdTable
 from minscreen.cache import read_cache, write_cache
 from minscreen.cli import main
-from minscreen.harness import screen_signatures
+from minscreen.harness import run_screen, screen_signatures
 from minscreen.minhash import Signature, make_family, sign, sign_many
 from minscreen.screening import (
     ABOVE,
@@ -271,12 +272,38 @@ def test_first_missing_id_in_pair_order_is_named():
         screen_batch([(0, 1), (1, 8), (9, 0)], {0: a, 1: b}, cfg)
 
 
+def test_signing_names_the_first_unknown_id_in_pair_order():
+    """screen --sets signs the sets the pairs reference; an id with no set
+    is named in pair order, before any sorting of the ids."""
+    cfg = ScreenConfig(schedule=(), k=100)
+    sets = {0: {1, 2}, 1: {2, 3}}
+    for pairs, unknown in (([(0, 1), (1, 9), (5, 0)], 9), ([(0, "a"), (1, 2)], "a")):
+        with pytest.raises(ValueError, match=f"^pair list references unknown set id {unknown}$"):
+            run_screen(sets, pairs, cfg)
+
+
 def test_non_integer_ids_are_named_not_truncated():
     cfg = ScreenConfig(schedule=(), k=1000)
     a, b = _one_in_39_signatures()
     for missing in (1.5, 1.0, "1"):
         with pytest.raises(ValueError, match=f"no signature for set id {missing}$"):
             screen_batch([(0, 1), (0, missing)], {0: a, 1: b}, cfg)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(0, 1, 2), (5,)], "pair 0 is (0, 1, 2), not two set ids"),
+        ([(0, 1), (2, 5, 4)], "pair 1 is (2, 5, 4), not two set ids"),
+        ([(0,), (2, 5)], "pair 0 is (0,), not two set ids"),
+    ],
+)
+def test_a_pair_is_exactly_two_set_ids(pairs, message):
+    """A malformed pair is named by its index, not screened as the ids
+    that happen to fall into its place."""
+    a, b = _one_in_39_signatures()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        screen_batch(pairs, {0: a, 1: b}, ScreenConfig(schedule=(), k=1000))
 
 
 def test_cli_names_an_id_above_uint64_range(tmp_path, capsys):

@@ -1,16 +1,19 @@
-"""Exact Jaccard and the exhaustive permutation oracle."""
+"""Exact Jaccard, the exhaustive permutation oracle and the integer rule."""
 
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from minscreen.sets import (
+    as_u64,
+    as_u64_array,
     exact_jaccard,
     exhaustive_collision_probability,
     jaccard_at_least,
     jaccard_fraction,
-    validate_tokens,
 )
 
 
@@ -110,12 +113,32 @@ def test_oracle_rejects_empty_set():
 
 
 def test_validate_tokens_range():
-    validate_tokens({0, 2**64 - 1})
-    with pytest.raises(ValueError, match="outside unsigned 64-bit range"):
-        validate_tokens({-1})
-    with pytest.raises(ValueError, match="outside unsigned 64-bit range"):
-        validate_tokens({2**64})
-    with pytest.raises(ValueError, match="not an integer"):
-        validate_tokens({"7"})
-    with pytest.raises(ValueError, match="not an integer"):
-        validate_tokens({True})
+    """One rule for an unsigned 64-bit integer, in its scalar and its array
+    form: both accept and refuse the same values, with the same message."""
+    accepted = [0, 2**64 - 1, np.int64(7), np.uint64(2**64 - 1), True, False]
+    assert [as_u64(value, "token") for value in accepted] == [0, 2**64 - 1, 7, 2**64 - 1, 1, 0]
+    assert all(type(as_u64(value, "token")) is int for value in accepted)
+    got = as_u64_array([{0}, accepted[1:]], "token", len(accepted))
+    assert got.dtype == np.uint64 and got.tolist() == [0, 2**64 - 1, 7, 2**64 - 1, 1, 0]
+    for bad, message in (
+        (-1, "token -1 outside unsigned 64-bit range"),
+        (2**64, f"token {2**64} outside unsigned 64-bit range"),
+        (np.int64(-2), "token -2 outside unsigned 64-bit range"),
+        ("7", "token '7' is not an integer"),
+        (1.5, "token 1.5 is not an integer"),
+        (2.0, "token 2.0 is not an integer"),
+        (np.float64(3.0), f"token {np.float64(3.0)!r} is not an integer"),
+        (None, "token None is not an integer"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_u64(bad, "token")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_u64_array([(1, 2), (3, bad, -5)], "token")
+
+
+def test_array_form_names_the_first_bad_value_in_order():
+    with pytest.raises(ValueError, match="^set id 2.5 is not an integer$"):
+        as_u64_array([(0, 1), (2.5, -1), ("x",)], "set id")
+    with pytest.raises(ValueError, match="^set id -1 outside unsigned 64-bit range$"):
+        as_u64_array([(0, 1), (-1, 2.5)], "set id")
+    assert as_u64_array([], "set id").tolist() == []

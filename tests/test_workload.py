@@ -4,6 +4,7 @@ import logging
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from minscreen.sets import jaccard_fraction
@@ -40,13 +41,14 @@ class TestLoadSets:
     def test_bad_token_cites_line_number(self, tmp_path):
         path = tmp_path / "sets.txt"
         path.write_text("1\n2\n3\n4\n5\n1 abc 2\n")
-        with pytest.raises(ValueError, match="line 5"):
+        message = f"{path}:6: bad token 'abc' (set id 5)"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             load_sets(str(path))
 
     def test_empty_data_line_rejected(self, tmp_path):
         path = tmp_path / "sets.txt"
         path.write_text("1 2\n\n3 4\n")
-        with pytest.raises(ValueError, match="empty set at line 1"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: empty set (set id 1)") + "$"):
             load_sets(str(path))
 
     def test_duplicates_dedupe_with_warning(self, tmp_path, caplog):
@@ -61,16 +63,18 @@ class TestLoadSets:
     def test_tokens_are_plain_decimal_digits(self, tmp_path, token):
         path = tmp_path / "sets.txt"
         path.write_text(f"1 2\n3 {token} 4\n")
-        with pytest.raises(ValueError, match="line 1"):
+        message = f"{path}:2: bad token {token!r} (set id 1)"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             load_sets(str(path))
 
     def test_token_range_enforced(self, tmp_path):
         path = tmp_path / "sets.txt"
         path.write_text(f"{2**64}\n")
-        with pytest.raises(ValueError, match="line 0"):
+        message = f"{path}:1: token {2**64} outside unsigned 64-bit range (set id 0)"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             load_sets(str(path))
         path.write_text("-3 4\n")
-        with pytest.raises(ValueError, match="line 0"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: bad token '-3' (set id 0)")):
             load_sets(str(path))
 
 
@@ -100,10 +104,10 @@ class TestLoadSets:
     def test_error_line_numbers_are_physical(self, tmp_path):
         path = tmp_path / "sets.txt"
         path.write_bytes(b"1 2\x0c3\n4\x0b5\n6 x\n")
-        with pytest.raises(ValueError, match="bad token 'x' at line 2"):
+        with pytest.raises(ValueError, match=re.escape(":3: bad token 'x' (set id 2)")):
             load_sets(str(path))
         path.write_bytes(b"1\r\n2\x0c\r\n\r\n")
-        with pytest.raises(ValueError, match="empty set at line 2"):
+        with pytest.raises(ValueError, match=re.escape(":3: empty set (set id 2)")):
             load_sets(str(path))
 
 
@@ -121,14 +125,15 @@ class TestLoadPairs:
     def test_wrong_field_count_cites_line(self, tmp_path):
         path = tmp_path / "pairs.txt"
         path.write_text("0 1\n0 1 2\n")
-        with pytest.raises(ValueError, match="line 1"):
+        message = f"{path}:2: expected two set ids, got '0 1 2'"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             load_pairs(str(path))
 
     @pytest.mark.parametrize("pair", ["1_0 2", "+1 2"])
     def test_ids_are_plain_decimal_digits(self, tmp_path, pair):
         path = tmp_path / "pairs.txt"
         path.write_text(f"0 1\n{pair}\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: bad set id at line 1") + "$"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad set id") + "$"):
             load_pairs(str(path))
 
     def test_negative_id_rejected(self, tmp_path):
@@ -153,10 +158,10 @@ class TestLoadPairs:
         # line with four fields
         path = tmp_path / "pairs.txt"
         path.write_bytes(b"0 1\x0c\n2 3\x0b4 5\n")
-        with pytest.raises(ValueError, match="expected two set ids at line 1"):
+        with pytest.raises(ValueError, match=":2: expected two set ids"):
             load_pairs(str(path))
         path.write_bytes(b"0\x0b1\n\x0c\n2 -3\n")
-        with pytest.raises(ValueError, match="negative set id at line 2"):
+        with pytest.raises(ValueError, match=":3: negative set id$"):
             load_pairs(str(path))
 
 
@@ -245,6 +250,16 @@ class TestGenSynthetic:
         sets, pairs = gen_synthetic(spec)
         unions = [sets[a] | sets[b] for a, b in pairs]
         assert len(frozenset().union(*unions)) == sum(len(u) for u in unions)
+
+    def test_seed_is_an_unsigned_64_bit_integer(self):
+        groups = (WorkloadGroup(Fraction(1, 2), 1, 1, 2),)
+        with pytest.raises(ValueError, match="^workload seed 1.5 is not an integer$"):
+            WorkloadSpec(groups, seed=1.5)
+        with pytest.raises(ValueError, match=f"^workload seed {2**64} outside unsigned 64-bit"):
+            WorkloadSpec(groups, seed=2**64)
+        assert gen_synthetic(WorkloadSpec(groups, seed=np.uint64(9))) == gen_synthetic(
+            WorkloadSpec(groups, seed=9)
+        )
 
     def test_deterministic_and_seed_sensitive(self):
         spec = WorkloadSpec(groups=(WorkloadGroup(Fraction(1, 2), 5, 10, 20),), seed=3)
