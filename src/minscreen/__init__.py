@@ -7,8 +7,6 @@ from .binomial import (
     binom_upper_tail,
     build_threshold_table,
     log_binom_pmf,
-    solve_lower,
-    solve_upper,
 )
 from .minhash import (
     HashFamily,
@@ -50,6 +48,4 @@ __all__ = [
     "screen_batch",
     "sign",
     "sign_many",
-    "solve_lower",
-    "solve_upper",
 ]

@@ -36,6 +36,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .sets import as_real, as_u64
+
 # Cutoff solvers accept a tail that exceeds e by up to this relative margin.
 # Significance levels are conventionally quoted to at most three significant
 # figures (5.6e-10, 1.35e-10, ...); a cutoff whose exact tail rounds to the
@@ -44,13 +46,15 @@ import numpy as np
 E_ROUNDING_SLACK = 5e-3
 
 
-def _validate_tail_args(m: int, k: int, p: float) -> None:
+def _validate_tail_args(m: int, k: int, p: float) -> tuple[int, int, float]:
+    m, k, p = as_u64(m, "m"), as_u64(k, "k"), as_real(p, "p")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if not 0 <= m <= k:
         raise ValueError(f"m must lie in [0, {k}], got {m}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    return m, k, p
 
 
 def log_binom_pmf(i: int, k: int, p: float) -> float:
@@ -60,11 +64,9 @@ def log_binom_pmf(i: int, k: int, p: float) -> float:
     degenerate probabilities 0 and 1 the impossible outcomes return -inf
     exactly.
     """
-    _validate_tail_args(i, k, p)
-    if p == 0.0:
-        return 0.0 if i == 0 else -math.inf
-    if p == 1.0:
-        return 0.0 if i == k else -math.inf
+    i, k, p = _validate_tail_args(i, k, p)
+    if p in (0.0, 1.0):  # X is k * p surely
+        return 0.0 if i == k * int(p) else -math.inf
     coeff = math.lgamma(k + 1) - math.lgamma(i + 1) - math.lgamma(k - i + 1)
     return coeff + i * math.log(p) + (k - i) * math.log1p(-p)
 
@@ -109,36 +111,32 @@ def binom_cdf(m: int, k: int, p: float) -> float:
     the mean the upper tail is summed and complemented, so tiny results on
     either side keep full relative accuracy.
     """
-    _validate_tail_args(m, k, p)
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 1.0 if m == k else 0.0
+    m, k, p = _validate_tail_args(m, k, p)
+    if p in (0.0, 1.0):
+        return float(m >= k * int(p))
     return _cdf(_pmf(k, p, _log_factorials(k)), m, k, p)
 
 
 def binom_upper_tail(m: int, k: int, p: float) -> float:
     """P(X > m) for X ~ Binomial(k, p), the exact complement of binom_cdf."""
-    _validate_tail_args(m, k, p)
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 0.0 if m == k else 1.0
+    m, k, p = _validate_tail_args(m, k, p)
+    if p in (0.0, 1.0):
+        return float(m < k * int(p))
     return _upper_tail(_pmf(k, p, _log_factorials(k)), m, k, p)
 
 
 def validate_table_args(
     t: float, e: float, checkpoints: Iterable[int], e_upper: float | None = None
-) -> tuple[int, ...]:
+) -> tuple[float, float, float | None, tuple[int, ...]]:
     """Check a threshold, its significance levels and a checkpoint schedule;
-    return the checkpoints as validate_checkpoints does."""
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {t}")
-    if not 0.0 < e < 1.0:
-        raise ValueError(f"significance e must lie in (0, 1), got {e}")
-    if e_upper is not None and not 0.0 < e_upper < 1.0:
-        raise ValueError(f"significance e_upper must lie in (0, 1), got {e_upper}")
-    return validate_checkpoints(checkpoints)
+    return (t, e, e_upper) as floats by sets.as_real, e_upper None if not
+    given, and the checkpoints as validate_checkpoints does."""
+    t, e = as_real(t, "threshold"), as_real(e, "significance e")
+    e_upper = None if e_upper is None else as_real(e_upper, "significance e_upper")
+    for name, value in (("threshold", t), ("significance e", e), ("significance e_upper", e_upper)):
+        if value is not None and not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    return t, e, e_upper, validate_checkpoints(checkpoints)
 
 
 def validate_checkpoints(checkpoints: Iterable[int]) -> tuple[int, ...]:
@@ -160,7 +158,7 @@ def validate_checkpoints(checkpoints: Iterable[int]) -> tuple[int, ...]:
 
 
 def _lower_cutoff(pmf: list[float], k: int, t: float, e: float) -> int | None:
-    """solve_lower on the mass vector of Binomial(k, t).
+    """Largest m with P(X <= m) <= e, or None, from the masses of X ~ Binomial(k, t).
 
     A running sum of the masses locates the candidate; the exact tail then
     confirms it, stepping until it holds at m and fails at m + 1.
@@ -175,7 +173,7 @@ def _lower_cutoff(pmf: list[float], k: int, t: float, e: float) -> int | None:
 
 
 def _upper_cutoff(pmf: list[float], k: int, t: float, e: float) -> int:
-    """solve_upper on the mass vector of Binomial(k, t).
+    """Smallest m (at most k) with P(X > m) <= e, from the masses of X ~ Binomial(k, t).
 
     The running sum from the top, whose entry j approximates P(X >= k - j),
     locates the candidate; the exact tail then confirms it, stepping until
@@ -189,26 +187,6 @@ def _upper_cutoff(pmf: list[float], k: int, t: float, e: float) -> int:
     while _upper_tail(pmf, m, k, t) > bound:
         m += 1
     return m
-
-
-def solve_lower(k: int, t: float, e: float) -> int | None:
-    """Largest m with P(X <= m) <= e for X ~ Binomial(k, t), or None.
-
-    None means even a match count of zero is not improbable enough at this
-    checkpoint, so no discard cutoff exists. Rounding is conservative (the
-    cutoff tail never exceeds e beyond E_ROUNDING_SLACK), which preserves
-    the significance guarantee of the early discard.
-    """
-    return build_threshold_table(t, e, (k,)).rows[0].m_l
-
-
-def solve_upper(k: int, t: float, e: float) -> int:
-    """Smallest m with P(X > m) <= e for X ~ Binomial(k, t).
-
-    Always defined: P(X > k) is an empty sum, so the result is at most k.
-    A result of k means only a perfect match count accepts early.
-    """
-    return build_threshold_table(t, e, (k,)).rows[0].m_u
 
 
 @dataclass(frozen=True)
@@ -262,7 +240,7 @@ def build_threshold_table(
     separately. The arguments are checked by validate_table_args. The
     table is built once per configuration and reused across all pairs.
     """
-    points = validate_table_args(t, e, checkpoints, e_upper)
+    t, e, e_upper, points = validate_table_args(t, e, checkpoints, e_upper)
     e_up = e if e_upper is None else e_upper
     log_fact = _log_factorials(max(points, default=0))
     rows = []

@@ -19,6 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .minhash import Signature, SignatureMatrix, family_fingerprint
+from .sets import as_u64
 
 MAGIC = b"MHSG"
 VERSION = 1
@@ -37,7 +38,8 @@ def _records(k: int) -> np.dtype:
 
 
 def write_cache(path: str, master_seed: int, signatures: Mapping[int, Signature]) -> None:
-    """Write signatures of one family keyed by set id."""
+    """Write signatures of one family keyed by set id, the seed by sets.as_u64."""
+    master_seed = as_u64(master_seed, "master_seed")
     if not signatures:
         raise ValueError("refusing to write an empty signature cache")
     matrix = SignatureMatrix.stack(signatures)

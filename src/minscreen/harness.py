@@ -190,9 +190,9 @@ def read_outcomes_csv(path: str) -> tuple[list[tuple[int, int]], list[PairOutcom
 
 
 def _parse_outcome_row(row: list[str]) -> tuple[tuple[int, int], PairOutcome]:
-    """One outcomes row: a known decision and resolution kind, a
-    checkpoint of at least 1 on early rows only, integers in plain decimal
-    digits and a finite estimate in [0, 1], as screen_batch writes them."""
+    """One outcomes row as outcomes_csv writes it: a known decision and kind,
+    an early row deciding as its kind says at a checkpoint (at least 1) equal
+    to comparisons_used, plain decimal integers, an estimate in [0, 1] by repr."""
     if not all(field.isascii() for field in row):
         raise ValueError("non-ASCII byte")
     if len(row) != len(OUTCOME_COLUMNS):
@@ -206,6 +206,8 @@ def _parse_outcome_row(row: list[str]) -> tuple[tuple[int, int], PairOutcome]:
         raise ValueError(f"{kind} row with resolution_checkpoint {checkpoint!r}")
     if kind != FULL_COMPARISON and not checkpoint:
         raise ValueError(f"{kind} row without resolution_checkpoint")
+    if kind != FULL_COMPARISON and decision != (ABOVE if kind == OUTPUT_EARLY else BELOW):
+        raise ValueError(f"{kind} row with decision {decision}")
     try:
         parse_decimal(index)
         pair = (parse_decimal(id_a), parse_decimal(id_b))
@@ -215,7 +217,11 @@ def _parse_outcome_row(row: list[str]) -> tuple[tuple[int, int], PairOutcome]:
         raise ValueError(f"bad number ({exc})") from None
     if resolved_at == 0:
         raise ValueError("resolution_checkpoint 0, expected at least 1")
-    if not 0.0 <= outcome.estimate <= 1.0:
+    if resolved_at is not None and outcome.comparisons_used != resolved_at:
+        raise ValueError(f"comparisons_used {used} differs from resolution_checkpoint {checkpoint}")
+    if repr(outcome.estimate) != estimate:
+        raise ValueError(f"estimate {estimate!r} is not written as {outcome.estimate!r}")
+    if estimate.startswith("-") or not 0.0 <= outcome.estimate <= 1.0:
         raise ValueError(f"estimate {estimate!r} is not a number in [0, 1]")
     return pair, outcome
 

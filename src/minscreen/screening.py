@@ -20,7 +20,7 @@ with an empty schedule, and compare_pair is a batch of one.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -75,9 +75,11 @@ class ScreenConfig:
     master_seed: int = 42
 
     def __post_init__(self) -> None:
-        schedule = validate_table_args(self.threshold, self.e, self.schedule, self.e_upper)
-        object.__setattr__(self, "schedule", schedule)
-        validate_family_args(self.k, self.master_seed)
+        # The two checks return the checked values in the order of the fields.
+        checked = validate_table_args(self.threshold, self.e, self.schedule, self.e_upper)
+        checked += validate_family_args(self.k, self.master_seed)
+        for f, value in zip(fields(self), checked, strict=True):
+            object.__setattr__(self, f.name, value)
         if self.schedule and self.schedule[-1] > self.k:
             raise ValueError(
                 f"schedule reaches {self.schedule[-1]} but signatures have only {self.k} slots"

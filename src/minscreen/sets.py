@@ -7,6 +7,7 @@ against, so divisions happen on integers (or exact rationals) only.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from fractions import Fraction
 from itertools import chain, permutations
@@ -32,6 +33,18 @@ def as_u64(value: object, name: str) -> int:
     if not 0 <= number <= U64_MAX:
         raise ValueError(f"{name} {number} outside unsigned 64-bit range")
     return number
+
+
+def as_real(value: object, name: str) -> float:
+    """value as a Python float, or a ValueError naming it: the one rule for a
+    real-valued parameter, a numbers.Real (Python and numpy integers and
+    floats, Fraction; a bool is 0 or 1), never a str, None, Decimal or complex."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} {value!r} is not a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} {value!r} is too large for a float") from None
 
 
 def as_u64_array(groups: Iterable[Iterable[object]], name: str, count: int = -1) -> np.ndarray:

@@ -138,6 +138,8 @@ class WorkloadGroup:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "jaccard", Fraction(self.jaccard))
+        for name in ("pair_count", "size_lo", "size_hi"):
+            object.__setattr__(self, name, as_u64(getattr(self, name), name))
         if not 0 < self.jaccard < 1:
             raise ValueError(f"target Jaccard must lie strictly in (0, 1), got {self.jaccard}")
         if self.pair_count < 1:

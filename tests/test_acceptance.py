@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minscreen.binomial import binom_cdf, solve_lower, solve_upper
+from minscreen.binomial import binom_cdf, build_threshold_table
 from minscreen.harness import screen_signatures, sign_all
 from minscreen.minhash import make_family, sign_many
 from minscreen.screening import (
@@ -110,8 +110,8 @@ def test_1_cdf_reference_points():
 
 def test_2_cutoff_solver_examples():
     """Worked cutoff pair at k=100, T=0.5: discard at 20, accept at 80."""
-    m_l = solve_lower(100, 0.5, 5.6e-10)
-    m_u = solve_upper(100, 0.5, 1.35e-10)
+    row = build_threshold_table(0.5, 5.6e-10, (100,), e_upper=1.35e-10).rows[0]
+    m_l, m_u = row.m_l, row.m_u
     ok = m_l == 20 and m_u == 80 and m_l / 100 == 0.2 and m_u / 100 == 0.8
     verdict(2, ok, f"m_l={m_l} (want 20 -> 0.2), m_u={m_u} (want 80 -> 0.8)")
 

@@ -6,6 +6,8 @@ anchored to exact values computed by an independent route.
 """
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +20,6 @@ from minscreen.binomial import (
     binom_cdf,
     binom_upper_tail,
     log_binom_pmf,
-    solve_lower,
-    solve_upper,
     threshold_table_csv,
 )
 
@@ -64,6 +64,22 @@ class TestPmf:
             log_binom_pmf(0, 0, 0.5)
         with pytest.raises(ValueError):
             log_binom_pmf(0, 10, 1.5)
+
+    @pytest.mark.parametrize("tail", [log_binom_pmf, binom_cdf, binom_upper_tail])
+    def test_arguments_pass_the_integer_and_real_rules(self, tail):
+        for args, message in (
+            ((1.5, 10, 0.5), "m 1.5 is not an integer"),
+            ((3, 10.0, 0.5), "k 10.0 is not an integer"),
+            ((3, "10", 0.5), "k '10' is not an integer"),
+            ((-1, 10, 0.5), "m -1 outside unsigned 64-bit range"),
+            ((3, 10, "0.5"), "p '0.5' is not a real number"),
+            ((3, 10, None), "p None is not a real number"),
+            ((3, 10, 0.5j), "p 0.5j is not a real number"),
+        ):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                tail(*args)
+        assert tail(np.int64(3), np.uint64(10), Fraction(1, 2)) == tail(3, 10, 0.5)
+        assert tail(3, 10, np.float32(0.25)) == tail(3, 10, 0.25)
 
 
 class TestTails:
@@ -113,18 +129,23 @@ class TestTails:
             binom_cdf(0, 100, -0.2)
 
 
+def cutoffs(k: int, t: float, e: float):
+    """The cutoff row of a one-checkpoint table."""
+    return build_threshold_table(t, e, (k,)).rows[0]
+
+
 class TestSolvers:
     """Cutoff solvers: worked examples, oracle scans, and the guarantee."""
 
     def test_lower_cutoff_worked_example(self):
-        m_l = solve_lower(100, 0.5, 5.6e-10)
-        assert m_l == 20
-        assert m_l / 100 == 0.2
+        row = build_threshold_table(0.5, 5.6e-10, (100,), e_upper=1.35e-10).rows[0]
+        assert row.m_l == 20
+        assert row.m_l / 100 == 0.2
 
     def test_upper_cutoff_worked_example(self):
-        m_u = solve_upper(100, 0.5, 1.35e-10)
-        assert m_u == 80
-        assert m_u / 100 == 0.8
+        row = build_threshold_table(0.5, 5.6e-10, (100,), e_upper=1.35e-10).rows[0]
+        assert row.m_u == 80
+        assert row.m_u / 100 == 0.8
 
     def test_upper_example_needs_the_rounding_slack(self):
         # The exact tail at 80 exceeds the three-figure constant 1.35e-10,
@@ -135,30 +156,30 @@ class TestSolvers:
 
     def test_lower_cutoff_deep_significance(self):
         # CDF(6;100,0.5) = 1.003e-21 <= 1e-20 < CDF(7;100,0.5) = 1.363e-20
-        assert solve_lower(100, 0.5, 1e-20) == 6
+        assert cutoffs(100, 0.5, 1e-20).m_l == 6
 
     def test_lower_cutoff_can_be_none(self):
         # CDF(0;10,0.9) = 1e-10 already exceeds e
-        assert solve_lower(10, 0.9, 1e-12) is None
+        assert cutoffs(10, 0.9, 1e-12).m_l is None
 
     def test_upper_cutoff_extremes(self):
-        assert solve_upper(100, 0.5, 0.999) == 0
+        assert cutoffs(100, 0.5, 0.999).m_u == 0
         # even a full run of successes is not rare enough, so only m=k works
-        assert solve_upper(10, 0.9, 1e-12) == 10
+        assert cutoffs(10, 0.9, 1e-12).m_u == 10
 
     def test_upper_cutoff_against_brute_force_scan(self):
         e = 1e-5
         bound = e * (1.0 + E_ROUNDING_SLACK)
         scan = min(m for m in range(101) if binom_upper_tail(m, 100, 0.3) <= bound)
         assert scan == 50
-        assert solve_upper(100, 0.3, e) == scan
+        assert cutoffs(100, 0.3, e).m_u == scan
 
     def test_lower_cutoff_against_brute_force_scan(self):
         e = 1e-5
         bound = e * (1.0 + E_ROUNDING_SLACK)
         hits = [m for m in range(101) if binom_cdf(m, 100, 0.3) <= bound]
         assert max(hits) == 11
-        assert solve_lower(100, 0.3, e) == max(hits)
+        assert cutoffs(100, 0.3, e).m_l == max(hits)
 
     def test_solver_sandwich_property(self):
         import random
@@ -169,14 +190,14 @@ class TestSolvers:
             t = rng.uniform(0.05, 0.95)
             e = 10.0 ** rng.uniform(-12, -0.4)
             bound = e * (1.0 + E_ROUNDING_SLACK)
-            m_l = solve_lower(k, t, e)
+            row = cutoffs(k, t, e)
+            m_l, m_u = row.m_l, row.m_u
             if m_l is None:
                 assert binom_cdf(0, k, t) > bound
             else:
                 assert binom_cdf(m_l, k, t) <= bound
                 if m_l < k:
                     assert binom_cdf(m_l + 1, k, t) > bound
-            m_u = solve_upper(k, t, e)
             assert binom_upper_tail(m_u, k, t) <= bound
             if m_u > 0:
                 assert binom_upper_tail(m_u - 1, k, t) > bound
@@ -189,8 +210,8 @@ class TestSolvers:
             k = rng.randint(2, 300)
             t = rng.uniform(0.1, 0.9)
             e = 10.0 ** rng.uniform(-9, math.log10(0.45))
-            m_l = solve_lower(k, t, e)
-            m_u = solve_upper(k, t, e)
+            row = cutoffs(k, t, e)
+            m_l, m_u = row.m_l, row.m_u
             if m_l is not None:
                 assert m_l / k <= t
             assert t <= m_u / k
@@ -198,9 +219,7 @@ class TestSolvers:
     def test_rejects_out_of_range_arguments(self):
         for bad in ((0, 0.5, 1e-3), (10, 0.0, 1e-3), (10, 1.0, 1e-3), (10, 0.5, 0.0), (10, 0.5, 1.0)):
             with pytest.raises(ValueError):
-                solve_lower(*bad)
-            with pytest.raises(ValueError):
-                solve_upper(*bad)
+                cutoffs(*bad)
 
 
 class TestThresholdTable:
@@ -253,6 +272,20 @@ class TestThresholdTable:
         table = build_threshold_table(0.5, 1e-3, np.array([100, 200], dtype=np.int64))
         assert table == build_threshold_table(0.5, 1e-3, [100, 200])
         assert [type(k) for k in table.checkpoints] == [int, int]
+
+    def test_real_parameters_are_kept_as_floats(self):
+        table = build_threshold_table(Fraction(1, 2), np.float32(1e-3), [100], np.float64(1e-4))
+        assert [type(v) for v in (table.threshold, table.e_lower, table.e_upper)] == [float] * 3
+        assert table == build_threshold_table(0.5, float(np.float32(1e-3)), [100], 1e-4)
+        assert build_threshold_table(0.5, 1e-3, [100]).e_upper == 1e-3
+        for args, message in (
+            ((0.5, None, (10,)), "significance e None is not a real number"),
+            (("0.5", 1e-3, (10,)), "threshold '0.5' is not a real number"),
+            ((0.5, 1e-3, (10,), Decimal("0.1")), "significance e_upper Decimal('0.1') is not a real number"),
+            ((Fraction(3, 2), 1e-3, (10,)), "threshold must lie in (0, 1), got 1.5"),
+        ):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                build_threshold_table(*args)
 
     def test_csv_header_and_rows_are_pinned(self):
         table = build_threshold_table(0.5, 1e-3, [100, 200])

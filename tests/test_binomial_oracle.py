@@ -18,8 +18,6 @@ from minscreen.binomial import (
     binom_upper_tail,
     build_threshold_table,
     log_binom_pmf,
-    solve_lower,
-    solve_upper,
 )
 from minscreen.cli import main
 
@@ -119,12 +117,13 @@ def test_significance_on_a_tail_value_matches_bisection(t):
 
 
 def test_single_solvers_match_the_table(oracles):
+    """Tables of one checkpoint against the bisection."""
     for t in (0.1, 0.5, 0.9):
         for k in (1, 2, 57, 300, 1000, 3900):
             for e in (1e-15, 1e-3, 0.4):
                 oracle = oracles[(k, t)]
-                assert solve_lower(k, t, e) == oracle.solve_lower(e)
-                assert solve_upper(k, t, e) == oracle.solve_upper(e)
+                row = build_threshold_table(t, e, (k,)).rows[0]
+                assert (row.m_l, row.m_u) == (oracle.solve_lower(e), oracle.solve_upper(e))
 
 
 @pytest.mark.parametrize("k", (1, 7, 100, 1000, 3900))

@@ -209,6 +209,33 @@ def test_write_rejects_foreign_family(tmp_path):
         write_cache(path, 2, sigs)
 
 
+def test_numpy_seed_writes_the_same_cache(tmp_path):
+    sigs = _some_signatures()
+    path, numpy_path = tmp_path / "int.mhsg", tmp_path / "numpy.mhsg"
+    write_cache(str(path), 42, sigs)
+    write_cache(str(numpy_path), np.uint64(42), sigs)
+    assert numpy_path.read_bytes() == path.read_bytes()
+    back = read_cache(str(numpy_path))
+    assert back.master_seed == 42 and type(back.master_seed) is int
+
+
+@pytest.mark.parametrize(
+    "seed, problem",
+    [
+        (42.0, "is not an integer"),
+        ("42", "is not an integer"),
+        (None, "is not an integer"),
+        (-1, "outside unsigned 64-bit range"),
+        (2**64, "outside unsigned 64-bit range"),
+    ],
+)
+def test_bad_seed_is_refused_before_the_file_is_opened(tmp_path, seed, problem):
+    path = tmp_path / "bad.mhsg"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'master_seed {seed!r} {problem}')}$"):
+        write_cache(str(path), seed, _some_signatures())
+    assert not path.exists()
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_cache(str(tmp_path / "absent.mhsg"))

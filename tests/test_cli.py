@@ -200,6 +200,19 @@ class TestHarness:
             ("0,1,2,AboveThreshold,FullComparison,,100,inf", "estimate 'inf' is not a number"),
             ("0,1,2,AboveThreshold,OutputEarly,100,100,1.5", "estimate '1.5' is not a number"),
             ("0,1,2,BelowThreshold,FilteredEarly,100,100,-0.1", "estimate '-0.1' is not a number"),
+            ("0,1,2,BelowThreshold,FilteredEarly,100,100,-0.0", "estimate '-0.0' is not a number"),
+            ("0,1,2,AboveThreshold,FilteredEarly,100,100,0.1", "FilteredEarly row with decision AboveThreshold"),
+            ("0,1,2,BelowThreshold,OutputEarly,100,100,0.9", "OutputEarly row with decision BelowThreshold"),
+            (
+                "0,1,2,BelowThreshold,FilteredEarly,100,700,0.1",
+                "comparisons_used 700 differs from resolution_checkpoint 100",
+            ),
+            ("0,1,2,BelowThreshold,FilteredEarly,100,100, 0.1", "estimate ' 0.1' is not written as 0.1"),
+            ("0,1,2,BelowThreshold,FilteredEarly,100,100,0.1_5", "estimate '0.1_5' is not written as 0.15"),
+            ("0,1,2,BelowThreshold,FilteredEarly,100,100,+0.1", "estimate '+0.1' is not written as 0.1"),
+            ("0,1,2,BelowThreshold,FilteredEarly,100,100,1e-1", "estimate '1e-1' is not written as 0.1"),
+            ("0,1,2,BelowThreshold,FilteredEarly,100,100,0.10", "estimate '0.10' is not written as 0.1"),
+            ("0,1,2,AboveThreshold,FullComparison,,100,1", "estimate '1' is not written as 1.0"),
         ],
     )
     def test_read_outcomes_rejects_bad_rows_at_file_and_line(self, tmp_path, row, problem):

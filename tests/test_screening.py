@@ -1,9 +1,15 @@
 """Sequential screening engine: early exits, costs, and batch accounting."""
 
+import json
+import re
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from minscreen.binomial import build_threshold_table
+from minscreen.harness import report_json, screen_signatures
 from minscreen.minhash import Signature
 from minscreen.screening import (
     ABOVE,
@@ -87,6 +93,64 @@ def test_full_comparison_tie_counts_as_above():
     assert tie.comparisons_used == 10
     a, b = pair_with_matches(10, range(4))
     assert compare_pair(a, b, table, cfg).decision == BELOW
+
+
+def test_fraction_threshold_decides_ties_like_its_float():
+    """A Fraction threshold is kept as the float it rounds to, so a full-K
+    estimate of 1/3 ties with it and counts as above, and its table is the
+    float's table."""
+    a, b = pair_with_matches(3, [0])
+    decisions = []
+    for threshold in (Fraction(1, 3), 1 / 3):
+        cfg = ScreenConfig(threshold=threshold, e=1e-3, schedule=(), k=3)
+        decisions.append(compare_pair(a, b, build_table(cfg), cfg).decision)
+    assert decisions == [ABOVE, ABOVE]
+    assert ScreenConfig(threshold=Fraction(1, 3)) == ScreenConfig(threshold=1 / 3)
+    assert build_threshold_table(Fraction(1, 3), 1e-3, (2, 3)) == build_threshold_table(
+        1 / 3, 1e-3, (2, 3)
+    )
+
+
+def test_config_keeps_python_values_and_reports_them():
+    """numpy and Fraction parameters are kept as Python ints and floats, in
+    the config, its table and the JSON report."""
+    cfg = ScreenConfig(
+        threshold=Fraction(1, 2),
+        e=np.float32(1e-3),
+        e_upper=np.float64(1e-4),
+        schedule=np.array([8, 16]),
+        k=np.int64(16),
+        master_seed=np.uint64(7),
+    )
+    assert [type(value) for value in (cfg.threshold, cfg.e, cfg.e_upper, cfg.k, cfg.master_seed)] == [
+        float, float, float, int, int
+    ]
+    assert (cfg.threshold, cfg.e, cfg.e_upper, cfg.k) == (0.5, float(np.float32(1e-3)), 1e-4, 16)
+    assert all(type(k) is int for k in cfg.schedule)
+    table = cfg.table
+    assert [type(value) for value in (table.threshold, table.e_lower, table.e_upper)] == [float] * 3
+    for row in table.rows:
+        assert type(row.k) is int and type(row.m_u) is int and type(row.m_l) in (int, type(None))
+    a, b = pair_with_matches(16, range(8))
+    _, report = screen_signatures({0: a, 1: b}, [(0, 1)], cfg)
+    payload = json.loads(report_json(report))
+    assert (payload["threshold"], payload["e_upper"], payload["k"]) == (0.5, 1e-4, 16)
+    assert payload["e"] == float(np.float32(1e-3))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("threshold", "0.5", "threshold '0.5' is not a real number"),
+        ("e", None, "significance e None is not a real number"),
+        ("e_upper", Decimal("1e-3"), "significance e_upper Decimal('0.001') is not a real number"),
+        ("threshold", 1j, "threshold 1j is not a real number"),
+        ("threshold", float("nan"), "threshold must lie in (0, 1), got nan"),
+    ],
+)
+def test_config_refuses_a_value_that_is_not_a_real_number(field, value, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        ScreenConfig(**{field: value})
 
 
 def test_checkpoint_without_discard_cutoff_is_skipped():

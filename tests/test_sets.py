@@ -1,13 +1,15 @@
-"""Exact Jaccard, the exhaustive permutation oracle and the integer rule."""
+"""Exact Jaccard, the exhaustive permutation oracle and the integer and real rules."""
 
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from minscreen.sets import (
+    as_real,
     as_u64,
     as_u64_array,
     exact_jaccard,
@@ -134,6 +136,28 @@ def test_validate_tokens_range():
             as_u64(bad, "token")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             as_u64_array([(1, 2), (3, bad, -5)], "token")
+
+
+def test_real_rule():
+    """One rule for a real-valued parameter: every numbers.Real becomes a
+    Python float, anything else is refused with a ValueError naming it."""
+    accepted = [
+        (3, 3.0),
+        (0.25, 0.25),
+        (np.float32(0.1), float(np.float32(0.1))),
+        (np.int64(-2), -2.0),
+        (Fraction(1, 3), 1 / 3),
+        (True, 1.0),
+    ]
+    for value, expected in accepted:
+        got = as_real(value, "threshold")
+        assert type(got) is float and got == expected
+    for bad in ("0.5", None, Decimal("0.5"), 1j, [0.5]):
+        message = f"threshold {bad!r} is not a real number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_real(bad, "threshold")
+    with pytest.raises(ValueError, match="^threshold 10+ is too large for a float$"):
+        as_real(10**400, "threshold")
 
 
 def test_array_form_names_the_first_bad_value_in_order():

@@ -216,6 +216,26 @@ class TestParseGroup:
             parse_group(text)
 
 
+class TestWorkloadGroup:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((Fraction(1, 2), 1.5, 2, 4), "pair_count 1.5 is not an integer"),
+            ((Fraction(1, 2), 3, 2.0, 4), "size_lo 2.0 is not an integer"),
+            ((Fraction(1, 2), 3, 2, "4"), "size_hi '4' is not an integer"),
+            ((Fraction(1, 2), -3, 2, 4), "pair_count -3 outside unsigned 64-bit range"),
+        ],
+    )
+    def test_counts_pass_the_integer_rule(self, args, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            WorkloadGroup(*args)
+
+    def test_numpy_counts_become_ints(self):
+        group = WorkloadGroup(Fraction(1, 2), np.int64(3), np.uint8(2), np.int32(4))
+        assert group == WorkloadGroup(Fraction(1, 2), 3, 2, 4)
+        assert [type(v) for v in (group.pair_count, group.size_lo, group.size_hi)] == [int] * 3
+
+
 class TestGenSynthetic:
     def test_minimal_union_of_four(self):
         # target 1/2 with sizes pinned to 3 gives the classic {a,b,c},{b,c,d}
