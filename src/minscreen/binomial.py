@@ -1,4 +1,4 @@
-"""Binomial tail probabilities and the early-exit cutoff solvers.
+"""Binomial tail probabilities and the early-exit cutoff solver.
 
 The screening engine asks two questions of a Binomial(k, t) match count X at
 each checkpoint k:
@@ -9,20 +9,24 @@ each checkpoint k:
 * upper cutoff m_u: the smallest m with P(X > m) at most e, so that a match
   count at or above m_u justifies accepting the pair early.
 
-Tail values span twenty orders of magnitude (P(X <= 10) for k=100, t=0.5 is
-about 1.5e-17), so both tails are evaluated by exponentiating log-domain
-terms and summing the smaller tail directly with math.fsum. Every term is
-positive, there is no cancellation, and the larger tail is obtained from the
-complement, which keeps relative error around 1e-13 across the whole range.
+They mirror each other: X > m exactly when k - X <= k - m - 1, and the
+masses of k - X are those of X reversed. So one tail, P(X <= m), and one
+solver, the largest m whose tail is at most a bound, give m_l on the masses
+and k - 1 - m_u on the reversed masses.
 
-Both cutoffs at a checkpoint come from one mass vector: the k + 1 terms of
-Binomial(k, t), computed with numpy from a table of log-factorials that a
-threshold table builds once up to its largest checkpoint. A running sum of
-that vector locates each cutoff, and the exact tail, a math.fsum over a
-slice of the same vector, confirms it in about two evaluations: the tail
-holds at the cutoff and fails one step past it. The terms are the floats the
-scalar log_binom_pmf gives and math.fsum is correctly rounded, so tails and
-cutoffs are those of summing term by term and bisecting.
+Tail values span twenty orders of magnitude (P(X <= 10) for k=100, t=0.5 is
+about 1.5e-17). The tail sums the side that does not hold mass ceil(k * t)
+directly with math.fsum and takes the other side as the complement; every
+term is positive, so relative error stays around 1e-13. In the mirror that
+mass sits at k - ceil(k * t), so the reversed tail sums the slices a direct
+upper tail would.
+
+The masses of a checkpoint are one vector, computed with numpy from a table
+of log-factorials that a threshold table builds once up to its largest
+checkpoint. A running sum locates each cutoff and the exact tail confirms it
+in about two evaluations. The terms are the floats of scalar lgamma terms
+and math.fsum is correctly rounded, so tails and cutoffs are those of
+summing term by term and bisecting.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .sets import as_real, as_u64
+from .sets import as_real
 
-# Cutoff solvers accept a tail that exceeds e by up to this relative margin.
+# The cutoff solver accepts a tail that exceeds e by up to this relative margin.
 # Significance levels are conventionally quoted to at most three significant
 # figures (5.6e-10, 1.35e-10, ...); a cutoff whose exact tail rounds to the
 # quoted e at that precision is the cutoff the quote meant. The early-exit
@@ -46,43 +50,19 @@ from .sets import as_real, as_u64
 E_ROUNDING_SLACK = 5e-3
 
 
-def _validate_tail_args(m: int, k: int, p: float) -> tuple[int, int, float]:
-    m, k, p = as_u64(m, "m"), as_u64(k, "k"), as_real(p, "p")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if not 0 <= m <= k:
-        raise ValueError(f"m must lie in [0, {k}], got {m}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return m, k, p
-
-
-def log_binom_pmf(i: int, k: int, p: float) -> float:
-    """Natural log of the Binomial(k, p) mass at i.
-
-    Uses log-gamma for the coefficient so k in the thousands is fine. At the
-    degenerate probabilities 0 and 1 the impossible outcomes return -inf
-    exactly.
-    """
-    i, k, p = _validate_tail_args(i, k, p)
-    if p in (0.0, 1.0):  # X is k * p surely
-        return 0.0 if i == k * int(p) else -math.inf
-    coeff = math.lgamma(k + 1) - math.lgamma(i + 1) - math.lgamma(k - i + 1)
-    return coeff + i * math.log(p) + (k - i) * math.log1p(-p)
-
-
 def _log_factorials(n: int) -> np.ndarray:
-    """log(j!) = math.lgamma(j + 1) for j in 0..n, the values log_binom_pmf uses."""
+    """log(j!) = math.lgamma(j + 1) for j in 0..n."""
     return np.array([math.lgamma(j + 1) for j in range(n + 1)])
 
 
 def _pmf(k: int, p: float, log_fact: np.ndarray) -> list[float]:
     """Binomial(k, p) masses at 0..k for 0 < p < 1; log_fact reaches at least k.
 
-    Term i is the float math.exp(log_binom_pmf(i, k, p)): numpy performs the
-    same IEEE operations in the same order, and math.exp exponentiates
-    because np.exp may differ in the last ulp. Tails summed from this vector
-    are therefore the floats the scalar route gives.
+    Term i is math.exp of the log mass lgamma(k + 1) - lgamma(i + 1) -
+    lgamma(k - i + 1) + i * log(p) + (k - i) * log1p(-p), evaluated as one
+    scalar expression would be: numpy performs the same IEEE operations in
+    the same order, and math.exp exponentiates because np.exp may differ in
+    the last ulp.
     """
     i = np.arange(k + 1)
     logs = (log_fact[k] - log_fact[: k + 1]) - log_fact[k::-1]
@@ -90,39 +70,17 @@ def _pmf(k: int, p: float, log_fact: np.ndarray) -> list[float]:
     return [math.exp(x) for x in logs.tolist()]
 
 
-def _cdf(pmf: list[float], m: int, k: int, p: float) -> float:
-    """P(X <= m): the side below the mean summed, the other complemented."""
-    if m < k * p:
-        return math.fsum(pmf[: m + 1])
-    return 1.0 - math.fsum(pmf[m + 1 :])
+def _cdf(pmf: list[float], m: int, split: int) -> float:
+    """P(X <= m) from the masses of X, for m in [-1, len(pmf) - 1].
 
-
-def _upper_tail(pmf: list[float], m: int, k: int, p: float) -> float:
-    """P(X > m), the exact complement of _cdf."""
-    if m < k * p:
-        return 1.0 - math.fsum(pmf[: m + 1])
-    return math.fsum(pmf[m + 1 :])
-
-
-def binom_cdf(m: int, k: int, p: float) -> float:
-    """P(X <= m) for X ~ Binomial(k, p).
-
-    The side of the distribution below the mean is summed directly; above
-    the mean the upper tail is summed and complemented, so tiny results on
-    either side keep full relative accuracy.
+    Below split the masses up to m are summed directly, largest first: they
+    rise towards split, and math.fsum keeps fewer partial sums when large
+    terms come first (its result does not depend on the order). From split
+    on, the masses above m are summed and complemented.
     """
-    m, k, p = _validate_tail_args(m, k, p)
-    if p in (0.0, 1.0):
-        return float(m >= k * int(p))
-    return _cdf(_pmf(k, p, _log_factorials(k)), m, k, p)
-
-
-def binom_upper_tail(m: int, k: int, p: float) -> float:
-    """P(X > m) for X ~ Binomial(k, p), the exact complement of binom_cdf."""
-    m, k, p = _validate_tail_args(m, k, p)
-    if p in (0.0, 1.0):
-        return float(m < k * int(p))
-    return _upper_tail(_pmf(k, p, _log_factorials(k)), m, k, p)
+    if m < split:
+        return math.fsum(reversed(pmf[: m + 1]))
+    return 1.0 - math.fsum(pmf[m + 1 :])
 
 
 def validate_table_args(
@@ -157,35 +115,19 @@ def validate_checkpoints(checkpoints: Iterable[int]) -> tuple[int, ...]:
     return points
 
 
-def _lower_cutoff(pmf: list[float], k: int, t: float, e: float) -> int | None:
-    """Largest m with P(X <= m) <= e, or None, from the masses of X ~ Binomial(k, t).
+def _cutoff(pmf: list[float], split: int, bound: float) -> int:
+    """Largest m in [-1, k] with _cdf(pmf, m, split) <= bound, for the k + 1
+    masses pmf.
 
     A running sum of the masses locates the candidate; the exact tail then
     confirms it, stepping until it holds at m and fails at m + 1.
     """
-    bound = e * (1.0 + E_ROUNDING_SLACK)
+    k = len(pmf) - 1
     m = int(np.searchsorted(np.cumsum(pmf), bound, side="right")) - 1
-    while m < k and _cdf(pmf, m + 1, k, t) <= bound:
+    while m < k and _cdf(pmf, m + 1, split) <= bound:
         m += 1
-    while m >= 0 and _cdf(pmf, m, k, t) > bound:
+    while m >= 0 and _cdf(pmf, m, split) > bound:
         m -= 1
-    return None if m < 0 else m
-
-
-def _upper_cutoff(pmf: list[float], k: int, t: float, e: float) -> int:
-    """Smallest m (at most k) with P(X > m) <= e, from the masses of X ~ Binomial(k, t).
-
-    The running sum from the top, whose entry j approximates P(X >= k - j),
-    locates the candidate; the exact tail then confirms it, stepping until
-    it holds at m and fails at m - 1.
-    """
-    bound = e * (1.0 + E_ROUNDING_SLACK)
-    from_top = np.cumsum(pmf[::-1])
-    m = max(0, k - int(np.searchsorted(from_top, bound, side="right")))
-    while m > 0 and _upper_tail(pmf, m - 1, k, t) <= bound:
-        m -= 1
-    while _upper_tail(pmf, m, k, t) > bound:
-        m += 1
     return m
 
 
@@ -220,12 +162,6 @@ class ThresholdTable:
     def checkpoints(self) -> tuple[int, ...]:
         return tuple(row.k for row in self.rows)
 
-    def row_at(self, k: int) -> ThresholdRow:
-        for row in self.rows:
-            if row.k == k:
-                return row
-        raise KeyError(f"no checkpoint {k} in table")
-
 
 def build_threshold_table(
     t: float,
@@ -242,13 +178,16 @@ def build_threshold_table(
     """
     t, e, e_upper, points = validate_table_args(t, e, checkpoints, e_upper)
     e_up = e if e_upper is None else e_upper
+    lower_bound, upper_bound = (x * (1.0 + E_ROUNDING_SLACK) for x in (e, e_up))
     log_fact = _log_factorials(max(points, default=0))
     rows = []
     for k in points:
         pmf = _pmf(k, t, log_fact)
-        rows.append(
-            ThresholdRow(k=k, m_l=_lower_cutoff(pmf, k, t, e), m_u=_upper_cutoff(pmf, k, t, e_up))
-        )
+        split = math.ceil(k * t)
+        m_l = _cutoff(pmf, split, lower_bound)
+        # P(X > m) is P(k - X <= k - m - 1): the tail of the reversed masses.
+        m_u = max(0, k - 1 - _cutoff(pmf[::-1], k - split, upper_bound))
+        rows.append(ThresholdRow(k=k, m_l=None if m_l < 0 else m_l, m_u=m_u))
     return ThresholdTable(threshold=t, e_lower=e, e_upper=e_up, rows=tuple(rows))
 
 

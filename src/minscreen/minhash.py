@@ -141,6 +141,15 @@ class SignatureMatrix(Mapping[int, Signature]):
     """
 
     def __init__(self, ids: np.ndarray, matrix: np.ndarray, fingerprint: str) -> None:
+        if not _is_u64(ids, 1):  # -1 in int64 ids must not wrap to 2**64 - 1
+            ids = as_u64_array((ids,), "set id")
+        if not (_is_u64(matrix, 2) and len(matrix) == len(ids)):
+            got = type(matrix)
+            if isinstance(matrix, np.ndarray):
+                got = f"{matrix.dtype} {matrix.shape}"
+            raise ValueError(
+                f"need a 2-D uint64 matrix, one row per set id ({len(ids)}), got {got}"
+            )
         later = np.flatnonzero(ids[1:] <= ids[:-1])
         if later.size:
             set_id = int(ids[later[0] + 1])
@@ -196,6 +205,11 @@ class SignatureMatrix(Mapping[int, Signature]):
         flat = list(itertools.chain.from_iterable(groups))
         # One id has no row itself; of several, name the first without one.
         raise KeyError(flat[0] if len(flat) == 1 else next(i for i in flat if i not in self))
+
+
+def _is_u64(array: object, ndim: int) -> bool:
+    """array is a numpy array of ndim axes of unsigned 64-bit integers (either byte order)."""
+    return isinstance(array, np.ndarray) and array.dtype.str[1:] == "u8" and array.ndim == ndim
 
 
 def _by_id(mapping: Mapping) -> tuple[np.ndarray, list]:

@@ -14,7 +14,7 @@ matrix, adds the matches to their running counts, and drops the pairs the
 checkpoint resolves. A pair resolved at checkpoint k therefore costs k slot
 comparisons in time as well as in the count, and no column past the last
 checkpoint a pair reaches is read. The full-width baseline is the same call
-with an empty schedule, and compare_pair is a batch of one.
+with an empty schedule.
 """
 
 from __future__ import annotations
@@ -108,15 +108,6 @@ class BatchSummary:
 
 def build_table(cfg: ScreenConfig) -> ThresholdTable:
     return cfg.table
-
-
-def compare_pair(
-    a: Signature, b: Signature, table: ThresholdTable, cfg: ScreenConfig
-) -> PairOutcome:
-    """Walk one pair through the checkpoint schedule: screen_batch on a
-    batch of one pair, with the same checks."""
-    outcomes, _ = screen_batch([(0, 1)], {0: a, 1: b}, cfg, table)
-    return outcomes[0]
 
 
 def screen_batch(

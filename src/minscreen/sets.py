@@ -1,4 +1,4 @@
-"""Token sets, exact Jaccard similarity, and a tiny exhaustive oracle.
+"""Token sets, exact Jaccard similarity, and the integer and real rules.
 
 Sets are plain Python sets of unsigned 64-bit token identifiers. Similarity
 helpers here are the exact ground truth that the sketching layer is judged
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numbers
 import operator
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain
 from typing import AbstractSet, Iterable
 
 import numpy as np
@@ -18,8 +18,6 @@ import numpy as np
 # Largest unsigned 64-bit integer: the top of the token, set id and seed
 # ranges, and the mask of 64-bit arithmetic.
 U64_MAX = 2**64 - 1
-
-ORACLE_UNIVERSE_LIMIT = 8
 
 
 def as_u64(value: object, name: str) -> int:
@@ -80,40 +78,3 @@ def jaccard_at_least(a: AbstractSet[int], b: AbstractSet[int], threshold: float)
         raise ValueError("undefined Jaccard: both sets are empty")
     num, den = threshold.as_integer_ratio()
     return len(a & b) * den >= len(a | b) * num
-
-
-def exact_jaccard(a: AbstractSet[int], b: AbstractSet[int]) -> float:
-    """Exact Jaccard similarity as a float in [0, 1]."""
-    return float(jaccard_fraction(a, b))
-
-
-def exhaustive_collision_probability(
-    a: AbstractSet[int], b: AbstractSet[int], universe_size: int
-) -> Fraction:
-    """Probability that a uniformly random permutation of the universe maps
-    a and b to the same minimum, computed by full enumeration.
-
-    This is the independent oracle for the min-wise collision identity: the
-    returned rational must equal jaccard_fraction(a, b) exactly. Enumeration
-    is factorial in universe_size, hence the hard cap.
-    """
-    if universe_size > ORACLE_UNIVERSE_LIMIT:
-        raise ValueError(
-            f"oracle scale exceeded: universe_size {universe_size} > {ORACLE_UNIVERSE_LIMIT}"
-        )
-    if universe_size < 1:
-        raise ValueError("universe_size must be at least 1")
-    if not a or not b:
-        raise ValueError("oracle requires two non-empty sets")
-    for name, s in (("a", a), ("b", b)):
-        bad = [t for t in s if not (0 <= t < universe_size)]
-        if bad:
-            raise ValueError(f"token {bad[0]} of set {name} outside universe [0, {universe_size})")
-
-    hits = 0
-    total = 0
-    for perm in permutations(range(universe_size)):
-        total += 1
-        if min(perm[t] for t in a) == min(perm[t] for t in b):
-            hits += 1
-    return Fraction(hits, total)

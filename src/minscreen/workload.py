@@ -18,6 +18,7 @@ exact Jaccard of every generated pair equals the target as a rational.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Mapping, Sequence
@@ -137,6 +138,10 @@ class WorkloadGroup:
     size_hi: int
 
     def __post_init__(self) -> None:
+        # A rational (int, Fraction, numpy integer) is exact; text is
+        # parse_group's to read, and a float would be a rounded target.
+        if not isinstance(self.jaccard, numbers.Rational):
+            raise ValueError(f"target Jaccard {self.jaccard!r} is not a rational number")
         object.__setattr__(self, "jaccard", Fraction(self.jaccard))
         for name in ("pair_count", "size_lo", "size_hi"):
             object.__setattr__(self, name, as_u64(getattr(self, name), name))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minscreen.binomial import binom_cdf, build_threshold_table
+from minscreen.binomial import build_threshold_table
 from minscreen.harness import screen_signatures, sign_all
 from minscreen.minhash import make_family, sign_many
 from minscreen.screening import (
@@ -26,8 +26,9 @@ from minscreen.screening import (
     filtering_rate,
     screen_batch,
 )
-from minscreen.sets import exhaustive_collision_probability, jaccard_fraction
+from minscreen.sets import jaccard_fraction
 from minscreen.workload import WorkloadGroup, WorkloadSpec, gen_synthetic
+from oracles import exhaustive_collision_probability, package_tails
 
 SCHEDULE = tuple(range(100, 1000, 100))
 
@@ -102,8 +103,9 @@ def test_1_cdf_reference_points():
         (100, 1.0),
     ]
     worst = 0.0
+    cdf, _ = package_tails(100, 0.5)
     for m, expected in anchors:
-        got = binom_cdf(m, 100, 0.5)
+        got = cdf(m)
         worst = max(worst, abs(got - expected) / expected)
     verdict(1, worst <= 0.05, f"max relative deviation {worst:.2e} over {len(anchors)} anchors (tol 5e-2)")
 
@@ -134,11 +136,12 @@ def test_3_exact_oracles_agree():
     for p in (0.05, 0.1, 0.25, 0.5, 0.75, 0.9):
         pf = Fraction(p)
         for k in range(1, 31):
+            cdf, _ = package_tails(k, p)
             running = Fraction(0)
             for m in range(k + 1):
                 running += math.comb(k, m) * pf**m * (1 - pf) ** (k - m)
                 exact = float(running)
-                got = binom_cdf(m, k, p)
+                got = cdf(m)
                 worst = max(worst, abs(got - exact) / exact)
     verdict(
         3,

@@ -1,8 +1,8 @@
-"""Binomial tails and cutoff solvers against an exact rational oracle.
+"""Binomial tails and the cutoff solver against an exact rational oracle.
 
-The oracle below evaluates the same tails with Fraction arithmetic over
-big-integer binomial coefficients, so every float assertion in this file is
-anchored to exact values computed by an independent route.
+The oracles in oracles.py evaluate the same tails with Fraction arithmetic
+over big-integer binomial coefficients, so every float assertion in this
+file is anchored to exact values computed by an independent route.
 """
 
 import math
@@ -16,22 +16,12 @@ import pytest
 
 from minscreen.binomial import (
     E_ROUNDING_SLACK,
+    _log_factorials,
+    _pmf,
     build_threshold_table,
-    binom_cdf,
-    binom_upper_tail,
-    log_binom_pmf,
     threshold_table_csv,
 )
-
-
-def exact_cdf(m: int, k: int, p: Fraction) -> Fraction:
-    return sum(Fraction(math.comb(k, i)) * p**i * (1 - p) ** (k - i) for i in range(m + 1))
-
-
-def exact_upper(m: int, k: int, p: Fraction) -> Fraction:
-    return sum(
-        Fraction(math.comb(k, i)) * p**i * (1 - p) ** (k - i) for i in range(m + 1, k + 1)
-    )
+from oracles import exact_cdf, exact_upper, log_binom_pmf, package_tails
 
 
 def _rel_err(value: float, truth: Fraction) -> float:
@@ -41,92 +31,53 @@ def _rel_err(value: float, truth: Fraction) -> float:
 
 
 class TestPmf:
-    """Log-space binomial mass."""
+    """Binomial masses."""
 
     def test_center_value_matches_exact_big_integer(self):
         # C(100,50)/2**100, frozen from the rational oracle
         truth = 0.07958923738717877
         assert math.isclose(math.exp(log_binom_pmf(50, 100, 0.5)), truth, rel_tol=1e-12)
         assert math.isclose(log_binom_pmf(50, 100, 0.5), -2.5308764039771035, abs_tol=1e-12)
-
-    def test_degenerate_probabilities(self):
-        assert log_binom_pmf(0, 10, 0.0) == 0.0
-        assert log_binom_pmf(5, 10, 1.0) == -math.inf
-        assert log_binom_pmf(10, 10, 1.0) == 0.0
-        assert log_binom_pmf(3, 10, 0.0) == -math.inf
-
-    def test_rejects_out_of_range_arguments(self):
-        with pytest.raises(ValueError):
-            log_binom_pmf(-1, 10, 0.5)
-        with pytest.raises(ValueError):
-            log_binom_pmf(11, 10, 0.5)
-        with pytest.raises(ValueError):
-            log_binom_pmf(0, 0, 0.5)
-        with pytest.raises(ValueError):
-            log_binom_pmf(0, 10, 1.5)
-
-    @pytest.mark.parametrize("tail", [log_binom_pmf, binom_cdf, binom_upper_tail])
-    def test_arguments_pass_the_integer_and_real_rules(self, tail):
-        for args, message in (
-            ((1.5, 10, 0.5), "m 1.5 is not an integer"),
-            ((3, 10.0, 0.5), "k 10.0 is not an integer"),
-            ((3, "10", 0.5), "k '10' is not an integer"),
-            ((-1, 10, 0.5), "m -1 outside unsigned 64-bit range"),
-            ((3, 10, "0.5"), "p '0.5' is not a real number"),
-            ((3, 10, None), "p None is not a real number"),
-            ((3, 10, 0.5j), "p 0.5j is not a real number"),
-        ):
-            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-                tail(*args)
-        assert tail(np.int64(3), np.uint64(10), Fraction(1, 2)) == tail(3, 10, 0.5)
-        assert tail(3, 10, np.float32(0.25)) == tail(3, 10, 0.25)
+        assert _pmf(100, 0.5, _log_factorials(100))[50] == math.exp(log_binom_pmf(50, 100, 0.5))
 
 
 class TestTails:
-    """CDF and upper tail keep relative accuracy across twenty decades."""
+    """The lower tail and the mirrored upper tail keep relative accuracy
+    across twenty decades."""
 
     def test_frozen_deep_tail_anchors(self):
-        assert math.isclose(binom_cdf(10, 100, 0.5), 1.5316450877188822e-17, rel_tol=1e-11)
-        assert math.isclose(binom_cdf(20, 100, 0.5), 5.579544528625889e-10, rel_tol=1e-11)
+        cdf, _ = package_tails(100, 0.5)
+        assert math.isclose(cdf(10), 1.5316450877188822e-17, rel_tol=1e-11)
+        assert math.isclose(cdf(20), 5.579544528625889e-10, rel_tol=1e-11)
 
     def test_matches_oracle_on_k100_grid(self):
         half = Fraction(1, 2)
+        cdf, upper = package_tails(100, 0.5)
         for m in (0, 6, 10, 19, 20, 21, 30, 40, 50, 60, 70, 80, 99, 100):
-            assert _rel_err(binom_cdf(m, 100, 0.5), exact_cdf(m, 100, half)) < 1e-11
-            assert _rel_err(binom_upper_tail(m, 100, 0.5), exact_upper(m, 100, half)) < 1e-11
+            assert _rel_err(cdf(m), exact_cdf(m, 100, half)) < 1e-11
+            assert _rel_err(upper(m), exact_upper(m, 100, half)) < 1e-11
 
     def test_matches_oracle_for_small_k(self):
         for k in (1, 2, 5, 17, 30):
             for p in (Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)):
+                cdf, upper = package_tails(k, float(p))
                 for m in range(k + 1):
-                    assert _rel_err(binom_cdf(m, k, float(p)), exact_cdf(m, k, p)) < 1e-9
+                    assert _rel_err(cdf(m), exact_cdf(m, k, p)) < 1e-9
+                    assert _rel_err(upper(m), exact_upper(m, k, p)) < 1e-9
+                assert upper(k) == 0.0
 
     def test_complement_is_float_exact(self):
         for k, p in ((1, 0.3), (7, 0.01), (100, 0.5), (100, 0.77), (1000, 0.3)):
+            cdf, upper = package_tails(k, p)
             for m in range(0, k + 1, max(1, k // 7)):
-                assert binom_cdf(m, k, p) + binom_upper_tail(m, k, p) == 1.0
+                assert cdf(m) + upper(m) == 1.0
 
     def test_monotone_in_m(self):
-        values = [binom_cdf(m, 100, 0.37) for m in range(101)]
+        cdf, upper = package_tails(100, 0.37)
+        values = [cdf(m) for m in range(101)]
         assert values == sorted(values)
-        tails = [binom_upper_tail(m, 100, 0.37) for m in range(101)]
+        tails = [upper(m) for m in range(101)]
         assert tails == sorted(tails, reverse=True)
-
-    def test_degenerate_probabilities(self):
-        assert binom_cdf(3, 10, 0.0) == 1.0
-        assert binom_cdf(9, 10, 1.0) == 0.0
-        assert binom_cdf(10, 10, 1.0) == 1.0
-        assert binom_upper_tail(3, 10, 0.0) == 0.0
-        assert binom_upper_tail(9, 10, 1.0) == 1.0
-        assert binom_upper_tail(10, 10, 0.25) == 0.0
-
-    def test_rejects_out_of_range_arguments(self):
-        with pytest.raises(ValueError):
-            binom_cdf(101, 100, 0.5)
-        with pytest.raises(ValueError):
-            binom_upper_tail(-1, 100, 0.5)
-        with pytest.raises(ValueError):
-            binom_cdf(0, 100, -0.2)
 
 
 def cutoffs(k: int, t: float, e: float):
@@ -135,7 +86,7 @@ def cutoffs(k: int, t: float, e: float):
 
 
 class TestSolvers:
-    """Cutoff solvers: worked examples, oracle scans, and the guarantee."""
+    """Both cutoffs: worked examples, oracle scans, and the guarantee."""
 
     def test_lower_cutoff_worked_example(self):
         row = build_threshold_table(0.5, 5.6e-10, (100,), e_upper=1.35e-10).rows[0]
@@ -149,8 +100,8 @@ class TestSolvers:
 
     def test_upper_example_needs_the_rounding_slack(self):
         # The exact tail at 80 exceeds the three-figure constant 1.35e-10,
-        # which is why the solvers accept tails within E_ROUNDING_SLACK of e.
-        tail = binom_upper_tail(80, 100, 0.5)
+        # which is why the solver accepts tails within E_ROUNDING_SLACK of e.
+        tail = package_tails(100, 0.5)[1](80)
         assert tail > 1.35e-10
         assert tail <= 1.35e-10 * (1.0 + E_ROUNDING_SLACK)
 
@@ -170,14 +121,16 @@ class TestSolvers:
     def test_upper_cutoff_against_brute_force_scan(self):
         e = 1e-5
         bound = e * (1.0 + E_ROUNDING_SLACK)
-        scan = min(m for m in range(101) if binom_upper_tail(m, 100, 0.3) <= bound)
+        _, upper = package_tails(100, 0.3)
+        scan = min(m for m in range(101) if upper(m) <= bound)
         assert scan == 50
         assert cutoffs(100, 0.3, e).m_u == scan
 
     def test_lower_cutoff_against_brute_force_scan(self):
         e = 1e-5
         bound = e * (1.0 + E_ROUNDING_SLACK)
-        hits = [m for m in range(101) if binom_cdf(m, 100, 0.3) <= bound]
+        cdf, _ = package_tails(100, 0.3)
+        hits = [m for m in range(101) if cdf(m) <= bound]
         assert max(hits) == 11
         assert cutoffs(100, 0.3, e).m_l == max(hits)
 
@@ -192,15 +145,16 @@ class TestSolvers:
             bound = e * (1.0 + E_ROUNDING_SLACK)
             row = cutoffs(k, t, e)
             m_l, m_u = row.m_l, row.m_u
+            cdf, upper = package_tails(k, t)
             if m_l is None:
-                assert binom_cdf(0, k, t) > bound
+                assert cdf(0) > bound
             else:
-                assert binom_cdf(m_l, k, t) <= bound
+                assert cdf(m_l) <= bound
                 if m_l < k:
-                    assert binom_cdf(m_l + 1, k, t) > bound
-            assert binom_upper_tail(m_u, k, t) <= bound
+                    assert cdf(m_l + 1) > bound
+            assert upper(m_u) <= bound
             if m_u > 0:
-                assert binom_upper_tail(m_u - 1, k, t) > bound
+                assert upper(m_u - 1) > bound
 
     def test_bracketing_around_threshold(self):
         import random
@@ -227,7 +181,7 @@ class TestThresholdTable:
 
     def test_worked_example_row(self):
         table = build_threshold_table(0.5, 5.6e-10, [100])
-        row = table.row_at(100)
+        (row,) = table.rows
         assert row.m_l == 20
         assert row.t_l == 0.2
 
@@ -237,15 +191,16 @@ class TestThresholdTable:
         bound = 1e-3 * (1.0 + E_ROUNDING_SLACK)
         for row in table.rows:
             assert row.m_l is not None
-            assert binom_cdf(row.m_l, row.k, 0.5) <= bound
-            assert binom_cdf(row.m_l + 1, row.k, 0.5) > bound
-            assert binom_upper_tail(row.m_u, row.k, 0.5) <= bound
-            assert binom_upper_tail(row.m_u - 1, row.k, 0.5) > bound
+            cdf, upper = package_tails(row.k, 0.5)
+            assert cdf(row.m_l) <= bound
+            assert cdf(row.m_l + 1) > bound
+            assert upper(row.m_u) <= bound
+            assert upper(row.m_u - 1) > bound
             assert row.t_l <= 0.5 <= row.t_u
 
     def test_split_significance_levels(self):
         table = build_threshold_table(0.5, 5.6e-10, [100], e_upper=1.35e-10)
-        row = table.row_at(100)
+        (row,) = table.rows
         assert (row.m_l, row.m_u) == (20, 80)
         assert table.e_lower == 5.6e-10
         assert table.e_upper == 1.35e-10

@@ -1,10 +1,10 @@
-"""The cutoff solvers against the bisection they replaced, and golden tables.
+"""The cutoff solver against the bisection it replaced, and golden tables.
 
-The oracle below is the earlier solver: each tail is a math.fsum of
-math.exp(log_binom_pmf(i, k, p)) terms, one scalar call per term, and each
-cutoff is found by bisection on the exact tail predicate. The solvers in
+The oracle, oracles.OracleTails, is the earlier solver: each tail is a
+math.fsum of scalar log-mass terms, one lgamma expression per term, and each
+cutoff is found by bisection on the exact tail predicate. The solver in
 minscreen.binomial must return the same cutoff on every configuration, and
-the tails they sum must be the same floats.
+the tails it sums must be the same floats.
 """
 
 import math
@@ -12,14 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from minscreen.binomial import (
-    E_ROUNDING_SLACK,
-    binom_cdf,
-    binom_upper_tail,
-    build_threshold_table,
-    log_binom_pmf,
-)
+from minscreen.binomial import E_ROUNDING_SLACK, build_threshold_table
 from minscreen.cli import main
+from oracles import OracleTails, package_tails
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -27,48 +22,6 @@ THRESHOLDS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 SIGNIFICANCES = (1e-15, 1e-5, 1e-3, 0.05, 0.4, 0.9)
 SAMPLED_K = (301, 347, 512, 999, 1000, 1777, 2500, 3900, 5000)
 CHECKPOINTS = tuple(range(1, 301)) + SAMPLED_K
-
-
-class OracleTails:
-    """Binomial(k, p) tails from scalar log_binom_pmf terms, as summed before."""
-
-    def __init__(self, k: int, p: float):
-        self.k, self.p = k, p
-        self.terms = [math.exp(log_binom_pmf(i, k, p)) for i in range(k + 1)]
-
-    def cdf(self, m: int) -> float:
-        if m < self.k * self.p:
-            return math.fsum(self.terms[: m + 1])
-        return 1.0 - math.fsum(self.terms[m + 1 :])
-
-    def upper(self, m: int) -> float:
-        if m < self.k * self.p:
-            return 1.0 - math.fsum(self.terms[: m + 1])
-        return math.fsum(self.terms[m + 1 :])
-
-    def solve_lower(self, e: float) -> int | None:
-        bound = e * (1.0 + E_ROUNDING_SLACK)
-        if self.cdf(0) > bound:
-            return None
-        lo, hi = 0, self.k
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.cdf(mid) <= bound:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def solve_upper(self, e: float) -> int:
-        bound = e * (1.0 + E_ROUNDING_SLACK)
-        lo, hi = 0, self.k
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.upper(mid) <= bound:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +50,17 @@ def test_table_matches_bisection_and_its_predicate(t, oracles):
                 assert oracle.upper(row.m_u - 1) > upper_bound
 
 
-@pytest.mark.parametrize("t", (0.1, 0.5, 0.9))
+@pytest.mark.parametrize("t", (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99))
 def test_significance_on_a_tail_value_matches_bisection(t):
     """e placed on an exact tail, and one ulp either side: the running sum
-    can land one step off here, so the exact-tail steps decide."""
-    for k in (50, 300, 1000):
+    can land one step off here, so the exact-tail steps decide. Where k * t
+    is not an integer (k = 7, 13, 101 at most of these t), the lower tail
+    and the mirrored upper tail must switch between direct sum and
+    complement at the same m as the oracle. An e with e * (1 + slack) >= 1
+    accepts at 0 and discards at k."""
+    for k in (7, 13, 50, 101, 300, 1000):
         oracle = OracleTails(k, t)
-        for m in range(0, k, k // 20):
+        for m in range(0, k, max(1, k // 20)):
             for tail, side in ((oracle.cdf(m), "lower"), (oracle.upper(m), "upper")):
                 e0 = tail / (1.0 + E_ROUNDING_SLACK)
                 if not 0.0 < e0 < 1.0:
@@ -114,6 +71,10 @@ def test_significance_on_a_tail_value_matches_bisection(t):
                         assert row.m_l == oracle.solve_lower(e), (k, t, m, e)
                     else:
                         assert row.m_u == oracle.solve_upper(e), (k, t, m, e)
+        for e in (1.0 / (1.0 + E_ROUNDING_SLACK), 0.999, math.nextafter(1.0, 0.0)):
+            row = build_threshold_table(t, e, [k]).rows[0]
+            assert (row.m_l, row.m_u) == (oracle.solve_lower(e), oracle.solve_upper(e))
+            assert (row.m_l, row.m_u) == (k, 0), (k, t, e)
 
 
 def test_single_solvers_match_the_table(oracles):
@@ -129,10 +90,14 @@ def test_single_solvers_match_the_table(oracles):
 @pytest.mark.parametrize("k", (1, 7, 100, 1000, 3900))
 @pytest.mark.parametrize("p", (0.01, 0.3, 0.5, 0.77, 0.99))
 def test_tails_are_the_floats_the_scalar_terms_give(k, p):
+    """binomial._cdf on the masses, and on the reversed masses for the upper
+    tail, switches between direct sum and complement where the oracle's
+    m < k * p does, so each tail is bit-equal to the oracle's."""
     oracle = OracleTails(k, p)
+    cdf, upper = package_tails(k, p)
     for m in sorted({0, 1, k // 3, int(k * p), int(k * p) + 1, k - 1, k} & set(range(k + 1))):
-        assert binom_cdf(m, k, p) == oracle.cdf(m)
-        assert binom_upper_tail(m, k, p) == oracle.upper(m)
+        assert cdf(m) == oracle.cdf(m)
+        assert upper(m) == oracle.upper(m)
 
 
 GOLDEN_TABLES = {

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,8 @@ from minscreen.screening import (
     OUTPUT_EARLY,
     ScreenConfig,
     build_table,
-    compare_pair,
     filtering_rate,
+    screen_batch,
 )
 from minscreen.minhash import make_family, slot_hash
 from minscreen.workload import WorkloadGroup, WorkloadSpec, gen_synthetic, load_sets
@@ -37,8 +38,8 @@ GOLDEN = Path(__file__).parent / "golden"
 def small_workload():
     spec = WorkloadSpec(
         groups=(
-            WorkloadGroup("4/5", 30, 15, 25),
-            WorkloadGroup("1/5", 30, 15, 25),
+            WorkloadGroup(Fraction(4, 5), 30, 15, 25),
+            WorkloadGroup(Fraction(1, 5), 30, 15, 25),
         ),
         seed=11,
     )
@@ -152,7 +153,7 @@ class TestHarness:
         elif source == "unshared":
             signatures = sign_all(sets, pairs, cfg)
             table = build_table(cfg)
-            outcomes = [compare_pair(signatures[a], signatures[b], table, cfg) for a, b in pairs]
+            outcomes = [screen_batch([pair], signatures, cfg, table)[0][0] for pair in pairs]
         else:
             if source == "full_k":
                 cfg = ScreenConfig(threshold=0.5, schedule=(), k=200, master_seed=5)

@@ -7,6 +7,7 @@ and catches any unintended dtype promotion in the numpy path.
 """
 
 import random
+import re
 import threading
 
 import numpy as np
@@ -413,6 +414,25 @@ class TestSignatureMatrix:
         ):
             with pytest.raises(ValueError, match=message):
                 SignatureMatrix(np.array(ids, dtype=np.uint64), values, "fp")
+
+    def test_ids_and_matrix_it_cannot_use_are_refused(self):
+        """int64 ids are checked by the integer rule before the order check,
+        so -1 is refused rather than wrapped to 2**64 - 1 past 5 and 6; the
+        matrix must be 2-D unsigned 64-bit with one row per id."""
+        values = np.zeros((3, 4), dtype=np.uint64)
+        with pytest.raises(ValueError, match="^set id -1 outside unsigned 64-bit range$"):
+            SignatureMatrix(np.array([-1, 5, 6]), values, "fp")
+        for ids, matrix, got in (
+            ([1, 2], values, "uint64 (3, 4)"),
+            ([1, 2, 3], values.astype(np.float64), "float64 (3, 4)"),
+            ([1, 2, 3], values[0], "uint64 (4,)"),
+            ([1, 2, 3], values.tolist(), "<class 'list'>"),
+        ):
+            message = f"need a 2-D uint64 matrix, one row per set id ({len(ids)}), got {got}"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                SignatureMatrix(np.array(ids, dtype=np.uint64), matrix, "fp")
+        sigs = SignatureMatrix(np.array([4, 5, 6]), values, "fp")
+        assert sigs.ids.dtype == np.uint64 and list(sigs) == [4, 5, 6] and 5 in sigs
 
 
 class TestEstimator:

@@ -1,0 +1,27 @@
+"""The package exports only names that its own modules or the benchmark use."""
+
+import ast
+from pathlib import Path
+
+import minscreen
+
+ROOT = Path(__file__).parent.parent
+
+
+def used_names(paths) -> set[str]:
+    """Every name the code of paths reads, as a plain name or an attribute.
+    A def or class statement defines its name without reading it."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_exported_name_is_used_by_the_package_or_the_benchmark():
+    modules = [p for p in (ROOT / "src" / "minscreen").glob("*.py") if p.name != "__init__.py"]
+    used = used_names(modules + sorted((ROOT / "bench").rglob("*.py")))
+    assert sorted(set(minscreen.__all__) - used) == []

@@ -19,7 +19,6 @@ from minscreen.screening import (
     OUTPUT_EARLY,
     ScreenConfig,
     build_table,
-    compare_pair,
     filtering_rate,
     screen_batch,
 )
@@ -47,10 +46,20 @@ def random_pair(k: int, p: float, rng: np.random.Generator) -> tuple[Signature, 
     return pair_with_matches(k, np.flatnonzero(rng.random(k) < p))
 
 
+def screen_pair(a: Signature, b: Signature, table, cfg: ScreenConfig):
+    """screen_batch on a batch of one pair."""
+    (outcome,), _ = screen_batch([(0, 1)], {0: a, 1: b}, cfg, table)
+    return outcome
+
+
+def row_at(table, k: int):
+    return table.rows[table.checkpoints.index(k)]
+
+
 def test_twenty_matches_in_first_hundred_is_filtered_early():
     cfg = ScreenConfig(threshold=0.5, e=5.6e-10, schedule=(100,), k=100)
     a, b = pair_with_matches(100, range(20))
-    outcome = compare_pair(a, b, build_table(cfg), cfg)
+    outcome = screen_pair(a, b, build_table(cfg), cfg)
     assert outcome.decision == BELOW
     assert outcome.resolution_kind == FILTERED_EARLY
     assert outcome.resolution_checkpoint == 100
@@ -62,7 +71,7 @@ def test_identical_signatures_output_at_first_checkpoint():
     cfg = ScreenConfig(threshold=0.5, e=1e-5, schedule=(100, 200), k=1000)
     base = np.arange(1000, dtype=np.uint64)
     a, b = _sig(base), _sig(base.copy())
-    outcome = compare_pair(a, b, build_table(cfg), cfg)
+    outcome = screen_pair(a, b, build_table(cfg), cfg)
     assert outcome.decision == ABOVE
     assert outcome.resolution_kind == OUTPUT_EARLY
     assert outcome.resolution_checkpoint == 100
@@ -76,7 +85,7 @@ def test_acceptance_can_happen_at_a_later_checkpoint():
     cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(100, 200), k=200)
     matches = list(range(50)) + list(range(100, 200))
     a, b = pair_with_matches(200, matches)
-    outcome = compare_pair(a, b, build_table(cfg), cfg)
+    outcome = screen_pair(a, b, build_table(cfg), cfg)
     assert outcome.resolution_kind == OUTPUT_EARLY
     assert outcome.resolution_checkpoint == 200
     assert outcome.estimate == 0.75
@@ -86,13 +95,13 @@ def test_full_comparison_tie_counts_as_above():
     cfg = ScreenConfig(threshold=0.5, schedule=(), k=10)
     table = build_table(cfg)
     a, b = pair_with_matches(10, range(5))
-    tie = compare_pair(a, b, table, cfg)
+    tie = screen_pair(a, b, table, cfg)
     assert tie.decision == ABOVE
     assert tie.resolution_kind == FULL_COMPARISON
     assert tie.resolution_checkpoint is None
     assert tie.comparisons_used == 10
     a, b = pair_with_matches(10, range(4))
-    assert compare_pair(a, b, table, cfg).decision == BELOW
+    assert screen_pair(a, b, table, cfg).decision == BELOW
 
 
 def test_fraction_threshold_decides_ties_like_its_float():
@@ -103,7 +112,7 @@ def test_fraction_threshold_decides_ties_like_its_float():
     decisions = []
     for threshold in (Fraction(1, 3), 1 / 3):
         cfg = ScreenConfig(threshold=threshold, e=1e-3, schedule=(), k=3)
-        decisions.append(compare_pair(a, b, build_table(cfg), cfg).decision)
+        decisions.append(screen_pair(a, b, build_table(cfg), cfg).decision)
     assert decisions == [ABOVE, ABOVE]
     assert ScreenConfig(threshold=Fraction(1, 3)) == ScreenConfig(threshold=1 / 3)
     assert build_threshold_table(Fraction(1, 3), 1e-3, (2, 3)) == build_threshold_table(
@@ -158,14 +167,14 @@ def test_checkpoint_without_discard_cutoff_is_skipped():
     # and only a perfect count accepts, so 9 of 10 matches resolves nothing.
     cfg = ScreenConfig(threshold=0.9, e=1e-12, schedule=(10,), k=10)
     table = build_table(cfg)
-    row = table.row_at(10)
+    (row,) = table.rows
     assert row.m_l is None
     assert row.m_u == 10
     a, b = pair_with_matches(10, range(9))
-    outcome = compare_pair(a, b, table, cfg)
+    outcome = screen_pair(a, b, table, cfg)
     assert outcome.resolution_kind == FULL_COMPARISON
     a, b = pair_with_matches(10, range(10))
-    assert compare_pair(a, b, table, cfg).resolution_kind == OUTPUT_EARLY
+    assert screen_pair(a, b, table, cfg).resolution_kind == OUTPUT_EARLY
 
 
 def test_outcome_invariants_on_random_pairs():
@@ -174,13 +183,13 @@ def test_outcome_invariants_on_random_pairs():
     table = build_table(cfg)
     for _ in range(150):
         a, b = random_pair(200, rng.uniform(0.1, 0.9), rng)
-        outcome = compare_pair(a, b, table, cfg)
+        outcome = screen_pair(a, b, table, cfg)
         if outcome.resolution_kind == OUTPUT_EARLY:
-            row = table.row_at(outcome.resolution_checkpoint)
+            row = row_at(table, outcome.resolution_checkpoint)
             assert outcome.decision == ABOVE
             assert outcome.estimate >= row.t_u
         elif outcome.resolution_kind == FILTERED_EARLY:
-            row = table.row_at(outcome.resolution_checkpoint)
+            row = row_at(table, outcome.resolution_checkpoint)
             assert outcome.decision == BELOW
             assert outcome.estimate <= row.t_l
         else:
@@ -198,8 +207,8 @@ def test_borderline_pairs_under_tiny_e_fall_through_to_full_comparison():
     full_count = 0
     for _ in range(30):
         a, b = random_pair(400, 0.5, rng)
-        outcome = compare_pair(a, b, table, cfg)
-        reference = compare_pair(a, b, full_table, full_cfg)
+        outcome = screen_pair(a, b, table, cfg)
+        reference = screen_pair(a, b, full_table, full_cfg)
         assert outcome.decision == reference.decision
         full_count += outcome.resolution_kind == FULL_COMPARISON
     assert full_count == 30
@@ -211,7 +220,7 @@ def test_empty_schedule_equals_plain_threshold_decision():
     table = build_table(cfg)
     for _ in range(50):
         a, b = random_pair(120, rng.uniform(0.0, 1.0), rng)
-        outcome = compare_pair(a, b, table, cfg)
+        outcome = screen_pair(a, b, table, cfg)
         x = int(np.count_nonzero(a.values == b.values))
         assert outcome.decision == (ABOVE if x / 120 >= 0.3 else BELOW)
         assert outcome.resolution_kind == FULL_COMPARISON
@@ -227,7 +236,7 @@ def test_resolved_sets_are_nested_across_e():
     for e in (1e-6, 0.05):
         cfg = ScreenConfig(threshold=0.5, e=e, schedule=schedule, k=300)
         table = build_table(cfg)
-        outcomes = [compare_pair(a, b, table, cfg) for a, b in pairs]
+        outcomes = [screen_pair(a, b, table, cfg) for a, b in pairs]
         resolved_by[e] = {
             point: {
                 i
@@ -357,16 +366,16 @@ def test_config_rejects_non_integer_schedule():
     assert all(type(k) is int for k in cfg.schedule)
 
 
-def test_compare_pair_validates_inputs():
+def test_single_pair_batch_validates_inputs():
     cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(100,), k=100)
     table = build_table(cfg)
     a, b = pair_with_matches(100, range(10))
     foreign = Signature(values=b.values, fingerprint="other-family")
     with pytest.raises(ValueError, match="different hash families"):
-        compare_pair(a, foreign, table, cfg)
+        screen_pair(a, foreign, table, cfg)
     short_cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(), k=50)
     with pytest.raises(ValueError, match="length"):
-        compare_pair(a, b, build_table(short_cfg), short_cfg)
+        screen_pair(a, b, build_table(short_cfg), short_cfg)
     wide_table = build_threshold_table(0.5, 1e-3, [100, 200])
     with pytest.raises(ValueError, match="does not match the configuration"):
-        compare_pair(a, b, wide_table, cfg)
+        screen_pair(a, b, wide_table, cfg)

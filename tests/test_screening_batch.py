@@ -359,7 +359,6 @@ def test_a_table_for_another_configuration_is_refused():
     for table in (None, cfg.table, equal):
         outcomes, _ = screen_batch([(0, 1)], signatures, cfg, table)
         assert outcomes == [own]
-        assert screening.compare_pair(signatures[0], signatures[1], table, cfg) == own
     foreign = [
         screening.build_threshold_table(0.95, 1e-3, schedule),
         screening.build_threshold_table(0.5, 1e-2, schedule),
@@ -369,8 +368,6 @@ def test_a_table_for_another_configuration_is_refused():
     for table in foreign:
         with pytest.raises(ValueError, match="does not match the configuration's table"):
             screen_batch([(0, 1)], signatures, cfg, table)
-        with pytest.raises(ValueError, match="does not match the configuration's table"):
-            screening.compare_pair(signatures[0], signatures[1], table, cfg)
 
 
 def test_a_config_builds_its_table_once_and_keeps_its_value_semantics():

@@ -1,4 +1,5 @@
-"""Exact Jaccard, the exhaustive permutation oracle and the integer and real rules."""
+"""Exact Jaccard, the exhaustive permutation oracle (oracles.py) and the
+integer and real rules."""
 
 import random
 import re
@@ -12,33 +13,28 @@ from minscreen.sets import (
     as_real,
     as_u64,
     as_u64_array,
-    exact_jaccard,
-    exhaustive_collision_probability,
     jaccard_at_least,
     jaccard_fraction,
 )
+from oracles import exhaustive_collision_probability
 
 
-def test_exact_jaccard_half():
-    assert exact_jaccard({1, 2, 3}, {2, 3, 4}) == 0.5
+def test_jaccard_fraction_identical_singleton():
+    assert jaccard_fraction({7}, {7}) == 1
 
 
-def test_exact_jaccard_identical_singleton():
-    assert exact_jaccard({7}, {7}) == 1.0
+def test_jaccard_fraction_disjoint():
+    assert jaccard_fraction({1, 2}, {3, 4}) == 0
 
 
-def test_exact_jaccard_disjoint():
-    assert exact_jaccard({1, 2}, {3, 4}) == 0.0
+def test_jaccard_fraction_one_empty_side():
+    assert jaccard_fraction(set(), {1, 2}) == 0
+    assert jaccard_fraction({1, 2}, set()) == 0
 
 
-def test_exact_jaccard_one_empty_side():
-    assert exact_jaccard(set(), {1, 2}) == 0.0
-    assert exact_jaccard({1, 2}, set()) == 0.0
-
-
-def test_exact_jaccard_both_empty_rejected():
+def test_jaccard_fraction_both_empty_rejected():
     with pytest.raises(ValueError, match="undefined Jaccard"):
-        exact_jaccard(set(), set())
+        jaccard_fraction(set(), set())
 
 
 def test_jaccard_fraction_is_exact_rational():
@@ -78,7 +74,7 @@ def test_jaccard_symmetry_and_self_similarity():
         a = set(rng.sample(range(50), rng.randint(1, 12)))
         b = set(rng.sample(range(50), rng.randint(1, 12)))
         assert jaccard_fraction(a, b) == jaccard_fraction(b, a)
-        assert exact_jaccard(a, a) == 1.0
+        assert jaccard_fraction(a, a) == 1
 
 
 def test_oracle_small_examples():

@@ -230,6 +230,12 @@ class TestWorkloadGroup:
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             WorkloadGroup(*args)
 
+    @pytest.mark.parametrize("jaccard", ["1/2", np.float32(0.5), None, float("nan")])
+    def test_target_jaccard_must_be_rational(self, jaccard):
+        message = f"target Jaccard {jaccard!r} is not a rational number"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            WorkloadGroup(jaccard, 1, 2, 4)
+
     def test_numpy_counts_become_ints(self):
         group = WorkloadGroup(Fraction(1, 2), np.int64(3), np.uint8(2), np.int32(4))
         assert group == WorkloadGroup(Fraction(1, 2), 3, 2, 4)
