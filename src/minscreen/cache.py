@@ -8,13 +8,23 @@ Little-endian layout:
 The record section fills the rest of the file, so a cache is exactly
 32 + set_count * 8 * (k + 1) bytes long; any other length, k or set_count
 of 0, or set ids that do not increase is refused.
+
+A regular file is mapped read-only, not copied: reading a cache copies
+only its set ids, and the slot values are loaded as screening touches
+them. The mapping holds the file's contents for as long as the signatures
+read from it live, so a cache must not be modified in place while a screen
+reads it. write_cache never does: it writes a new file beside the target
+and renames it over the target, so the target's directory must be writable.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import stat
 import struct
 from dataclasses import dataclass
-from typing import Mapping
+from typing import BinaryIO, Mapping
 
 import numpy as np
 
@@ -23,6 +33,8 @@ from .sets import as_u64
 
 MAGIC = b"MHSG"
 VERSION = 1
+HEADER_BYTES = 32
+_WRITE_BUFFER_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -38,37 +50,79 @@ def _records(k: int) -> np.dtype:
 
 
 def write_cache(path: str, master_seed: int, signatures: Mapping[int, Signature]) -> None:
-    """Write signatures of one family keyed by set id, the seed by sets.as_u64."""
+    """Write signatures of one family keyed by set id, the seed by sets.as_u64.
+
+    The cache is written to a new file in the target's directory and renamed
+    over the target (a symlink's target), so a screen that has the old file
+    mapped keeps reading the old file; on failure the old file is untouched.
+    A new file gets the mode open(path, "wb") would give it. A target that
+    exists and is not a regular file, such as /dev/null, is opened and
+    written as it is, never replaced.
+    """
     master_seed = as_u64(master_seed, "master_seed")
     if not signatures:
         raise ValueError("refusing to write an empty signature cache")
     matrix = SignatureMatrix.stack(signatures)
     if matrix.fingerprint != family_fingerprint(master_seed, matrix.k):
         raise ValueError(f"signatures come from a different family than seed {master_seed}")
-    records = np.empty(len(matrix), dtype=_records(matrix.k))
-    records["id"] = matrix.ids
-    records["v"] = matrix.matrix
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<IQQQ", VERSION, matrix.k, master_seed, len(matrix)))
-        records.tofile(fh)
+
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "wb") as fh:
+            _write_to(fh, master_seed, matrix)
+        return
+    directory, name = os.path.split(os.path.realpath(path))
+    temporary = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    # O_EXCL never opens an existing file; mode 0o666 is masked by the umask
+    # as open(path, "wb") masks it (mkstemp would give 0o600).
+    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            _write_to(fh, master_seed, matrix)
+        os.replace(temporary, os.path.join(directory, name))
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
+def _write_to(fh: BinaryIO, master_seed: int, matrix: SignatureMatrix) -> None:
+    """The header, then the records through one buffer of at most
+    _WRITE_BUFFER_BYTES. A new file takes fresh pages for all of its bytes;
+    a record copy of the whole matrix would take as many again."""
+    fh.write(MAGIC + struct.pack("<IQQQ", VERSION, matrix.k, master_seed, len(matrix)))
+    dtype = _records(matrix.k)
+    records = np.empty(min(len(matrix), max(1, _WRITE_BUFFER_BYTES // dtype.itemsize)), dtype)
+    for start in range(0, len(matrix), len(records)):
+        part = records[: len(matrix) - start]
+        part["id"] = matrix.ids[start : start + len(part)]
+        part["v"] = matrix.matrix[start : start + len(part)]
+        part.tofile(fh)
 
 
 def read_cache(path: str) -> SignatureCache:
-    """Read a cache into one buffer; the signature matrix is a read-only
-    view of it."""
+    """Read a cache; the signature matrix is a read-only view of the file's
+    records, mapped from a regular file and copied from anything else."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 32 or data[:4] != MAGIC:
+        info = os.fstat(fh.fileno())
+        # mmap refuses an empty file, and a pipe has no size to map.
+        if stat.S_ISREG(info.st_mode) and info.st_size >= HEADER_BYTES:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        else:
+            data = fh.read()
+    if len(data) < HEADER_BYTES or data[:4] != MAGIC:
         raise ValueError(f"{path}: not a signature cache (bad magic)")
     version, k, master_seed, count = struct.unpack_from("<IQQQ", data, 4)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported cache version {version}")
     if k < 1 or count < 1:
         raise ValueError(f"{path}: corrupt cache (k = {k}, set count = {count})")
-    if 32 + count * 8 * (k + 1) != len(data):
+    if HEADER_BYTES + count * 8 * (k + 1) != len(data):
         raise ValueError(f"{path}: corrupt cache (truncated or inconsistent record section)")
 
-    records = np.frombuffer(data, dtype=_records(k), count=count, offset=32)
+    records = np.frombuffer(data, dtype=_records(k), count=count, offset=HEADER_BYTES)
     fp = family_fingerprint(master_seed, k)
     try:
         signatures = SignatureMatrix(records["id"], records["v"], fp)

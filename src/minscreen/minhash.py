@@ -144,11 +144,9 @@ class SignatureMatrix(Mapping[int, Signature]):
         if not _is_u64(ids, 1):  # -1 in int64 ids must not wrap to 2**64 - 1
             ids = as_u64_array((ids,), "set id")
         if not (_is_u64(matrix, 2) and len(matrix) == len(ids)):
-            got = type(matrix)
-            if isinstance(matrix, np.ndarray):
-                got = f"{matrix.dtype} {matrix.shape}"
             raise ValueError(
-                f"need a 2-D uint64 matrix, one row per set id ({len(ids)}), got {got}"
+                f"need a 2-D uint64 matrix, one row per set id ({len(ids)}), "
+                f"got {_describe(matrix)}"
             )
         later = np.flatnonzero(ids[1:] <= ids[:-1])
         if later.size:
@@ -165,10 +163,18 @@ class SignatureMatrix(Mapping[int, Signature]):
     @classmethod
     def stack(cls, signatures: Mapping[int, Signature]) -> SignatureMatrix:
         """A mapping of Signatures as one matrix (a SignatureMatrix as it
-        is). A mapping that mixes lengths or families is refused."""
+        is). A mapping that mixes lengths or families is refused, as are
+        values that are not a 1-D uint64 array, which a cast would turn into
+        plausible slot values (1.5 into 1, -2 into 2**64 - 2)."""
         if isinstance(signatures, SignatureMatrix):
             return signatures
         ids, sigs = _by_id(signatures)
+        bad = next((i for i, sig in enumerate(sigs) if not _is_u64(sig.values, 1)), None)
+        if bad is not None:
+            raise ValueError(
+                f"set id {ids[bad]}: need 1-D uint64 signature values, "
+                f"got {_describe(sigs[bad].values)}"
+            )
         lengths = sorted({sig.k for sig in sigs})
         if len(lengths) > 1:
             raise ValueError(f"cannot mix signature lengths {lengths[0]} and {lengths[-1]}")
@@ -210,6 +216,13 @@ class SignatureMatrix(Mapping[int, Signature]):
 def _is_u64(array: object, ndim: int) -> bool:
     """array is a numpy array of ndim axes of unsigned 64-bit integers (either byte order)."""
     return isinstance(array, np.ndarray) and array.dtype.str[1:] == "u8" and array.ndim == ndim
+
+
+def _describe(array: object) -> str:
+    """The dtype and shape of an array, or the type of anything else, for errors."""
+    if isinstance(array, np.ndarray):
+        return f"{array.dtype} {array.shape}"
+    return str(type(array))
 
 
 def _by_id(mapping: Mapping) -> tuple[np.ndarray, list]:

@@ -63,9 +63,8 @@ def jaccard_fraction(a: AbstractSet[int], b: AbstractSet[int]) -> Fraction:
     Raises ValueError for two empty sets; the ratio is undefined there and
     picking 0 or 1 silently would mask ingestion bugs.
     """
-    if not a and not b:
-        raise ValueError("undefined Jaccard: both sets are empty")
-    return Fraction(len(a & b), len(a | b))
+    shared, union = _overlap(a, b)
+    return Fraction(shared, union)
 
 
 def jaccard_at_least(a: AbstractSet[int], b: AbstractSet[int], threshold: float) -> bool:
@@ -74,7 +73,16 @@ def jaccard_at_least(a: AbstractSet[int], b: AbstractSet[int], threshold: float)
     A float is a dyadic rational num / den, so cross-multiplying decides the
     comparison exactly, as comparing the Fraction with the float would.
     """
+    shared, union = _overlap(a, b)
+    num, den = threshold.as_integer_ratio()
+    return shared * den >= union * num
+
+
+def _overlap(a: AbstractSet[int], b: AbstractSet[int]) -> tuple[int, int]:
+    """|a & b| and |a | b|, the union counted as |a| + |b| - |a & b| without
+    building it, the intersection built from the smaller set."""
     if not a and not b:
         raise ValueError("undefined Jaccard: both sets are empty")
-    num, den = threshold.as_integer_ratio()
-    return len(a & b) * den >= len(a | b) * num
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    shared = len(small & large)
+    return shared, len(a) + len(b) - shared

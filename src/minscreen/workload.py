@@ -88,26 +88,44 @@ def load_pairs(path: str) -> list[tuple[int, int]]:
     """Parse a pairs file into an ordered list of (id, id)."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         text = fh.read()
+    # In ASCII text isdigit means 0-9, so a line of two digit fields is a
+    # pair as it stands. Any other line, and every line of text that is not
+    # all ASCII, takes the full checks, which name the first bad line.
+    ascii_text = text.isascii()
     pairs: list[tuple[int, int]] = []
     for lineno, line in enumerate(_lines(text)):
-        if not line.isascii():
-            raise ValueError(f"{path}:{lineno + 1}: non-ASCII byte")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
-        if len(fields) != 2:
-            raise ValueError(f"{path}:{lineno + 1}: expected two set ids, got {line!r}")
-        id_a, id_b = fields
+        fields = line.split()
         try:
-            if not (id_a.isdigit() and id_b.isdigit()):
-                raise ValueError
-            pairs.append((int(id_a), int(id_b)))
-        except ValueError:
-            negative = any(field[:1] == "-" and field[1:].isdigit() for field in fields)
-            problem = "negative set id" if negative else "bad set id"
-            raise ValueError(f"{path}:{lineno + 1}: {problem}") from None
+            id_a, id_b = fields
+            if ascii_text and id_a.isdigit() and id_b.isdigit():
+                pairs.append((int(id_a), int(id_b)))
+                continue
+        except ValueError:  # not two fields, or an id past int()'s digit limit
+            pass
+        pair = _pair_line(path, lineno, line, fields)
+        if pair is not None:
+            pairs.append(pair)
     return pairs
+
+
+def _pair_line(path: str, lineno: int, line: str, fields: list[str]) -> tuple[int, int] | None:
+    """The pair on a line of a pairs file, None for a blank or comment line,
+    or a ValueError naming path:N."""
+    if not line.isascii():
+        raise ValueError(f"{path}:{lineno + 1}: non-ASCII byte")
+    if not fields or fields[0].startswith("#"):
+        return None
+    if len(fields) != 2:
+        raise ValueError(f"{path}:{lineno + 1}: expected two set ids, got {line!r}")
+    id_a, id_b = fields
+    try:
+        if not (id_a.isdigit() and id_b.isdigit()):
+            raise ValueError
+        return int(id_a), int(id_b)
+    except ValueError:
+        negative = any(field[:1] == "-" and field[1:].isdigit() for field in fields)
+        problem = "negative set id" if negative else "bad set id"
+        raise ValueError(f"{path}:{lineno + 1}: {problem}") from None
 
 
 def write_sets(path: str, sets: Mapping[int, AbstractSet[int]]) -> None:

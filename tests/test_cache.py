@@ -1,14 +1,21 @@
-"""Signature cache round trips and corruption handling."""
+"""Signature cache round trips, corruption handling, mapping and replacement."""
 
+import contextlib
+import os
 import re
+import stat
 import struct
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from minscreen import cache
 from minscreen.cache import MAGIC, SignatureCache, read_cache, write_cache
-from minscreen.minhash import SignatureMatrix, make_family, sign, sign_many
+from minscreen.cli import main
+from minscreen.minhash import SignatureMatrix, family_fingerprint, make_family, sign, sign_many
 from minscreen.screening import ScreenConfig, screen_batch
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -69,12 +76,16 @@ def _struct_cache_bytes(master_seed, signatures):
     return b"".join(parts)
 
 
-def test_full_width_bytes_match_the_documented_layout(tmp_path):
+@pytest.mark.parametrize("buffer_records", [None, 1, 2])
+def test_full_width_bytes_match_the_documented_layout(tmp_path, monkeypatch, buffer_records):
+    """Also when the records go out through a buffer of one or two records."""
     family = make_family(33, 2**64 - 1)
     sigs = dict(
         sign_many(family, {2**64 - 1: {1, 2}, 0: {3}, 17: {2**64 - 1, 0, 9}, 2**63: {4, 5, 6}})
     )
     sigs[5] = sign(family, {7})
+    if buffer_records:
+        monkeypatch.setattr(cache, "_WRITE_BUFFER_BYTES", buffer_records * 8 * 34)
     path = tmp_path / "layout.mhsg"
     write_cache(str(path), 2**64 - 1, sigs)
     assert path.read_bytes() == _struct_cache_bytes(2**64 - 1, sigs)
@@ -115,10 +126,14 @@ def test_write_refuses_a_float_set_id_and_writes_nothing(tmp_path):
     assert not path.exists()
 
 
-def test_rejects_bad_magic(tmp_path):
+@pytest.mark.parametrize(
+    "data", [b"NOPE" + bytes(60), b"", b"M", MAGIC + bytes(27)], ids=["64", "0", "1", "31"]
+)
+def test_rejects_bad_magic(tmp_path, data):
+    """Files too short to map are read, and refused, as any other."""
     path = tmp_path / "bad.mhsg"
-    path.write_bytes(b"NOPE" + bytes(60))
-    with pytest.raises(ValueError, match="bad magic"):
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not a signature cache (bad magic)")):
         read_cache(str(path))
 
 
@@ -239,3 +254,116 @@ def test_bad_seed_is_refused_before_the_file_is_opened(tmp_path, seed, problem):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_cache(str(tmp_path / "absent.mhsg"))
+
+
+def _random_matrix(n, k, seed, rng_seed=0):
+    rng = np.random.default_rng(rng_seed)
+    ids = np.arange(0, 3 * n, 3, dtype=np.uint64)
+    matrix = rng.integers(0, 2**64 - 1, size=(n, k), dtype=np.uint64, endpoint=True)
+    return SignatureMatrix(ids, matrix, family_fingerprint(seed, k))
+
+
+def test_a_regular_file_is_mapped_not_copied(tmp_path):
+    """Reading a 16 MB cache allocates well under 1 MB: the records stay in
+    the file's pages instead of a bytes copy."""
+    path = tmp_path / "big.mhsg"
+    signatures = _random_matrix(2000, 1000, 5)
+    write_cache(str(path), 5, signatures)
+    assert path.stat().st_size == 32 + 2000 * 8 * 1001
+    tracemalloc.start()
+    try:
+        back = read_cache(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert np.array_equal(back.signatures.matrix, signatures.matrix)
+    assert np.array_equal(back.signatures.ids, signatures.ids)
+
+
+def test_replacing_a_cache_leaves_signatures_read_from_it_unchanged(tmp_path):
+    path = tmp_path / "c.mhsg"
+    old, new = _random_matrix(50, 64, 1, rng_seed=1), _random_matrix(50, 64, 1, rng_seed=2)
+    write_cache(str(path), 1, old)
+    before = read_cache(str(path))
+    write_cache(str(path), 1, new)
+    assert np.array_equal(before.signatures.matrix, old.matrix)
+    assert np.array_equal(read_cache(str(path)).signatures.matrix, new.matrix)
+    assert sorted(os.listdir(tmp_path)) == ["c.mhsg"]
+
+
+def test_a_failed_replace_leaves_the_old_cache_and_no_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.mhsg"
+    write_cache(str(path), 42, _some_signatures())
+    old_bytes = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_cache(str(path), 7, _random_matrix(3, 8, 7))
+    assert path.read_bytes() == old_bytes
+    assert sorted(os.listdir(tmp_path)) == ["c.mhsg"]
+
+
+def test_a_new_cache_has_the_mode_open_gives_a_new_file(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        write_cache(str(tmp_path / "c.mhsg"), 42, _some_signatures())
+        with open(tmp_path / "plain", "wb"):
+            pass
+    finally:
+        os.umask(umask)
+    mode = stat.S_IMODE((tmp_path / "c.mhsg").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o640
+
+
+def test_sign_out_through_a_symlink_updates_its_target(tmp_path, capsys):
+    target = tmp_path / "store" / "sigs.mhsg"
+    target.parent.mkdir()
+    target.write_bytes(b"stale")
+    link = tmp_path / "link.mhsg"
+    link.symlink_to(target)
+    argv = ["sign", "--sets", str(GOLDEN / "sign_sets.txt"), "--k", "256", "--seed", "42"]
+    assert main(argv + ["--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == (GOLDEN / "sign_k256_seed42.mhsg").read_bytes()
+    assert sorted(os.listdir(target.parent)) == ["sigs.mhsg"]
+
+
+def test_a_pipe_is_read_into_memory(tmp_path):
+    path, fifo = tmp_path / "c.mhsg", tmp_path / "pipe.mhsg"
+    signatures = _random_matrix(20, 16, 3)
+    write_cache(str(path), 3, signatures)
+    os.mkfifo(fifo)
+    feeder = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+    feeder.start()
+    try:
+        back = read_cache(str(fifo))
+    finally:
+        feeder.join(timeout=10)
+    assert not feeder.is_alive()
+    assert back.master_seed == 3 and np.array_equal(back.signatures.matrix, signatures.matrix)
+
+
+def test_a_target_that_is_not_a_regular_file_is_never_replaced(tmp_path):
+    """A pipe stands in for a device such as /dev/null: write_cache opens it
+    as it is (numpy may refuse to write records to a pipe) and leaves no
+    regular file in its place or beside it."""
+    fifo = tmp_path / "pipe.mhsg"
+    os.mkfifo(fifo)
+    drained = []
+    reader = threading.Thread(target=lambda: drained.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        with contextlib.suppress(OSError):
+            write_cache(str(fifo), 42, _some_signatures())
+    finally:
+        reader.join(timeout=10)
+        if reader.is_alive():  # nothing opened the pipe for writing
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+    assert drained and drained[0].startswith(MAGIC)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert os.listdir(tmp_path) == ["pipe.mhsg"]

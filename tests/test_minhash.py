@@ -16,6 +16,7 @@ import pytest
 from minscreen import minhash
 from minscreen.minhash import (
     HashFamily,
+    Signature,
     SignatureMatrix,
     make_family,
     sign,
@@ -388,6 +389,35 @@ class TestSignatureMatrix:
             SignatureMatrix.stack({2.7: got[0]})
         with pytest.raises(ValueError, match="^set id 2.7 is not an integer$"):
             SignatureMatrix.stack({10: got[0], 2.7: got[7]})
+
+    def test_stacking_refuses_values_that_are_not_1d_uint64(self, signed):
+        """A cast would screen [1.5, -2.0] as [1, 2**64 - 2] without an error."""
+        family, _, got = signed
+        for values, described in (
+            (np.array([1.5, -2.0]), "float64 (2,)"),
+            (np.array([3, -2], dtype=np.int64), "int64 (2,)"),
+            (np.zeros((2, 8), dtype=np.uint64), "uint64 (2, 8)"),
+            ([1, 2], "<class 'list'>"),
+        ):
+            bad = Signature(values=values, fingerprint=family.fingerprint)
+            message = f"set id 40: need 1-D uint64 signature values, got {described}"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                SignatureMatrix.stack({0: got[0], 40: bad, 7: got[7]})
+
+    def test_stacking_copies_any_1d_uint64_values_bit_for_bit(self, signed):
+        """Big-endian and strided rows are unsigned 64-bit too: they stack to
+        the same matrix as the rows themselves."""
+        family, _, got = signed
+        plain = {
+            0: got[0],
+            7: Signature(got[7].values.astype(">u8"), family.fingerprint),
+            40: Signature(np.repeat(got[40].values, 2)[::2], family.fingerprint),
+            2**64 - 1: got[2**64 - 1],
+        }
+        stacked = SignatureMatrix.stack(plain)
+        assert stacked.matrix.dtype == np.uint64
+        assert stacked.matrix.tobytes() == got.matrix.tobytes()
+        assert np.array_equal(stacked.ids, got.ids)
 
     def test_rows_is_the_one_id_lookup(self, signed):
         _, _, got = signed

@@ -59,13 +59,31 @@ def test_jaccard_at_least_on_boundaries():
 
 
 def test_jaccard_at_least_agrees_with_fraction_comparison():
+    """Both functions count the union as |a| + |b| - |a & b|; the oracle
+    builds it. Sizes are uneven, one side may be empty, and the thresholds
+    include 0, 1 and the floats 1/3 and 0.5 at exact ties."""
     rng = random.Random(11)
-    thresholds = [0.1, 0.2, 0.3, 1 / 3, 0.5, 0.6, 2 / 3, 0.7, 0.9, 0.999]
-    for _ in range(400):
-        a = set(rng.sample(range(30), rng.randint(1, 20)))
-        b = set(rng.sample(range(30), rng.randint(1, 20)))
+    thresholds = [0.0, 0.1, 0.2, 0.3, 1 / 3, 0.5, 0.6, 2 / 3, 0.7, 0.9, 0.999, 1.0]
+    cases = [
+        (set(rng.sample(range(60), rng.randint(0, 20))),
+         set(rng.sample(range(60), rng.randint(1, 40))))
+        for _ in range(400)
+    ]
+    cases += [
+        ({1, 2}, {2, 3, 4}),  # 1/4
+        ({1, 2}, {2, 3}),  # 1/3
+        (set(range(6)), set(range(3, 12))),  # 3/12
+        (set(range(4)), set(range(2, 6))),  # 2/6
+        ({1, 2, 3}, {2, 3, 4}),  # 1/2
+        (set(range(10)), set(range(5))),  # 1/2
+        (set(), {7}),  # 0
+        ({7}, {7}),  # 1
+    ]
+    for a, b in cases + [(b, a) for a, b in cases]:
+        exact = Fraction(len(a & b), len(a | b))
+        assert jaccard_fraction(a, b) == exact
         for t in thresholds:
-            assert jaccard_at_least(a, b, t) == (jaccard_fraction(a, b) >= t)
+            assert jaccard_at_least(a, b, t) == (exact >= Fraction(t))
 
 
 def test_jaccard_symmetry_and_self_similarity():

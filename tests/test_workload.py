@@ -164,6 +164,23 @@ class TestLoadPairs:
         with pytest.raises(ValueError, match=":3: negative set id$"):
             load_pairs(str(path))
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"0 1\n2 x\n3 4\xe9\n", ":2: bad set id"),
+            (b"0 1\n# caf\xe9\n2 x\n", ":2: non-ASCII byte"),
+            (b"0 1\n2 3 4\n\xe9\n", ":2: expected two set ids, got '2 3 4'"),
+            (b"0 1\n" + b"1" * 5000 + b" 2\n", ":2: bad set id"),
+        ],
+    )
+    def test_the_first_bad_line_is_named(self, tmp_path, data, message):
+        """A byte outside ASCII anywhere in the file does not hide an earlier
+        bad line, and an id too long for int() is a bad set id."""
+        path = tmp_path / "pairs.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}") + "$"):
+            load_pairs(str(path))
+
 
 class TestRoundTrips:
     def test_sets_round_trip(self, tmp_path):
