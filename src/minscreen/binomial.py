@@ -45,8 +45,9 @@ from .sets import as_real
 # The cutoff solver accepts a tail that exceeds e by up to this relative margin.
 # Significance levels are conventionally quoted to at most three significant
 # figures (5.6e-10, 1.35e-10, ...); a cutoff whose exact tail rounds to the
-# quoted e at that precision is the cutoff the quote meant. The early-exit
-# error guarantee therefore reads: P(wrong early decision) <= e * (1 + slack).
+# quoted e at that precision is the cutoff the quote meant. The early-discard
+# error guarantee therefore reads: P(wrong early discard) <= e * (1 + slack).
+# The screening walk accepts at X >= m_u, which this bound does not cover.
 E_ROUNDING_SLACK = 5e-3
 
 

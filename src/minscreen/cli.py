@@ -9,7 +9,10 @@
     minscreen thresholds --threshold 0.5 --e 1e-3 --schedule 100,200,300
     minscreen fr --outcomes e3=a.csv --outcomes e5=b.csv --schedule 100,200
 
-Exit status is 0 on success, 1 on any error (diagnostic on stderr).
+Exit status is 0 on success and 1 on an error the command reports. A usage
+error exits 2: an unknown or missing option, or an integer flag (--k,
+--seed) that is not plain decimal digits. Either way the diagnostic goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -143,15 +146,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="J:COUNT:LO-HI",
         help="pair group: exact Jaccard, pair count, set-size range (repeatable)",
     )
-    p_gen.add_argument("--seed", type=int, default=workload.WorkloadSpec.seed)
+    p_gen.add_argument("--seed", type=workload.parse_decimal, default=workload.WorkloadSpec.seed)
     p_gen.add_argument("--out-sets", required=True)
     p_gen.add_argument("--out-pairs", required=True)
     p_gen.set_defaults(func=_cmd_gen)
 
     p_sign = sub.add_parser("sign", help="sign a sets file into a signature cache")
     p_sign.add_argument("--sets", required=True)
-    p_sign.add_argument("--k", type=int, default=ScreenConfig.k)
-    p_sign.add_argument("--seed", type=int, default=ScreenConfig.master_seed)
+    p_sign.add_argument("--k", type=workload.parse_decimal, default=ScreenConfig.k)
+    p_sign.add_argument("--seed", type=workload.parse_decimal, default=ScreenConfig.master_seed)
     p_sign.add_argument("--out", required=True)
     p_sign.set_defaults(func=_cmd_sign)
 
@@ -164,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_screen.add_argument("--e", type=float, default=ScreenConfig.e)
     p_screen.add_argument("--e-upper", type=float, default=None, dest="e_upper")
     p_screen.add_argument("--schedule", default=_DEFAULT_SCHEDULE_TEXT)
-    p_screen.add_argument("--k", type=int, default=None)
-    p_screen.add_argument("--seed", type=int, default=None)
+    p_screen.add_argument("--k", type=workload.parse_decimal, default=None)
+    p_screen.add_argument("--seed", type=workload.parse_decimal, default=None)
     p_screen.add_argument("--baseline", action="store_true")
     p_screen.add_argument("--out", required=True)
     p_screen.add_argument("--report", default=None)

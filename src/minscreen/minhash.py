@@ -71,20 +71,11 @@ def slot_hash(token: int, key_add: int, key_mid: int) -> int:
     return x
 
 
-def _mix_state(z: int) -> int:
-    z ^= z >> 30
-    z = (z * _MULT1) & U64_MAX
-    z ^= z >> 27
-    z = (z * _MULT2) & U64_MAX
-    z ^= z >> 31
-    return z
-
-
 def derive_keys(master_seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Key words for k slots from a golden-ratio counter stream.
 
-    Output j of the stream is _mix_state(master_seed + (j+1) * golden), the
-    splitmix64 construction. Slot i uses outputs 2i and 2i+1. The finalizer
+    Output j of the stream is slot_hash(master_seed + (j+1) * golden, 0, 0),
+    the splitmix64 construction. Slot i uses outputs 2i and 2i+1. The finalizer
     is bijective and the counter states are distinct, so all stream outputs,
     and hence all per-slot key pairs, are pairwise distinct.
     """
@@ -92,7 +83,7 @@ def derive_keys(master_seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     state = master_seed
     for _ in range(2 * k):
         state = (state + _GOLDEN) & U64_MAX
-        words.append(_mix_state(state))
+        words.append(slot_hash(state, 0, 0))
     key_add = np.array(words[0::2], dtype=np.uint64)
     key_mid = np.array(words[1::2], dtype=np.uint64)
     key_add.setflags(write=False)

@@ -4,8 +4,10 @@ A pair's match count is examined at each configured checkpoint. Reaching the
 accept cutoff resolves the pair early as above-threshold, reaching the
 discard cutoff resolves it early as below-threshold, and a pair that clears
 every checkpoint is decided by the full-width match frequency. Cutoffs come
-from the binomial threshold table, so each early resolution is wrong with
-probability at most the configured significance (per checkpoint).
+from the binomial threshold table. An early discard is wrong with
+probability at most the configured significance per checkpoint. An early
+accept is not held to it: the table bounds P(X > m_u) but the walk accepts
+at X >= m_u, and at k = 100, T = 0.5, e = 1e-3 P(X >= m_u | T) is 1.76e-3.
 
 screen_batch walks a batch checkpoint by checkpoint rather than pair by
 pair, over one signature matrix. For each interval [k_{i-1}, k_i) it

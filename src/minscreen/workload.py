@@ -6,9 +6,10 @@ still consume an id. Pairs file: two set ids per line; comments and blank
 lines are skipped. Both are read with universal newlines, so a line ends at
 "\n", "\r\n" or a lone "\r"; form feed, vertical tab and the separators
 \x1c-\x1e are whitespace inside a line. A byte outside ASCII is an error
-that names its line. Token and set ids are plain ASCII decimal digits: no
-sign, no underscore. An error names path:N, N counting lines from 1; in a
-sets file also the set id, N-1.
+that names its line, a comment line included. Token and set ids are plain
+ASCII decimal digits, no sign and no underscore, of value at most 2**64 - 1.
+An error names path:N, N counting lines from 1; in a sets file also the set
+id, N-1.
 
 Synthetic pairs are constructed, not sampled: a target similarity a/b in
 lowest terms becomes a*c shared tokens out of b*c union tokens, so the
@@ -37,47 +38,60 @@ def parse_decimal(text: str) -> int:
     return int(text)
 
 
-def _lines(text: str) -> list[str]:
-    r"""The lines of text split at "\n", without the empty field after a
-    final newline. str.splitlines would also break lines at form feeds,
-    vertical tabs and \x1c-\x1e, shifting every later set id."""
+def _read_lines(path: str) -> tuple[list[str], bool]:
+    r"""The lines of a sets or pairs file, split at "\n" without the empty
+    field after a final newline, and whether the whole text is ASCII.
+    str.splitlines would also break lines at form feeds, vertical tabs and
+    \x1c-\x1e, shifting every later set id."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    return lines
+    return lines, text.isascii()
+
+
+def _is_comment(line: str, fields: list[str]) -> bool:
+    """The comment rule of both files: an ASCII line whose first field
+    starts with '#'."""
+    return bool(fields) and fields[0].startswith("#") and line.isascii()
+
+
+def _line_problem(line: str, fields: list[str], noun: str) -> str | None:
+    """The first problem on a line that failed its reader's fast test: a
+    byte outside ASCII, then, field by field, a field that is not plain
+    decimal digits or a value past 2**64 - 1. None when every field is a
+    valid id. The reader applies the comment rule before this and its own
+    shape rule after."""
+    if not line.isascii():
+        return "non-ASCII byte"
+    for field in fields:
+        if not field.isdigit():  # the line is ASCII, so this means 0-9
+            return f"bad {noun} {field!r}"
+        # A length test first, since int() refuses text past its digit limit.
+        value = field.lstrip("0") or "0"
+        if len(value) > 20 or int(value) > U64_MAX:
+            return f"{noun} {field} outside unsigned 64-bit range"
+    return None
 
 
 def load_sets(path: str) -> dict[int, frozenset[int]]:
     """Parse a sets file into {line number: token set}."""
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        text = fh.read()
+    lines, ascii_text = _read_lines(path)
     sets: dict[int, frozenset[int]] = {}
     duplicates = 0
-    for lineno, line in enumerate(_lines(text)):
-        if not line.isascii():
-            raise ValueError(f"{path}:{lineno + 1}: non-ASCII byte (set id {lineno})")
-        if line.lstrip().startswith("#"):
-            continue
+    for lineno, line in enumerate(lines):
         fields = line.split()
-        if not fields:
-            raise ValueError(f"{path}:{lineno + 1}: empty set (set id {lineno})")
-        # One isdigit over the joined line checks every token; the line is
-        # ASCII, so digits are 0-9. int() fails only past its digit limit.
-        try:
-            if not "".join(fields).isdigit():
-                raise ValueError
-            values = list(map(int, fields))
-        except ValueError:
-            bad = next((field for field in fields if not field.isdigit()), max(fields, key=len))
-            raise ValueError(f"{path}:{lineno + 1}: bad token {bad!r} (set id {lineno})") from None
-        if max(values) > U64_MAX:
-            value = next(value for value in values if value > U64_MAX)
-            raise ValueError(
-                f"{path}:{lineno + 1}: token {value} outside unsigned 64-bit range "
-                f"(set id {lineno})"
-            )
-        tokens = frozenset(values)
-        duplicates += len(values) - len(tokens)
+        # In ASCII text isdigit means 0-9, so one isdigit over the joined
+        # fields checks every token, and fewer than 20 digits fit 64 bits.
+        if not (ascii_text and "".join(fields).isdigit() and max(map(len, fields)) < 20):
+            if _is_comment(line, fields):
+                continue
+            problem = _line_problem(line, fields, "token") if fields else "empty set"
+            if problem is not None:
+                raise ValueError(f"{path}:{lineno + 1}: {problem} (set id {lineno})")
+        tokens = frozenset(map(int, fields))
+        duplicates += len(fields) - len(tokens)
         sets[lineno] = tokens
     if duplicates:
         logger.warning("%s: deduplicated %d repeated tokens", path, duplicates)
@@ -86,46 +100,28 @@ def load_sets(path: str) -> dict[int, frozenset[int]]:
 
 def load_pairs(path: str) -> list[tuple[int, int]]:
     """Parse a pairs file into an ordered list of (id, id)."""
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        text = fh.read()
-    # In ASCII text isdigit means 0-9, so a line of two digit fields is a
-    # pair as it stands. Any other line, and every line of text that is not
-    # all ASCII, takes the full checks, which name the first bad line.
-    ascii_text = text.isascii()
+    lines, ascii_text = _read_lines(path)
     pairs: list[tuple[int, int]] = []
-    for lineno, line in enumerate(_lines(text)):
+    for lineno, line in enumerate(lines):
         fields = line.split()
         try:
             id_a, id_b = fields
-            if ascii_text and id_a.isdigit() and id_b.isdigit():
+            # In ASCII text isdigit means 0-9, and a line under 22 characters
+            # holds no id of 20 digits, so both ids fit 64 bits.
+            if ascii_text and len(line) < 22 and id_a.isdigit() and id_b.isdigit():
                 pairs.append((int(id_a), int(id_b)))
                 continue
-        except ValueError:  # not two fields, or an id past int()'s digit limit
+        except ValueError:  # not two fields
             pass
-        pair = _pair_line(path, lineno, line, fields)
-        if pair is not None:
-            pairs.append(pair)
+        if not fields or _is_comment(line, fields):
+            continue
+        problem = _line_problem(line, fields, "set id")
+        if problem is None and len(fields) != 2:
+            problem = f"expected two set ids, got {line!r}"
+        if problem is not None:
+            raise ValueError(f"{path}:{lineno + 1}: {problem}")
+        pairs.append((int(fields[0]), int(fields[1])))
     return pairs
-
-
-def _pair_line(path: str, lineno: int, line: str, fields: list[str]) -> tuple[int, int] | None:
-    """The pair on a line of a pairs file, None for a blank or comment line,
-    or a ValueError naming path:N."""
-    if not line.isascii():
-        raise ValueError(f"{path}:{lineno + 1}: non-ASCII byte")
-    if not fields or fields[0].startswith("#"):
-        return None
-    if len(fields) != 2:
-        raise ValueError(f"{path}:{lineno + 1}: expected two set ids, got {line!r}")
-    id_a, id_b = fields
-    try:
-        if not (id_a.isdigit() and id_b.isdigit()):
-            raise ValueError
-        return int(id_a), int(id_b)
-    except ValueError:
-        negative = any(field[:1] == "-" and field[1:].isdigit() for field in fields)
-        problem = "negative set id" if negative else "bad set id"
-        raise ValueError(f"{path}:{lineno + 1}: {problem}") from None
 
 
 def write_sets(path: str, sets: Mapping[int, AbstractSet[int]]) -> None:
@@ -203,12 +199,12 @@ def parse_group(text: str) -> WorkloadGroup:
         raise ValueError(f"bad group {text!r}: {exc}") from None
 
 
-def _pick_scale(group: WorkloadGroup) -> tuple[int, int, int, int]:
+def _pick_scale(group: WorkloadGroup) -> tuple[int, int, int]:
     """Smallest scale c whose set sizes land in the group's range.
 
     With target a/b in lowest terms, the pair shares a*c tokens, and the
     (b-a)*c exclusive tokens split as evenly as possible between the sides.
-    Returns (shared, exclusive_a, exclusive_b, scale).
+    Returns (shared, exclusive_a, exclusive_b).
     """
     a = group.jaccard.numerator
     b = group.jaccard.denominator
@@ -226,7 +222,7 @@ def _pick_scale(group: WorkloadGroup) -> tuple[int, int, int, int]:
                 f"[{group.size_lo}, {group.size_hi}]"
             )
         if size_a >= group.size_lo and size_b <= group.size_hi:
-            return shared, excl_a, excl_b, c
+            return shared, excl_a, excl_b
         c += 1
 
 
@@ -248,7 +244,7 @@ def gen_synthetic(spec: WorkloadSpec) -> tuple[dict[int, frozenset[int]], list[t
         return block
 
     for group in spec.groups:
-        shared_n, excl_a_n, excl_b_n, _ = _pick_scale(group)
+        shared_n, excl_a_n, excl_b_n = _pick_scale(group)
         for _ in range(group.pair_count):
             shared = take(shared_n)
             excl_a = take(excl_a_n)

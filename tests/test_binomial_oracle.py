@@ -8,13 +8,14 @@ the tails it sums must be the same floats.
 """
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from minscreen.binomial import E_ROUNDING_SLACK, build_threshold_table
 from minscreen.cli import main
-from oracles import OracleTails, package_tails
+from oracles import OracleTails, exact_upper, package_tails
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -120,3 +121,16 @@ def test_golden_tables_keep_their_anchors():
             k, m_l, _, m_u, _ = line.split(",")
             if int(k) in anchors:
                 assert (m_l, m_u) == anchors[int(k)]
+
+
+def test_the_accept_side_exceeds_e_at_its_cutoff():
+    """The walk accepts at X >= m_u, but the table bounds only P(X > m_u):
+    at k = 100, T = 0.5, e = 1e-3 the README quotes 1.76e-3 for the first
+    and 8.9e-4 for the second."""
+    (row,) = build_threshold_table(0.5, 1e-3, (100,)).rows
+    assert row.m_u == 65
+    at_or_above = exact_upper(row.m_u - 1, 100, Fraction(1, 2))
+    above = exact_upper(row.m_u, 100, Fraction(1, 2))
+    assert f"{float(at_or_above):.2e}" == "1.76e-03"
+    assert f"{float(above):.1e}" == "8.9e-04"
+    assert above <= Fraction(1, 1000) < at_or_above

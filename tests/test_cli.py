@@ -433,6 +433,32 @@ class TestCli:
         assert "unrecognized arguments: --bits 8" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (command, flag, value)
+            for command in ("gen", "sign", "screen")
+            for flag, value in (("--k", "1_6"), ("--seed", "+42"), ("--seed", " \u0664\u0662"))
+            if not (command == "gen" and flag == "--k")
+        ]
+        + [("gen", "--seed", "1_6")],
+    )
+    def test_integer_flags_are_plain_decimal_digits(self, workdir, capsys, command, flag, value):
+        """--k and --seed are read as --schedule is; int() would take 1_6 as
+        16, +42 as 42 and the Arabic-Indic digits \u0664\u0662 as 42."""
+        out = workdir / "out"
+        args = {
+            "gen": ["gen", "--group", "0.5:1:4", "--out-sets", str(out), "--out-pairs", str(out)],
+            "sign": ["sign", "--sets", str(workdir / "sets.txt"), "--out", str(out)],
+            "screen": ["screen", "--sets", str(workdir / "sets.txt"),
+                       "--pairs", str(workdir / "pairs.txt"), "--out", str(out)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid parse_decimal value: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["--sets", "--cache"])
     def test_screen_refuses_an_empty_pairs_file(self, workdir, capsys, source):
         inputs = {"--sets": workdir / "sets.txt", "--cache": workdir / "sigs.mhsg"}

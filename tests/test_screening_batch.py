@@ -315,7 +315,8 @@ def test_cli_names_an_id_above_uint64_range(tmp_path, capsys):
     write_pairs(pairs_path, [(0, 1), (1, 2**64)])
     args = ["screen", "--cache", cache_path, "--pairs", pairs_path, "--schedule", "50"]
     assert main(args + ["--out", str(tmp_path / "o.csv")]) == 1
-    assert f"no signature for set id {2**64}" in capsys.readouterr().err
+    message = f"error: {pairs_path}:2: set id {2**64} outside unsigned 64-bit range\n"
+    assert capsys.readouterr().err == message
 
 
 def test_mixed_families_are_checked_per_pair():

@@ -77,6 +77,21 @@ class TestLoadSets:
         with pytest.raises(ValueError, match=re.escape(f"{path}:1: bad token '-3' (set id 0)")):
             load_sets(str(path))
 
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("1 abc 99999999999999999999999", "bad token 'abc'"),
+            ("99999999999999999999999 abc", "token 99999999999999999999999 outside"),
+            ("1 " + "1" * 5000, "token " + "1" * 5000 + " outside"),
+        ],
+        ids=["bad-then-large", "large-then-bad", "past-int-digit-limit"],
+    )
+    def test_the_first_bad_field_is_named(self, tmp_path, line, problem):
+        path = tmp_path / "sets.txt"
+        path.write_text(f"1 2\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {problem}")):
+            load_sets(str(path))
+
 
     def test_only_newline_ends_a_line(self, tmp_path):
         # form feed, vertical tab and the ASCII separators are whitespace
@@ -133,13 +148,21 @@ class TestLoadPairs:
     def test_ids_are_plain_decimal_digits(self, tmp_path, pair):
         path = tmp_path / "pairs.txt"
         path.write_text(f"0 1\n{pair}\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad set id") + "$"):
+        message = f"{path}:2: bad set id {pair.split()[0]!r}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             load_pairs(str(path))
 
     def test_negative_id_rejected(self, tmp_path):
         path = tmp_path / "pairs.txt"
         path.write_text("0 -1\n")
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: bad set id '-1'") + "$"):
+            load_pairs(str(path))
+
+    def test_set_id_range_enforced(self, tmp_path):
+        path = tmp_path / "pairs.txt"
+        path.write_text(f"0 1\n2 {2**64}\n")
+        message = f"{path}:2: set id {2**64} outside unsigned 64-bit range"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             load_pairs(str(path))
 
 
@@ -161,25 +184,59 @@ class TestLoadPairs:
         with pytest.raises(ValueError, match=":2: expected two set ids"):
             load_pairs(str(path))
         path.write_bytes(b"0\x0b1\n\x0c\n2 -3\n")
-        with pytest.raises(ValueError, match=":3: negative set id$"):
+        with pytest.raises(ValueError, match=":3: bad set id '-3'$"):
             load_pairs(str(path))
 
     @pytest.mark.parametrize(
         "data, message",
         [
-            (b"0 1\n2 x\n3 4\xe9\n", ":2: bad set id"),
+            (b"0 1\n2 x\n3 4\xe9\n", ":2: bad set id 'x'"),
             (b"0 1\n# caf\xe9\n2 x\n", ":2: non-ASCII byte"),
             (b"0 1\n2 3 4\n\xe9\n", ":2: expected two set ids, got '2 3 4'"),
-            (b"0 1\n" + b"1" * 5000 + b" 2\n", ":2: bad set id"),
+            (
+                b"0 1\n" + b"1" * 5000 + b" 2\n",
+                ":2: set id " + "1" * 5000 + " outside unsigned 64-bit range",
+            ),
         ],
     )
     def test_the_first_bad_line_is_named(self, tmp_path, data, message):
         """A byte outside ASCII anywhere in the file does not hide an earlier
-        bad line, and an id too long for int() is a bad set id."""
+        bad line, and an id too long for int() is out of range."""
         path = tmp_path / "pairs.txt"
         path.write_bytes(data)
         with pytest.raises(ValueError, match=re.escape(f"{path}{message}") + "$"):
             load_pairs(str(path))
+
+
+class TestBothReaders:
+    """One rule for the integers of both files, and one comment rule."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (f"{2**64 - 1} 7\n", ({0: {2**64 - 1, 7}}, [(2**64 - 1, 7)])),
+            (f"7 {2**64 - 1}\n", ({0: {7, 2**64 - 1}}, [(7, 2**64 - 1)])),
+            ("0" * 30 + "5 6\n", ({0: {5, 6}}, [(5, 6)])),
+            ("3" + " \t" * 12 + "4\n", ({0: {3, 4}}, [(3, 4)])),
+        ],
+    )
+    def test_ids_up_to_the_top_of_64_bits_are_read(self, tmp_path, text, expected):
+        # each line here fails a fast test (20 digits or more, or a pair line
+        # of 22 characters or more) and is read by the full checks
+        path = tmp_path / "ids.txt"
+        path.write_text(text)
+        assert (load_sets(str(path)), load_pairs(str(path))) == expected
+
+    @pytest.mark.parametrize(
+        "reader, suffix", [(load_sets, " (set id 1)"), (load_pairs, "")], ids=["sets", "pairs"]
+    )
+    def test_a_non_ascii_comment_line_is_an_error(self, tmp_path, reader, suffix):
+        path = tmp_path / "ids.txt"
+        path.write_bytes(b"1 2\n# caf\xc3\xa9\n3 4\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: non-ASCII byte{suffix}") + "$"):
+            reader(str(path))
+        path.write_bytes(b"1 2\n  # cafe\n3 4\n")
+        assert len(reader(str(path))) == 2
 
 
 class TestRoundTrips:
