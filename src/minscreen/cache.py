@@ -11,10 +11,12 @@ of 0, or set ids that do not increase is refused.
 
 A regular file is mapped read-only, not copied: reading a cache copies
 only its set ids, and the slot values are loaded as screening touches
-them. The mapping holds the file's contents for as long as the signatures
-read from it live, so a cache must not be modified in place while a screen
-reads it. write_cache never does: it writes a new file beside the target
-and renames it over the target, so the target's directory must be writable.
+them. The mapping holds the file's contents and one open file descriptor
+(mmap keeps a duplicate) until the last array read from it is dropped, also
+when a SignatureMatrix outlives its SignatureCache: each live read counts
+against the descriptor limit. A cache must not be modified in place while a
+screen reads it. write_cache never does: it writes a new file beside the
+target and renames it over the target, so its directory must be writable.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -71,6 +72,9 @@ def _cmd_sign(args: argparse.Namespace) -> int:
 
 
 def _cmd_screen(args: argparse.Namespace) -> int:
+    report_path = args.report if args.report is not None else args.out + ".report.json"
+    if os.path.realpath(report_path) == os.path.realpath(args.out):
+        raise ValueError(f"--report {report_path} would overwrite the --out file {args.out}")
     pairs = workload.load_pairs(args.pairs)
     if not pairs:
         raise ValueError(f"{args.pairs}: no pairs to screen")
@@ -99,7 +103,6 @@ def _cmd_screen(args: argparse.Namespace) -> int:
         sets = workload.load_sets(args.sets)
         outcomes, report = harness.run_screen(sets, pairs, cfg, baseline=args.baseline)
     harness.write_outcomes_csv(args.out, pairs, outcomes)
-    report_path = args.report if args.report is not None else args.out + ".report.json"
     with open(report_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(harness.report_json(report))
     sys.stdout.write(harness.format_report(report))
@@ -129,6 +132,14 @@ def _cmd_fr(args: argparse.Namespace) -> int:
         outcome_sets[label] = outcomes
     _write_out(harness.report_fr_curves(outcome_sets, schedule), args.out, "filtering-rate curves")
     return 0
+
+
+def _add_cutoff_options(parser: argparse.ArgumentParser) -> None:
+    """The options that define a cutoff table, shared by screen and thresholds."""
+    parser.add_argument("--threshold", type=float, default=ScreenConfig.threshold)
+    parser.add_argument("--e", type=float, default=ScreenConfig.e)
+    parser.add_argument("--e-upper", type=float, default=None, dest="e_upper")
+    parser.add_argument("--schedule", default=_DEFAULT_SCHEDULE_TEXT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,10 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--sets")
     source.add_argument("--cache")
     p_screen.add_argument("--pairs", required=True)
-    p_screen.add_argument("--threshold", type=float, default=ScreenConfig.threshold)
-    p_screen.add_argument("--e", type=float, default=ScreenConfig.e)
-    p_screen.add_argument("--e-upper", type=float, default=None, dest="e_upper")
-    p_screen.add_argument("--schedule", default=_DEFAULT_SCHEDULE_TEXT)
+    _add_cutoff_options(p_screen)
     p_screen.add_argument("--k", type=workload.parse_decimal, default=None)
     p_screen.add_argument("--seed", type=workload.parse_decimal, default=None)
     p_screen.add_argument("--baseline", action="store_true")
@@ -175,10 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_screen.set_defaults(func=_cmd_screen)
 
     p_thr = sub.add_parser("thresholds", help="print the cutoff table for a configuration")
-    p_thr.add_argument("--threshold", type=float, default=ScreenConfig.threshold)
-    p_thr.add_argument("--e", type=float, default=ScreenConfig.e)
-    p_thr.add_argument("--e-upper", type=float, default=None, dest="e_upper")
-    p_thr.add_argument("--schedule", default=_DEFAULT_SCHEDULE_TEXT)
+    _add_cutoff_options(p_thr)
     p_thr.add_argument("--out", default=None)
     p_thr.set_defaults(func=_cmd_thresholds)
 

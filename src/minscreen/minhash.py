@@ -27,6 +27,7 @@ sample whose success probability is the Jaccard similarity of the sets.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import os
@@ -71,24 +72,33 @@ def slot_hash(token: int, key_add: int, key_mid: int) -> int:
     return x
 
 
+def _mix(x: np.ndarray, key_mid: np.ndarray | np.uint64, t: np.ndarray) -> None:
+    """slot_hash after its first addition, in place on x = token + key_add; t is shift scratch."""
+    np.right_shift(x, _NP_S30, out=t)
+    x ^= t
+    x *= _NP_MULT1
+    np.right_shift(x, _NP_S27, out=t)
+    x ^= t
+    x += key_mid
+    x *= _NP_MULT2
+    np.right_shift(x, _NP_S31, out=t)
+    x ^= t
+
+
 def derive_keys(master_seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Key words for k slots from a golden-ratio counter stream.
 
     Output j of the stream is slot_hash(master_seed + (j+1) * golden, 0, 0),
-    the splitmix64 construction. Slot i uses outputs 2i and 2i+1. The finalizer
-    is bijective and the counter states are distinct, so all stream outputs,
-    and hence all per-slot key pairs, are pairwise distinct.
+    the splitmix64 construction, computed by _mix over wrapping uint64 states.
+    Slot i uses outputs 2i and 2i+1, so a family's keys prefix any larger
+    one's. The finalizer is bijective and the counter states are distinct, so
+    all stream outputs, and hence all per-slot key pairs, are pairwise distinct.
     """
-    words = []
-    state = master_seed
-    for _ in range(2 * k):
-        state = (state + _GOLDEN) & U64_MAX
-        words.append(slot_hash(state, 0, 0))
-    key_add = np.array(words[0::2], dtype=np.uint64)
-    key_mid = np.array(words[1::2], dtype=np.uint64)
-    key_add.setflags(write=False)
-    key_mid.setflags(write=False)
-    return key_add, key_mid
+    words = np.arange(1, 2 * k + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(master_seed)
+    _mix(words, np.uint64(0), np.empty_like(words))
+    keys = np.ascontiguousarray(words.reshape(k, 2).T)
+    keys.setflags(write=False)  # and so its two rows, key_add and key_mid
+    return keys[0], keys[1]
 
 
 def family_fingerprint(master_seed: int, k: int) -> str:
@@ -255,10 +265,11 @@ def sign_many(family: HashFamily, sets: Mapping[int, AbstractSet[int]]) -> Signa
     increasing set id order.
 
     All tokens go into one array and all signatures into one (n, k) matrix.
-    The hashing runs in blocks of whole sets holding at most _BLOCK_HASHES
-    hash values, so that a block and its shift scratch stay in a core's L2
-    cache; a set larger than that is hashed in ranges of slot columns. When
-    there are several blocks per CPU, threads share them out (numpy releases
+    Each block (_blocks) is a run of whole sets over a range of slots, of at
+    most _BLOCK_HASHES hash values where it can be, so that a block and its
+    shift scratch stay in a core's L2 cache; the one numpy mixer (_mix)
+    hashes it. One job of blocks runs on the calling thread; with several
+    blocks per CPU, one job per CPU runs on a thread pool (numpy releases
     the GIL inside each ufunc). Blocks write disjoint parts of the matrix
     and a slotwise minimum is exact, so the values do not depend on the
     block split, on the number of threads or on the order of the sets.
@@ -268,20 +279,18 @@ def sign_many(family: HashFamily, sets: Mapping[int, AbstractSet[int]]) -> Signa
     if not all(ordered):
         raise ValueError("minhash undefined on empty set")
     out = np.empty((len(ordered), family.k), dtype=np.uint64)
-    if not ordered:
-        return SignatureMatrix(set_ids, out, family.fingerprint)
     offsets = [0, *itertools.accumulate(map(len, ordered))]
     toks = as_u64_array(ordered, "token", offsets[-1])
     blocks = _blocks(offsets, family.k)
-    largest = max((offsets[end] - offsets[first]) * (hi - lo) for first, end, lo, hi in blocks)
-    workers = len(blocks) // _BLOCKS_PER_WORKER
-    workers = min(workers, _cpu_count()) if workers > 1 else 1
+    sizes = ((offsets[end] - offsets[first]) * (hi - lo) for first, end, lo, hi in blocks)
+    largest = max(sizes, default=0)
+    workers = max(1, min(len(blocks) // _BLOCKS_PER_WORKER, _cpu_count()))
+    # Scratch is allocated here, not in the worker threads, so that it
+    # does not come from per-thread malloc arenas.
+    jobs = [(blocks[i::workers], np.empty(2 * largest, dtype=np.uint64)) for i in range(workers)]
     if workers == 1:
-        _hash_blocks(family, toks, offsets, out, blocks, np.empty(2 * largest, dtype=np.uint64))
+        _hash_blocks(family, toks, offsets, out, *jobs[0])
     else:
-        # Scratch is allocated here, not in the worker threads, so that it
-        # does not come from per-thread malloc arenas.
-        jobs = [(blocks[i::workers], np.empty(2 * largest, dtype=np.uint64)) for i in range(workers)]
         with ThreadPoolExecutor(workers) as pool:
             futures = [pool.submit(_hash_blocks, family, toks, offsets, out, *job) for job in jobs]
             for future in futures:
@@ -297,23 +306,15 @@ def _cpu_count() -> int:
 
 
 def _blocks(offsets: list[int], k: int) -> list[tuple[int, int, int, int]]:
-    """(first set, end set, first slot, end slot) per block: runs of whole
-    sets up to _BLOCK_HASHES hash values, or one set over a slot range."""
+    """(first set, end set, first slot, end slot) per block: a run of whole
+    sets of at most _BLOCK_HASHES // k tokens, or one larger set, over the
+    widest slot ranges (one slot at least) within _BLOCK_HASHES hash values."""
     blocks = []
     first = 0
-    n = len(offsets) - 1
-    while first < n:
-        rows = offsets[first + 1] - offsets[first]
-        if rows * k > _BLOCK_HASHES:
-            width = max(1, _BLOCK_HASHES // rows)
-            blocks.extend((first, first + 1, lo, min(lo + width, k)) for lo in range(0, k, width))
-            first += 1
-            continue
-        end = first + 1
-        limit = offsets[first] + _BLOCK_HASHES // k
-        while end < n and offsets[end + 1] <= limit:
-            end += 1
-        blocks.append((first, end, 0, k))
+    while first < len(offsets) - 1:
+        end = max(first + 1, bisect.bisect_right(offsets, offsets[first] + _BLOCK_HASHES // k) - 1)
+        width = max(1, _BLOCK_HASHES // (offsets[end] - offsets[first]))
+        blocks.extend((first, end, lo, min(lo + width, k)) for lo in range(0, k, width))
         first = end
     return blocks
 
@@ -333,17 +334,8 @@ def _hash_blocks(
         rows = offsets[end] - start
         size = rows * (hi - lo)
         x = scratch[:size].reshape(rows, hi - lo)
-        t = scratch[size : 2 * size].reshape(rows, hi - lo)
         np.add(toks[start : start + rows, np.newaxis], family.key_add[lo:hi], out=x)
-        np.right_shift(x, _NP_S30, out=t)
-        x ^= t
-        x *= _NP_MULT1
-        np.right_shift(x, _NP_S27, out=t)
-        x ^= t
-        x += family.key_mid[lo:hi]
-        x *= _NP_MULT2
-        np.right_shift(x, _NP_S31, out=t)
-        x ^= t
+        _mix(x, family.key_mid[lo:hi], scratch[size : 2 * size].reshape(rows, hi - lo))
         for row in range(first, end):
             np.minimum.reduce(
                 x[offsets[row] - start : offsets[row + 1] - start], axis=0, out=out[row, lo:hi]

@@ -1,6 +1,7 @@
 """Signature cache round trips, corruption handling, mapping and replacement."""
 
 import contextlib
+import gc
 import os
 import re
 import stat
@@ -279,6 +280,25 @@ def test_a_regular_file_is_mapped_not_copied(tmp_path):
     assert peak < 1 << 20
     assert np.array_equal(back.signatures.matrix, signatures.matrix)
     assert np.array_equal(back.signatures.ids, signatures.ids)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_each_live_read_holds_one_descriptor_until_its_arrays_are_dropped():
+    """mmap keeps a duplicate of the descriptor it maps, for as long as an
+    array read from the cache lives, also after its SignatureCache is gone."""
+
+    def open_descriptors():
+        gc.collect()
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_descriptors()
+    caches = [read_cache(str(GOLDEN / "sign_k256_seed42.mhsg")) for _ in range(20)]
+    assert open_descriptors() == before + 20
+    kept = caches[0].signatures
+    del caches
+    assert open_descriptors() == before + 1
+    del kept
+    assert open_descriptors() == before
 
 
 def test_replacing_a_cache_leaves_signatures_read_from_it_unchanged(tmp_path):

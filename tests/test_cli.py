@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -472,6 +473,25 @@ class TestCli:
         assert capsys.readouterr() == ("", f"error: {empty}: no pairs to screen\n")
         assert not out.exists()
         assert not (workdir / "o.csv.report.json").exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    def test_screen_refuses_a_report_over_its_outcomes(self, workdir, capsys, spelling):
+        """The report would overwrite the outcomes CSV: refused before any
+        input is read, and nothing is written."""
+        out = workdir / "o.csv"
+        report = {
+            "same": out,
+            "dotted": workdir / "sub" / ".." / "o.csv",
+            "symlink": workdir / "link.json",
+        }[spelling]
+        (workdir / "sub").mkdir()
+        (workdir / "link.json").symlink_to(out)
+        args = ["screen", "--sets", str(workdir / "missing.txt"), "--pairs", str(workdir / "missing")]
+        assert main([*args, "--out", str(out), "--report", str(report)]) == 1
+        message = f"error: --report {report} would overwrite the --out file {out}\n"
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+        assert sorted(os.listdir(workdir)) == ["link.json", "pairs.txt", "sets.txt", "sub"]
 
     @pytest.mark.parametrize(
         "schedule, points",

@@ -104,6 +104,16 @@ class TestFamily:
         with pytest.raises(ValueError, match="^master_seed -1 outside unsigned 64-bit range$"):
             make_family(8, -1)
 
+    @pytest.mark.parametrize("seed", [0, 42, MASK - 4, MASK])
+    def test_keys_of_a_family_are_a_prefix_of_any_larger_one(self, seed):
+        """Slot i's keys depend only on the seed and i: prefix signing
+        computes a signature's first d slots with make_family(d, seed)."""
+        large = make_family(4000, seed)
+        for d in (1, 2, 999, 1000, 4000):
+            small = make_family(d, seed)
+            assert np.array_equal(small.key_add, large.key_add[:d])
+            assert np.array_equal(small.key_mid, large.key_mid[:d])
+
     def test_numpy_arguments_give_the_same_family(self):
         family = make_family(np.int64(8), np.uint64(MASK))
         assert type(family.k) is int and type(family.master_seed) is int
@@ -261,6 +271,35 @@ class TestSignMany:
         # sets of 30 and 200 tokens are hashed in ranges of 3 and 1 slots
         assert [hi - lo for first, _, lo, hi in blocks if first == 3] == [3] * 6 + [2]
         assert len([b for b in blocks if b[0] == 7]) == k
+
+    @pytest.mark.parametrize("k", [1, 16, 1000, 4000, 70000])
+    @pytest.mark.parametrize("budget", [1, 64, 1 << 16])
+    def test_block_plan_equals_an_independent_enumeration(self, monkeypatch, k, budget):
+        """Maximal runs of whole sets within budget // k tokens over all k
+        slots; a set larger than that alone, in slot ranges of the widest
+        width within the budget (one slot at least)."""
+        monkeypatch.setattr(minhash, "_BLOCK_HASHES", budget)
+        rng = random.Random(k * 3 + budget)
+        limit = budget // k
+        # two sets that fill a run exactly, then random sizes
+        exact = [limit // 2, limit - limit // 2] if limit > 1 else []
+        for _ in range(2):
+            sizes = exact + [rng.randint(1, rng.choice((2, 3 * limit + 2, 300))) for _ in range(7)]
+            want, run, tokens = [], 0, 0
+            for i, size in enumerate(sizes):
+                if tokens and tokens + size > limit:
+                    want.append((run, i, 0, k))
+                    run, tokens = i, 0
+                if size > limit:
+                    width = max(1, budget // size)
+                    want += [(i, i + 1, lo, min(lo + width, k)) for lo in range(0, k, width)]
+                    run = i + 1
+                else:
+                    tokens += size
+            if tokens:
+                want.append((run, len(sizes), 0, k))
+            offsets = [0, *np.cumsum(sizes).tolist()]
+            assert minhash._blocks(offsets, k) == want
 
     def test_keeps_input_order(self):
         """Rows come in increasing set id order, whatever the mapping's
