@@ -1,9 +1,8 @@
 """MinHash set-similarity screening with early-exit binomial checkpoints."""
 
 from .binomial import ThresholdRow, ThresholdTable, build_threshold_table
-from .minhash import HashFamily, Signature, SignatureMatrix, make_family, sign, sign_many
-from .screening import PairOutcome, ScreenConfig, filtering_rate, screen_batch
-from .sets import jaccard_fraction
+from .minhash import HashFamily, Signature, SignatureMatrix, make_family, sign_many
+from .screening import PairOutcome, ScreenConfig, screen_batch
 
 __version__ = "0.1.0"
 
@@ -16,10 +15,7 @@ __all__ = [
     "ThresholdRow",
     "ThresholdTable",
     "build_threshold_table",
-    "filtering_rate",
-    "jaccard_fraction",
     "make_family",
     "screen_batch",
-    "sign",
     "sign_many",
 ]

@@ -9,6 +9,9 @@ The record section fills the rest of the file, so a cache is exactly
 32 + set_count * 8 * (k + 1) bytes long; any other length, k or set_count
 of 0, or set ids that do not increase is refused.
 
+A family is named by the header's (master_seed, k): read_cache tags the
+signatures with it, and write_cache refuses signatures of another family.
+
 A regular file is mapped read-only, not copied: reading a cache copies
 only its set ids, and the slot values are loaded as screening touches
 them. The mapping holds the file's contents and one open file descriptor
@@ -30,7 +33,7 @@ from typing import BinaryIO, Mapping
 
 import numpy as np
 
-from .minhash import Signature, SignatureMatrix, family_fingerprint
+from .minhash import Signature, SignatureMatrix
 from .sets import as_u64
 
 MAGIC = b"MHSG"
@@ -65,7 +68,7 @@ def write_cache(path: str, master_seed: int, signatures: Mapping[int, Signature]
     if not signatures:
         raise ValueError("refusing to write an empty signature cache")
     matrix = SignatureMatrix.stack(signatures)
-    if matrix.fingerprint != family_fingerprint(master_seed, matrix.k):
+    if matrix.fingerprint != (master_seed, matrix.k):
         raise ValueError(f"signatures come from a different family than seed {master_seed}")
 
     try:
@@ -125,9 +128,8 @@ def read_cache(path: str) -> SignatureCache:
         raise ValueError(f"{path}: corrupt cache (truncated or inconsistent record section)")
 
     records = np.frombuffer(data, dtype=_records(k), count=count, offset=HEADER_BYTES)
-    fp = family_fingerprint(master_seed, k)
     try:
-        signatures = SignatureMatrix(records["id"], records["v"], fp)
+        signatures = SignatureMatrix(records["id"], records["v"], (master_seed, k))
     except ValueError as exc:
         raise ValueError(f"{path}: corrupt cache ({exc})") from None
     return SignatureCache(master_seed=master_seed, k=k, signatures=signatures)

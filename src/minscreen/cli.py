@@ -9,10 +9,12 @@
     minscreen thresholds --threshold 0.5 --e 1e-3 --schedule 100,200,300
     minscreen fr --outcomes e3=a.csv --outcomes e5=b.csv --schedule 100,200
 
-Exit status is 0 on success and 1 on an error the command reports. A usage
-error exits 2: an unknown or missing option, or an integer flag (--k,
---seed) that is not plain decimal digits. Either way the diagnostic goes to
-stderr.
+Exit status is 0 on success and 1 on an error the command reports, such
+as a bad input, memory that cannot be allocated (a huge --k), or an output
+file that is one of the command's inputs or another of its outputs, which
+is refused before anything is read or written. A usage error exits 2: an
+unknown or missing option, or an integer flag (--k, --seed) that is not
+plain decimal digits. Either way the diagnostic goes to stderr.
 """
 
 from __future__ import annotations
@@ -40,6 +42,22 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad schedule {text!r}, expected comma-separated integers") from None
 
 
+def _refuse_overwrites(
+    inputs: Sequence[tuple[str, str | None]], outputs: Sequence[tuple[str, str | None]]
+) -> None:
+    """Refuse an output that is, by os.path.realpath, one of the inputs or
+    an earlier output. inputs and outputs are (flag, path) pairs, in the
+    order the error names them; a path of None (stdout, say) is no file."""
+    seen = [(flag, path) for flag, path in inputs if path is not None]
+    for flag, path in outputs:
+        if path is None:
+            continue
+        for other_flag, other in seen:
+            if os.path.realpath(path) == os.path.realpath(other):
+                raise ValueError(f"{flag} {path} would overwrite the {other_flag} file {other}")
+        seen.append((flag, path))
+
+
 def _write_out(text: str, out: str | None, what: str) -> None:
     """text on stdout, or in the file out and a line on stdout naming it."""
     if out is None:
@@ -51,6 +69,7 @@ def _write_out(text: str, out: str | None, what: str) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    _refuse_overwrites((), (("--out-sets", args.out_sets), ("--out-pairs", args.out_pairs)))
     groups = tuple(workload.parse_group(text) for text in args.group)
     spec = workload.WorkloadSpec(groups=groups, seed=args.seed)
     sets, pairs = workload.gen_synthetic(spec)
@@ -61,6 +80,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_sign(args: argparse.Namespace) -> int:
+    _refuse_overwrites((("--sets", args.sets),), (("--out", args.out),))
     sets = workload.load_sets(args.sets)
     if not sets:
         raise ValueError(f"{args.sets}: no sets to sign")
@@ -73,8 +93,10 @@ def _cmd_sign(args: argparse.Namespace) -> int:
 
 def _cmd_screen(args: argparse.Namespace) -> int:
     report_path = args.report if args.report is not None else args.out + ".report.json"
-    if os.path.realpath(report_path) == os.path.realpath(args.out):
-        raise ValueError(f"--report {report_path} would overwrite the --out file {args.out}")
+    _refuse_overwrites(
+        (("--sets", args.sets), ("--cache", args.cache), ("--pairs", args.pairs)),
+        (("--out", args.out), ("--report", report_path)),
+    )
     pairs = workload.load_pairs(args.pairs)
     if not pairs:
         raise ValueError(f"{args.pairs}: no pairs to screen")
@@ -121,11 +143,11 @@ def _cmd_fr(args: argparse.Namespace) -> int:
     schedule = binomial.validate_checkpoints(_parse_schedule(args.schedule))
     if not schedule:
         raise ValueError("fr needs a non-empty --schedule")
+    labelled = [item.rpartition("=")[::2] for item in args.outcomes]  # [LABEL=]PATH
+    _refuse_overwrites([("--outcomes", path) for _, path in labelled], (("--out", args.out),))
     outcome_sets: dict[str, list] = {}
-    for item in args.outcomes:
-        label, _, path = item.rpartition("=")
-        if not label:
-            label = path
+    for label, path in labelled:
+        label = label or path
         if label in outcome_sets:
             raise ValueError(f"--outcomes label {label!r} is given twice")
         _, outcomes = harness.read_outcomes_csv(path)
@@ -207,8 +229,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

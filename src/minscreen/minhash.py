@@ -28,7 +28,6 @@ sample whose success probability is the Jaccard similarity of the sets.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import itertools
 import os
 from collections.abc import Iterable, Iterator, Mapping
@@ -101,31 +100,24 @@ def derive_keys(master_seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return keys[0], keys[1]
 
 
-def family_fingerprint(master_seed: int, k: int) -> str:
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(b"minscreen.family|")
-    digest.update(master_seed.to_bytes(8, "little"))
-    digest.update(k.to_bytes(8, "little"))
-    return digest.hexdigest()
-
-
 @dataclass(frozen=True)
 class HashFamily:
-    """k keyed hash slots derived deterministically from one master seed."""
+    """k keyed hash slots from one master seed, named by fingerprint (master_seed, k)."""
 
     k: int
     master_seed: int
     key_add: np.ndarray
     key_mid: np.ndarray
-    fingerprint: str
+    fingerprint: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class Signature:
-    """Per-slot minima for one token set, tagged with the family it came from."""
+    """Per-slot minima for one token set, tagged with the (master_seed, k)
+    of the family it came from."""
 
     values: np.ndarray
-    fingerprint: str
+    fingerprint: tuple[int, int]
 
     @property
     def k(self) -> int:
@@ -136,12 +128,13 @@ class SignatureMatrix(Mapping[int, Signature]):
     """Signatures of one hash family as one read-only (n, k) uint64 matrix.
 
     ids holds the set ids in strictly increasing order and matrix[i] is the
-    signature of set ids[i]. As a mapping it reads like a dict of
-    Signatures: each item is a read-only row view of the matrix, found by
-    rows(), the one set id lookup.
+    signature of set ids[i]. fingerprint names the family, (master_seed, k),
+    or is None for a stack of no signatures. As a mapping it reads like a
+    dict of Signatures: each item is a read-only row view of the matrix,
+    found by rows(), the one set id lookup.
     """
 
-    def __init__(self, ids: np.ndarray, matrix: np.ndarray, fingerprint: str) -> None:
+    def __init__(self, ids: np.ndarray, matrix: np.ndarray, fingerprint: tuple | None) -> None:
         if not _is_u64(ids, 1):  # -1 in int64 ids must not wrap to 2**64 - 1
             ids = as_u64_array((ids,), "set id")
         if not (_is_u64(matrix, 2) and len(matrix) == len(ids)):
@@ -183,7 +176,7 @@ class SignatureMatrix(Mapping[int, Signature]):
             raise ValueError("signatures come from different hash families")
         matrix = np.array([sig.values for sig in sigs], dtype=np.uint64)
         matrix = matrix.reshape(len(sigs), lengths[0] if sigs else 0)
-        return cls(ids, matrix, sigs[0].fingerprint if sigs else "")
+        return cls(ids, matrix, sigs[0].fingerprint if sigs else None)
 
     @property
     def k(self) -> int:
@@ -251,7 +244,7 @@ def make_family(k: int, master_seed: int) -> HashFamily:
         master_seed=master_seed,
         key_add=key_add,
         key_mid=key_mid,
-        fingerprint=family_fingerprint(master_seed, k),
+        fingerprint=(master_seed, k),
     )
 
 

@@ -120,7 +120,8 @@ def screen_batch(
 ) -> tuple[list[PairOutcome], BatchSummary]:
     """Screen every pair, in order, against cfg.table.
 
-    A table passed in must equal cfg.table: cutoffs solved for another
+    Signatures must come from the family (cfg.master_seed, cfg.k), and a
+    table passed in must equal cfg.table: cutoffs solved for another
     threshold, significance or schedule would decide pairs plausibly but
     wrongly. At each checkpoint the accept test runs before the discard
     test, and a checkpoint with no discard cutoff simply cannot discard. A
@@ -137,6 +138,9 @@ def screen_batch(
         raise ValueError(f"no signature for set id {missing.args[0]}") from None
     if len(matrix) and matrix.k != cfg.k:
         raise ValueError(f"expected signatures of length {cfg.k}, got {matrix.k}")
+    family = (cfg.master_seed, cfg.k)
+    if len(matrix) and matrix.fingerprint != family:
+        raise ValueError(f"expected hash family (seed, k) = {family}, got {matrix.fingerprint}")
     if table is not None and table != cfg.table:
         raise ValueError(
             f"threshold table for threshold {table.threshold}, e {table.e_lower} (upper "

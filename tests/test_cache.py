@@ -16,7 +16,7 @@ import pytest
 from minscreen import cache
 from minscreen.cache import MAGIC, SignatureCache, read_cache, write_cache
 from minscreen.cli import main
-from minscreen.minhash import SignatureMatrix, family_fingerprint, make_family, sign, sign_many
+from minscreen.minhash import SignatureMatrix, make_family, sign, sign_many
 from minscreen.screening import ScreenConfig, screen_batch
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,7 +102,7 @@ def test_reads_one_strided_matrix_and_writes_it_with_the_same_bytes(tmp_path):
     back = read_cache(str(path)).signatures
     assert isinstance(back, SignatureMatrix)
     assert back.ids.tolist() == [4, 6, 9]
-    assert back.fingerprint == family.fingerprint
+    assert back.fingerprint == family.fingerprint == (3, 40)  # the header's seed and k
     # Rows are read in place from the file's records: id, then k values.
     assert back.matrix.strides == (8 * 41, 8)
     assert not back.matrix.flags.writeable
@@ -261,7 +261,7 @@ def _random_matrix(n, k, seed, rng_seed=0):
     rng = np.random.default_rng(rng_seed)
     ids = np.arange(0, 3 * n, 3, dtype=np.uint64)
     matrix = rng.integers(0, 2**64 - 1, size=(n, k), dtype=np.uint64, endpoint=True)
-    return SignatureMatrix(ids, matrix, family_fingerprint(seed, k))
+    return SignatureMatrix(ids, matrix, (seed, k))
 
 
 def test_a_regular_file_is_mapped_not_copied(tmp_path):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from minscreen import minhash
 from minscreen.cache import read_cache
 from minscreen.cli import main
 from minscreen.harness import (
@@ -492,6 +493,69 @@ class TestCli:
         assert capsys.readouterr() == ("", message)
         assert not out.exists()
         assert sorted(os.listdir(workdir)) == ["link.json", "pairs.txt", "sets.txt", "sub"]
+
+    @pytest.mark.parametrize(
+        "command, flag, other",
+        [
+            ("gen", "--out-pairs", "--out-sets"),
+            ("sign", "--out", "--sets"),
+            ("screen", "--out", "--pairs"),
+            ("screen", "--report", "--cache"),
+            ("fr", "--out", "--outcomes"),
+        ],
+    )
+    def test_no_output_overwrites_an_input_or_another_output(
+        self, workdir, capsys, command, flag, other
+    ):
+        """An output that is one of the command's inputs (here through a
+        symlink) or another of its outputs is refused before any input is
+        read: exit 1, one error line, and no file is written or changed."""
+        sets, pairs, cache_path, csv_path = (
+            workdir / name for name in ("sets.txt", "pairs.txt", "c.mhsg", "o.csv")
+        )
+        assert main(["sign", "--sets", str(sets), "--k", "100", "--out", str(cache_path)]) == 0
+        args = ["screen", "--cache", str(cache_path), "--pairs", str(pairs), "--schedule", "50"]
+        assert main([*args, "--out", str(csv_path)]) == 0
+        (workdir / "link").symlink_to(sets)
+        capsys.readouterr()
+        target = {
+            "--out-sets": workdir / "new.txt",
+            "--sets": workdir / "link",
+            "--pairs": pairs,
+            "--cache": cache_path,
+            "--outcomes": csv_path,
+        }[other]
+        args = {
+            "--out-sets": ["--group", "0.5:2:4", "--out-sets", str(target)],
+            "--sets": ["--sets", str(target)],
+            "--pairs": ["--sets", str(sets), "--pairs", str(pairs)],
+            "--cache": ["--cache", str(cache_path), "--pairs", str(pairs),
+                        "--out", str(workdir / "p.csv")],
+            "--outcomes": ["--outcomes", f"a={csv_path}"],
+        }[other]
+        before = {path: path.read_bytes() for path in workdir.iterdir()}
+        assert main([command, *args, flag, str(target)]) == 1
+        message = f"error: {flag} {target} would overwrite the {other} file {target}\n"
+        assert capsys.readouterr() == ("", message)
+        assert {path: path.read_bytes() for path in workdir.iterdir()} == before
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 1.42 PiB"), MemoryError()])
+    def test_memory_that_cannot_be_allocated_is_an_error_line(
+        self, workdir, capsys, monkeypatch, error
+    ):
+        """A --k too large to allocate exits 1 with an error line, not a
+        traceback. derive_keys raises as numpy's allocation would, so that
+        nothing is really allocated."""
+
+        def derive_keys(master_seed, k):
+            raise error
+
+        monkeypatch.setattr(minhash, "derive_keys", derive_keys)
+        out = workdir / "c.mhsg"
+        args = ["sign", "--sets", str(workdir / "sets.txt"), "--k", "99999999999999"]
+        assert main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {str(error) or 'MemoryError'}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "schedule, points",

@@ -510,7 +510,8 @@ class TestEstimator:
 
     @staticmethod
     def full_width(a, b):
-        cfg = ScreenConfig(schedule=(), k=a.k)
+        master_seed, k = a.fingerprint
+        cfg = ScreenConfig(schedule=(), k=k, master_seed=master_seed)
         (outcome,), _ = screen_batch([(0, 1)], {0: a, 1: b}, cfg)
         assert outcome.comparisons_used == a.k
         return outcome.estimate

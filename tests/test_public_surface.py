@@ -1,4 +1,4 @@
-"""The package exports only names that its own modules or the benchmark use."""
+"""The package exports only names that its own modules use."""
 
 import ast
 from pathlib import Path
@@ -21,7 +21,6 @@ def used_names(paths) -> set[str]:
     return names
 
 
-def test_every_exported_name_is_used_by_the_package_or_the_benchmark():
+def test_every_exported_name_is_used_by_the_package():
     modules = [p for p in (ROOT / "src" / "minscreen").glob("*.py") if p.name != "__init__.py"]
-    used = used_names(modules + sorted((ROOT / "bench").rglob("*.py")))
-    assert sorted(set(minscreen.__all__) - used) == []
+    assert sorted(set(minscreen.__all__) - used_names(modules)) == []

@@ -28,7 +28,6 @@ from minscreen.screening import (
 )
 from minscreen.workload import write_pairs
 
-CRAFTED = "crafted-family"
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -84,7 +83,8 @@ def oracle_screen_batch(pairs, signatures, cfg, table):
 def crafted_signatures(k: int, n: int, rng: np.random.Generator) -> dict[int, Signature]:
     """Signatures in a few groups: members of a group copy their group's
     base vector except for a random share of slots, so pairs within a group
-    agree on anywhere from none to all of their slots."""
+    agree on anywhere from none to all of their slots. All are tagged with
+    the default configuration's family."""
     bases = rng.integers(0, 2**63, size=(4, k), dtype=np.uint64)
     signatures = {}
     for i in range(n):
@@ -92,7 +92,7 @@ def crafted_signatures(k: int, n: int, rng: np.random.Generator) -> dict[int, Si
         redrawn = rng.random(k) < rng.uniform(0.0, 0.7)
         values[redrawn] = rng.integers(2**63, 2**64 - 1, size=int(redrawn.sum()), dtype=np.uint64)
         values.setflags(write=False)
-        signatures[1000 + 7 * i] = Signature(values=values, fingerprint=CRAFTED)
+        signatures[1000 + 7 * i] = Signature(values, fingerprint=(ScreenConfig.master_seed, k))
     return signatures
 
 
@@ -161,7 +161,7 @@ def test_batch_walk_matches_across_many_small_blocks(name, monkeypatch, tmp_path
     """Every input form gives the oracle's outcomes with comparison steps of
     three pairs, so that each interval between checkpoints is split into
     many steps."""
-    cfg = CONFIGS[name]
+    cfg = replace(CONFIGS[name], master_seed=5)  # signed_sets' seed
     rng = np.random.default_rng(77)
     family, sets, matrix = signed_sets(cfg.k, 60, rng)
     write_cache(str(tmp_path / "sigs.mhsg"), 5, matrix)
@@ -338,6 +338,22 @@ def test_mixed_families_are_checked_per_pair():
         screen_batch([(0, 1)], {0: a, 1: b}, short_cfg)
 
 
+def test_a_batch_from_another_seed_is_refused(tmp_path):
+    """Signatures of the configured length but another seed's family are
+    refused, as a matrix, as a dict and as a read cache, with an error that
+    names both families; the same batch screens under its own seed."""
+    cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(100,), k=1000)
+    matrix = sign_many(make_family(1000, 7), {0: set(range(20)), 1: set(range(19, 39))})
+    write_cache(str(tmp_path / "seven.mhsg"), 7, matrix)
+    stored = read_cache(str(tmp_path / "seven.mhsg")).signatures
+    message = "expected hash family (seed, k) = (42, 1000), got (7, 1000)"
+    for signatures in (matrix, dict(matrix), stored):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            screen_batch([(0, 1)], signatures, cfg)
+    outcomes, _ = screen_batch([(0, 1)], stored, replace(cfg, master_seed=7))
+    assert outcomes[0].resolution_kind == FILTERED_EARLY
+
+
 def _near_threshold_pair(k: int = 300):
     """Two crafted signatures matching on 27 of every 50 slots: J is about
     0.54 at every checkpoint of (100, 200, 300)."""
@@ -345,8 +361,9 @@ def _near_threshold_pair(k: int = 300):
     other = base + np.uint64(10_000_000)
     matching = [i for i in range(k) if i % 50 < 27]
     other[matching] = base[matching]
-    return {0: Signature(values=base, fingerprint=CRAFTED),
-            1: Signature(values=other, fingerprint=CRAFTED)}
+    family = (ScreenConfig.master_seed, k)
+    return {0: Signature(values=base, fingerprint=family),
+            1: Signature(values=other, fingerprint=family)}
 
 
 def test_a_table_for_another_configuration_is_refused():
