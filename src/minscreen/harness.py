@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import AbstractSet, Mapping, Sequence
 
-from .minhash import Signature, SignatureMatrix, make_family, sign_many
+from .minhash import Signature, make_family, sign_many
 from .sets import jaccard_at_least
 from .workload import parse_decimal
 from .screening import (
@@ -58,18 +58,6 @@ class ExperimentReport:
     accuracy: float | None
     agreement_vs_exact: float | None
     wall_time_ms: float
-
-
-def sign_all(
-    sets: Mapping[int, AbstractSet[int]], pairs: Sequence[tuple[int, int]], cfg: ScreenConfig
-) -> SignatureMatrix:
-    """Sign every set referenced by the pair list, in increasing id order."""
-    family = make_family(cfg.k, cfg.master_seed)
-    try:
-        referenced = {set_id: sets[set_id] for pair in pairs for set_id in pair}
-    except KeyError as missing:
-        raise ValueError(f"pair list references unknown set id {missing.args[0]}") from None
-    return sign_many(family, referenced)
 
 
 def screen_signatures(
@@ -133,8 +121,12 @@ def run_screen(
     cfg: ScreenConfig,
     baseline: bool = False,
 ) -> tuple[list[PairOutcome], ExperimentReport]:
-    """Sign the referenced sets, then screen every pair."""
-    signatures = sign_all(sets, pairs, cfg)
+    """Sign the sets the pairs reference, then screen every pair."""
+    try:
+        referenced = {set_id: sets[set_id] for pair in pairs for set_id in pair}
+    except KeyError as missing:
+        raise ValueError(f"pair list references unknown set id {missing.args[0]}") from None
+    signatures = sign_many(make_family(cfg.k, cfg.master_seed), referenced)
     return screen_signatures(signatures, pairs, cfg, baseline=baseline, sets=sets)
 
 
@@ -146,6 +138,8 @@ def outcomes_csv(pairs: Sequence[tuple[int, int]], outcomes: Sequence[PairOutcom
     resolved alike, so each distinct object's tail of five fields is
     formatted once; the list keeps the objects alive, so id() is a safe key.
     """
+    if len(pairs) != len(outcomes):
+        raise ValueError(f"{len(pairs)} pairs but {len(outcomes)} outcomes")
     tails: dict[int, str] = {}
     lines = [",".join(OUTCOME_COLUMNS)]
     for index, ((id_a, id_b), outcome) in enumerate(zip(pairs, outcomes)):
@@ -165,8 +159,10 @@ def outcomes_csv(pairs: Sequence[tuple[int, int]], outcomes: Sequence[PairOutcom
 def write_outcomes_csv(
     path: str, pairs: Sequence[tuple[int, int]], outcomes: Sequence[PairOutcome]
 ) -> None:
+    """outcomes_csv to path, built before the file is opened (and emptied)."""
+    text = outcomes_csv(pairs, outcomes)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(outcomes_csv(pairs, outcomes))
+        fh.write(text)
 
 
 def read_outcomes_csv(path: str) -> tuple[list[tuple[int, int]], list[PairOutcome]]:

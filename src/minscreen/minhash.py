@@ -30,7 +30,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import os
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import AbstractSet
@@ -129,9 +129,10 @@ class SignatureMatrix(Mapping[int, Signature]):
 
     ids holds the set ids in strictly increasing order and matrix[i] is the
     signature of set ids[i]. fingerprint names the family, (master_seed, k),
-    or is None for a stack of no signatures. As a mapping it reads like a
-    dict of Signatures: each item is a read-only row view of the matrix,
-    found by rows(), the one set id lookup.
+    or is None for a stack of no signatures. rows() finds the rows of an
+    array of set ids by one search. As a mapping it reads like a dict of
+    Signatures: each item is a read-only row view of the matrix, and a key
+    that is no set id by sets.as_u64 is simply not in it.
     """
 
     def __init__(self, ids: np.ndarray, matrix: np.ndarray, fingerprint: tuple | None) -> None:
@@ -189,22 +190,22 @@ class SignatureMatrix(Mapping[int, Signature]):
         return iter(self.ids.tolist())
 
     def __getitem__(self, set_id: int) -> Signature:
-        (row,) = self.rows(((set_id,),))
+        try:
+            (row,) = self.rows(np.array([as_u64(set_id, "set id")], dtype=np.uint64))
+        except ValueError:  # no unsigned 64-bit integer, so no set id
+            raise KeyError(set_id) from None
         return Signature(values=self.matrix[row], fingerprint=self.fingerprint)
 
-    def rows(self, groups: Iterable[Iterable[int]], count: int = -1) -> np.ndarray:
-        """The rows of the set ids in groups (pairs, say; groups and count as
-        for sets.as_u64_array), or a KeyError naming the first id without one."""
-        try:
-            ids = as_u64_array(groups, "set id", count)
-            rows = self.ids.searchsorted(ids)
-            if np.array_equal(np.take(self.ids, rows, mode="clip"), ids):
-                return rows
-        except (ValueError, IndexError):
-            pass  # a value that is no unsigned 64-bit integer, or ids but no rows
-        flat = list(itertools.chain.from_iterable(groups))
-        # One id has no row itself; of several, name the first without one.
-        raise KeyError(flat[0] if len(flat) == 1 else next(i for i in flat if i not in self))
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """The rows of a uint64 array of set ids, found by one search, or a
+        KeyError naming the first id, in array order, without one."""
+        if not _is_u64(ids, 1):
+            raise ValueError(f"need a 1-D uint64 array of set ids, got {_describe(ids)}")
+        rows = self.ids.searchsorted(ids)
+        hit = np.take(self.ids, rows, mode="clip") == ids if len(self) else np.zeros(len(ids), bool)
+        if not hit.all():
+            raise KeyError(int(ids[hit.argmin()]))
+        return rows
 
 
 def _is_u64(array: object, ndim: int) -> bool:

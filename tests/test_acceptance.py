@@ -1,9 +1,10 @@
 """End-to-end acceptance checks, one per shipped guarantee.
 
-Each test prints a single ACCEPTANCE line (visible under pytest -s) before
-asserting, so a full run yields a nine-line pass/fail scorecard. Workloads
-are synthetic with exact rational similarity, signed once per module where
-several checks share them.
+Each numbered test prints a single ACCEPTANCE line (visible under pytest -s)
+before asserting, so a full run yields a nine-line pass/fail scorecard. The
+unnumbered tests after them hold the binomial model and the discard-side
+bound on the same signatures. Workloads are synthetic with exact rational
+similarity, signed once per module where several checks share them.
 """
 
 import math
@@ -14,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minscreen.binomial import build_threshold_table
-from minscreen.harness import screen_signatures, sign_all
+from minscreen.binomial import E_ROUNDING_SLACK, build_threshold_table
+from minscreen.harness import screen_signatures
 from minscreen.minhash import make_family, sign_many
 from minscreen.screening import (
     ABOVE,
@@ -41,7 +42,7 @@ def verdict(number: int, ok: bool, detail: str) -> None:
 def signed_workload(groups, workload_seed, cfg):
     spec = WorkloadSpec(groups=tuple(groups), seed=workload_seed)
     sets, pairs = gen_synthetic(spec)
-    return sets, pairs, sign_all(sets, pairs, cfg)
+    return sets, pairs, sign_many(make_family(cfg.k, cfg.master_seed), sets)
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +276,37 @@ def test_9_decision_agreement_with_full_run(triplet_08_05_03):
         + ", ".join(f"{e:g} -> {v:.6f}" for e, v in accuracy.items())
         + " (floor 0.99, tight e must not lose)",
     )
+
+
+@pytest.mark.parametrize("group, jaccard", [(0, 0.8), (1, 0.5), (2, 0.3)])
+def test_slot_matches_follow_the_binomial_model(triplet_08_05_03, group, jaccard):
+    """The model every cutoff rests on: over 4,000 pairs at exact Jaccard J,
+    the matches X_k among the first k slots have mean k*J and variance
+    k*J*(1 - J), and neighbouring slots match independently (lag-1
+    correlation of the slot-match indicators near 0)."""
+    pairs, signatures, _ = triplet_08_05_03
+    ids = np.array(pairs[4000 * group : 4000 * (group + 1)], dtype=np.uint64)
+    rows = signatures.rows(ids.ravel()).reshape(-1, 2)
+    match = signatures.matrix[rows[:, 0]] == signatures.matrix[rows[:, 1]]
+    for k in (100, 1000):
+        x = match[:, :k].sum(axis=1)
+        assert abs(x.mean() / (k * jaccard) - 1) < 0.01
+        assert 0.9 <= x.var(ddof=1) / (k * jaccard * (1 - jaccard)) <= 1.1
+    before, after = match[:, :-1], match[:, 1:]
+    p_before, p_after = before.mean(), after.mean()
+    covariance = (before & after).mean() - p_before * p_after
+    lag1 = covariance / math.sqrt(p_before * (1 - p_before) * p_after * (1 - p_after))
+    assert abs(lag1) < 5e-3
+
+
+def test_early_discards_at_the_threshold_stay_within_the_bound(triplet_08_05_03):
+    """Where the discard-side guarantee binds, at J = T = 0.5, each of the
+    nine checkpoints discards a pair wrongly with probability at most
+    (1 + E_ROUNDING_SLACK) * e, so 4,000 pairs see at most 36.18 early
+    discards in all."""
+    pairs, signatures, cfg = triplet_08_05_03
+    at_threshold = pairs[4000:8000]
+    outcomes, _ = screen_batch(at_threshold, signatures, cfg)
+    discards = sum(o.resolution_kind == FILTERED_EARLY for o in outcomes)
+    bound = len(cfg.schedule) * (1 + E_ROUNDING_SLACK) * cfg.e * len(at_threshold)
+    assert discards <= bound

@@ -20,7 +20,6 @@ from minscreen.harness import (
     report_fr_curves,
     run_screen,
     screen_signatures,
-    sign_all,
     write_outcomes_csv,
 )
 from minscreen.screening import (
@@ -31,7 +30,7 @@ from minscreen.screening import (
     filtering_rate,
     screen_batch,
 )
-from minscreen.minhash import make_family, slot_hash
+from minscreen.minhash import make_family, sign_many, slot_hash
 from minscreen.workload import WorkloadGroup, WorkloadSpec, gen_synthetic, load_sets
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -120,7 +119,7 @@ class TestHarness:
         # Identical signatures decide the pair as above, so the agreement
         # shows whether exact J >= threshold: J equals the threshold's
         # decimal in each case, and the float 0.1 lies just above 1/10.
-        sig = sign_all({0: {1}}, [(0, 0)], ScreenConfig(schedule=(), k=20))[0]
+        sig = sign_many(make_family(20, 42), {0: {1}})[0]
         cfg = ScreenConfig(threshold=threshold, schedule=(), k=20)
         outcomes, report = screen_signatures({0: sig, 1: sig}, [(0, 1)], cfg, sets={0: a, 1: b})
         assert outcomes[0].decision == "AboveThreshold"
@@ -142,6 +141,21 @@ class TestHarness:
         assert pairs_back == pairs
         assert outcomes_back == outcomes
 
+    def test_outcomes_csv_refuses_unequal_lengths_and_keeps_the_file(self, tmp_path):
+        """A row per pair or none: with outcomes for fewer (or more) pairs
+        nothing is written, and an existing file keeps its bytes."""
+        sets, pairs = small_workload()
+        outcomes, _ = run_screen(sets, pairs[:1], ScreenConfig(schedule=(), k=20))
+        path = tmp_path / "outcomes.csv"
+        path.write_text("kept\n")
+        for some_pairs, some_outcomes in ((pairs[:3], outcomes), (pairs[:1], outcomes * 2)):
+            message = f"{len(some_pairs)} pairs but {len(some_outcomes)} outcomes"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                outcomes_csv(some_pairs, some_outcomes)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                write_outcomes_csv(str(path), some_pairs, some_outcomes)
+            assert path.read_text() == "kept\n"
+
     def test_outcomes_csv_header_is_pinned(self):
         text = outcomes_csv([], [])
         assert text == ",".join(OUTCOME_COLUMNS) + "\n"
@@ -153,7 +167,7 @@ class TestHarness:
         if source == "empty":
             pairs, outcomes = [], []
         elif source == "unshared":
-            signatures = sign_all(sets, pairs, cfg)
+            signatures = sign_many(make_family(cfg.k, cfg.master_seed), sets)
             table = build_table(cfg)
             outcomes = [screen_batch([pair], signatures, cfg, table)[0][0] for pair in pairs]
         else:
@@ -228,7 +242,7 @@ class TestHarness:
     def test_fr_curves_rows_are_cumulative(self):
         sets, pairs = small_workload()
         cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(100, 200), k=200, master_seed=5)
-        signatures = sign_all(sets, pairs, cfg)
+        signatures = sign_many(make_family(cfg.k, cfg.master_seed), sets)
         outcomes, _ = screen_signatures(signatures, pairs, cfg)
         text = report_fr_curves({"run": outcomes}, cfg.schedule)
         lines = text.splitlines()

@@ -458,22 +458,37 @@ class TestSignatureMatrix:
         assert stacked.matrix.tobytes() == got.matrix.tobytes()
         assert np.array_equal(stacked.ids, got.ids)
 
-    def test_rows_is_the_one_id_lookup(self, signed):
+    def test_rows_finds_an_id_array_by_one_search(self, signed):
+        """rows takes one uint64 array and names the first id, in array
+        order, that has no row; anything but a 1-D uint64 array is refused,
+        since a cast would wrap -1 or round ids near 2**64. A mapping key
+        that is no set id by as_u64 is simply absent."""
         _, _, got = signed
-        assert got.rows([(7, 40), (0,), (np.uint64(2**64 - 1), False)]).tolist() == [1, 2, 0, 3, 0]
-        assert got.rows([]).tolist() == []
-        for groups, missing in (
-            ([(0, 1), (1.5, 7)], 1),
-            ([(0, 7), (7.0, 1)], 7.0),
-            ([(0, 7), ("40", -1)], "40"),
-            ([(2**64, 7)], 2**64),
-        ):
+        ids = np.array([7, 40, 0, 2**64 - 1, 0], dtype=np.uint64)
+        assert got.rows(ids).tolist() == [1, 2, 0, 3, 0]
+        assert got.rows(ids.astype(">u8")).tolist() == [1, 2, 0, 3, 0]
+        assert got.rows(np.array([], dtype=np.uint64)).tolist() == []
+        for listed, missing in (([0, 1, 7, 9], 1), ([7, 41, 2], 41), ([2**64 - 2], 2**64 - 2)):
             with pytest.raises(KeyError) as info:
-                got.rows(groups)
+                got.rows(np.array(listed, dtype=np.uint64))
             assert info.value.args == (missing,)
+        for bad, described in (
+            ([7, 40], "<class 'list'>"),
+            (np.array([-1, 7]), "int64 (2,)"),
+            (np.array([[7]], dtype=np.uint64), "uint64 (1, 1)"),
+        ):
+            message = f"need a 1-D uint64 array of set ids, got {described}"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                got.rows(bad)
+        with pytest.raises(KeyError) as info:
+            SignatureMatrix.stack({}).rows(np.array([5, 6], dtype=np.uint64))
+        assert info.value.args == (5,)
+        assert SignatureMatrix.stack({}).rows(np.array([], dtype=np.uint64)).tolist() == []
         assert np.array_equal(got[False].values, got[0].values) and True not in got
-        with pytest.raises(KeyError):
-            SignatureMatrix.stack({}).rows([(0,)])
+        for key in (1.5, 7.0, "40", -1, 2**64):
+            with pytest.raises(KeyError) as info:
+                got[key]
+            assert info.value.args == (key,)
 
     def test_ids_must_increase(self):
         values = np.zeros((3, 4), dtype=np.uint64)

@@ -256,20 +256,23 @@ def test_reduced_signatures_are_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize("missing", [-5, 2**64, 2**70])
 def test_unknown_ids_outside_uint64_are_named(missing):
+    """An id outside the unsigned 64-bit range is named by sets.as_u64."""
     cfg = ScreenConfig(schedule=(), k=1000)
     a, b = _one_in_39_signatures()
     signatures = {0: a, 1: b}
-    with pytest.raises(ValueError, match=f"no signature for set id {missing}"):
+    message = f"^set id {missing} outside unsigned 64-bit range$"
+    with pytest.raises(ValueError, match=message):
         screen_batch([(0, 1), (1, missing)], signatures, cfg)
-    with pytest.raises(ValueError, match=f"no signature for set id {missing}"):
+    with pytest.raises(ValueError, match=message):
         screen_signatures(signatures, [(missing, 0)], cfg)
 
 
 def test_first_missing_id_in_pair_order_is_named():
     cfg = ScreenConfig(schedule=(), k=1000)
     a, b = _one_in_39_signatures()
-    with pytest.raises(ValueError, match="set id 8$"):
-        screen_batch([(0, 1), (1, 8), (9, 0)], {0: a, 1: b}, cfg)
+    for pairs in ([(0, 1), (1, 8), (9, 0)], [(0, 1), (1, 8), (3, 0)]):
+        with pytest.raises(ValueError, match="^no signature for set id 8$"):
+            screen_batch(pairs, {0: a, 1: b}, cfg)
 
 
 def test_signing_names_the_first_unknown_id_in_pair_order():
@@ -283,11 +286,14 @@ def test_signing_names_the_first_unknown_id_in_pair_order():
 
 
 def test_non_integer_ids_are_named_not_truncated():
+    """A non-integer id is named by sets.as_u64, not screened as set 1,
+    which is present, nor reported as an id without a signature."""
     cfg = ScreenConfig(schedule=(), k=1000)
     a, b = _one_in_39_signatures()
-    for missing in (1.5, 1.0, "1"):
-        with pytest.raises(ValueError, match=f"no signature for set id {missing}$"):
-            screen_batch([(0, 1), (0, missing)], {0: a, 1: b}, cfg)
+    for bad in (1.5, 1.0, "1"):
+        message = f"^set id {re.escape(repr(bad))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            screen_batch([(0, 1), (0, bad)], {0: a, 1: b}, cfg)
 
 
 @pytest.mark.parametrize(
