@@ -63,8 +63,7 @@ def _write_out(text: str, out: str | None, what: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        workload.write_text(out, text)
         print(f"{what} written to {out}")
 
 
@@ -125,8 +124,7 @@ def _cmd_screen(args: argparse.Namespace) -> int:
         sets = workload.load_sets(args.sets)
         outcomes, report = harness.run_screen(sets, pairs, cfg, baseline=args.baseline)
     harness.write_outcomes_csv(args.out, pairs, outcomes)
-    with open(report_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(harness.report_json(report))
+    workload.write_text(report_path, harness.report_json(report))
     sys.stdout.write(harness.format_report(report))
     print(f"outcomes written to {args.out}, report to {report_path}")
     return 0
@@ -143,15 +141,16 @@ def _cmd_fr(args: argparse.Namespace) -> int:
     schedule = binomial.validate_checkpoints(_parse_schedule(args.schedule))
     if not schedule:
         raise ValueError("fr needs a non-empty --schedule")
-    labelled = [item.rpartition("=")[::2] for item in args.outcomes]  # [LABEL=]PATH
-    _refuse_overwrites([("--outcomes", path) for _, path in labelled], (("--out", args.out),))
-    outcome_sets: dict[str, list] = {}
-    for label, path in labelled:
+    labelled: dict[str, str] = {}
+    for label, _, path in (item.rpartition("=") for item in args.outcomes):  # [LABEL=]PATH
         label = label or path
-        if label in outcome_sets:
+        if not label.isascii():
+            raise ValueError(f"--outcomes label {label!r} is not ASCII")
+        if label in labelled:
             raise ValueError(f"--outcomes label {label!r} is given twice")
-        _, outcomes = harness.read_outcomes_csv(path)
-        outcome_sets[label] = outcomes
+        labelled[label] = path
+    _refuse_overwrites([("--outcomes", path) for path in labelled.values()], (("--out", args.out),))
+    outcome_sets = {label: harness.read_outcomes_csv(path)[1] for label, path in labelled.items()}
     _write_out(harness.report_fr_curves(outcome_sets, schedule), args.out, "filtering-rate curves")
     return 0
 

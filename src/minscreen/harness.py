@@ -16,7 +16,7 @@ from typing import AbstractSet, Mapping, Sequence
 
 from .minhash import Signature, make_family, sign_many
 from .sets import jaccard_at_least
-from .workload import parse_decimal
+from .workload import parse_decimal, read_lines, write_text
 from .screening import (
     ABOVE,
     BELOW,
@@ -159,36 +159,33 @@ def outcomes_csv(pairs: Sequence[tuple[int, int]], outcomes: Sequence[PairOutcom
 def write_outcomes_csv(
     path: str, pairs: Sequence[tuple[int, int]], outcomes: Sequence[PairOutcome]
 ) -> None:
-    """outcomes_csv to path, built before the file is opened (and emptied)."""
-    text = outcomes_csv(pairs, outcomes)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+    """outcomes_csv to path by write_text, built before the file is opened."""
+    write_text(path, outcomes_csv(pairs, outcomes))
 
 
 def read_outcomes_csv(path: str) -> tuple[list[tuple[int, int]], list[PairOutcome]]:
-    """Pairs and outcomes from an outcomes CSV. A malformed row fails with
+    """Pairs and outcomes from an outcomes CSV, read by read_lines: one row
+    per line, fields split at ',' with no quoting, the header on line 1 and
+    pair_index counting rows from 0 in order. A malformed row fails with
     path:line (1-based, the header being line 1)."""
-    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != OUTCOME_COLUMNS:
-            raise ValueError(f"{path}: not an outcomes CSV (header {header})")
-        pairs: list[tuple[int, int]] = []
-        outcomes: list[PairOutcome] = []
-        for row in reader:
-            try:
-                pair, outcome = _parse_outcome_row(row)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            pairs.append(pair)
-            outcomes.append(outcome)
-    return pairs, outcomes
+    lines, _ = read_lines(path)
+    header = lines[0].split(",") if lines else None
+    if header != OUTCOME_COLUMNS:
+        raise ValueError(f"{path}: not an outcomes CSV (header {header})")
+    rows = []
+    for position, line in enumerate(lines[1:]):
+        try:
+            rows.append(_parse_outcome_row(line.split(","), position))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{position + 2}: {exc}") from None
+    return [pair for pair, _ in rows], [outcome for _, outcome in rows]
 
 
-def _parse_outcome_row(row: list[str]) -> tuple[tuple[int, int], PairOutcome]:
+def _parse_outcome_row(row: list[str], position: int) -> tuple[tuple[int, int], PairOutcome]:
     """One outcomes row as outcomes_csv writes it: a known decision and kind,
     an early row deciding as its kind says at a checkpoint (at least 1) equal
-    to comparisons_used, plain decimal integers, an estimate in [0, 1] by repr."""
+    to comparisons_used, plain decimal integers, an estimate in [0, 1] by
+    repr, and, checked last, a pair_index equal to the row's position."""
     if not all(field.isascii() for field in row):
         raise ValueError("non-ASCII byte")
     if len(row) != len(OUTCOME_COLUMNS):
@@ -205,7 +202,7 @@ def _parse_outcome_row(row: list[str]) -> tuple[tuple[int, int], PairOutcome]:
     if kind != FULL_COMPARISON and decision != (ABOVE if kind == OUTPUT_EARLY else BELOW):
         raise ValueError(f"{kind} row with decision {decision}")
     try:
-        parse_decimal(index)
+        pair_index = parse_decimal(index)
         pair = (parse_decimal(id_a), parse_decimal(id_b))
         resolved_at = parse_decimal(checkpoint) if checkpoint else None
         outcome = PairOutcome(decision, kind, resolved_at, parse_decimal(used), float(estimate))
@@ -219,6 +216,8 @@ def _parse_outcome_row(row: list[str]) -> tuple[tuple[int, int], PairOutcome]:
         raise ValueError(f"estimate {estimate!r} is not written as {outcome.estimate!r}")
     if estimate.startswith("-") or not 0.0 <= outcome.estimate <= 1.0:
         raise ValueError(f"estimate {estimate!r} is not a number in [0, 1]")
+    if pair_index != position:
+        raise ValueError(f"pair_index {pair_index}, expected {position}")
     return pair, outcome
 
 

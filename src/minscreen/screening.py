@@ -155,16 +155,14 @@ def screen_batch(
 
 
 def _count_matches(
-    values: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int
-) -> np.ndarray:
-    """Equal slots in columns [lo, hi) between matrix rows a[i] and b[i],
-    compared in steps that gather at most _STEP_BYTES."""
+    values: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int, x: np.ndarray
+) -> None:
+    """Add to x[i] the equal slots in columns [lo, hi) between matrix rows
+    a[i] and b[i], compared in steps that gather at most _STEP_BYTES."""
     step = max(1, _STEP_BYTES // (2 * 8 * (hi - lo)))
-    parts = [
-        (values[a[i : i + step], lo:hi] == values[b[i : i + step], lo:hi]).sum(axis=1)
-        for i in range(0, len(a), step)
-    ]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    for i in range(0, len(a), step):
+        part = slice(i, i + step)
+        x[part] += (values[a[part], lo:hi] == values[b[part], lo:hi]).sum(axis=1)
 
 
 def _walk(
@@ -188,7 +186,7 @@ def _walk(
     for index, hi in enumerate(stops):
         if not alive.size:
             break
-        x += _count_matches(values, a, b, lo, hi)
+        _count_matches(values, a, b, lo, hi, x)
         lo = hi
         if index < len(rows):
             row = rows[index]

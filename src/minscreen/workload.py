@@ -3,13 +3,14 @@ r"""Set and pair files, plus synthetic workloads with exact target Jaccard.
 Sets file: one set per line, whitespace-separated decimal token ids. The
 0-based physical line number is the set id, so comment lines (leading '#')
 still consume an id. Pairs file: two set ids per line; comments and blank
-lines are skipped. Both are read with universal newlines, so a line ends at
-"\n", "\r\n" or a lone "\r"; form feed, vertical tab and the separators
-\x1c-\x1e are whitespace inside a line. A byte outside ASCII is an error
-that names its line, a comment line included. Token and set ids are plain
-ASCII decimal digits, no sign and no underscore, of value at most 2**64 - 1.
-An error names path:N, N counting lines from 1; in a sets file also the set
-id, N-1.
+lines are skipped. Like every text file of the package, both are read by
+read_lines, with universal newlines, so a line ends at "\n", "\r\n" or a
+lone "\r"; form feed, vertical tab and the separators \x1c-\x1e are
+whitespace inside a line. A byte outside ASCII is an error that names its
+line, a comment line included. Token and set ids are plain ASCII decimal
+digits, no sign and no underscore, of value at most 2**64 - 1. An error
+names path:N, N counting lines from 1; in a sets file also the set id, N-1.
+Every text file is written by write_text.
 
 Synthetic pairs are constructed, not sampled: a target similarity a/b in
 lowest terms becomes a*c shared tokens out of b*c union tokens, so the
@@ -38,17 +39,25 @@ def parse_decimal(text: str) -> int:
     return int(text)
 
 
-def _read_lines(path: str) -> tuple[list[str], bool]:
-    r"""The lines of a sets or pairs file, split at "\n" without the empty
-    field after a final newline, and whether the whole text is ASCII.
-    str.splitlines would also break lines at form feeds, vertical tabs and
-    \x1c-\x1e, shifting every later set id."""
+def read_lines(path: str) -> tuple[list[str], bool]:
+    r"""The lines of a sets, pairs or outcomes file, split at "\n" without
+    the empty field after a final newline, and whether the whole text is
+    ASCII. str.splitlines would also break lines at form feeds, vertical
+    tabs and \x1c-\x1e, shifting every later set id."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         text = fh.read()
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines, text.isascii()
+
+
+def write_text(path: str, text: str) -> None:
+    """text to path as ASCII bytes, encoded before the file is opened and
+    emptied: a text that cannot be encoded leaves the file as it was."""
+    data = text.encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _is_comment(line: str, fields: list[str]) -> bool:
@@ -77,7 +86,7 @@ def _line_problem(line: str, fields: list[str], noun: str) -> str | None:
 
 def load_sets(path: str) -> dict[int, frozenset[int]]:
     """Parse a sets file into {line number: token set}."""
-    lines, ascii_text = _read_lines(path)
+    lines, ascii_text = read_lines(path)
     sets: dict[int, frozenset[int]] = {}
     duplicates = 0
     for lineno, line in enumerate(lines):
@@ -100,7 +109,7 @@ def load_sets(path: str) -> dict[int, frozenset[int]]:
 
 def load_pairs(path: str) -> list[tuple[int, int]]:
     """Parse a pairs file into an ordered list of (id, id)."""
-    lines, ascii_text = _read_lines(path)
+    lines, ascii_text = read_lines(path)
     pairs: list[tuple[int, int]] = []
     for lineno, line in enumerate(lines):
         fields = line.split()
@@ -129,16 +138,11 @@ def write_sets(path: str, sets: Mapping[int, AbstractSet[int]]) -> None:
     expected = range(len(sets))
     if sorted(sets) != list(expected):
         raise ValueError("set ids must be contiguous from 0 to match line numbers")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for set_id in expected:
-            fh.write(" ".join(str(t) for t in sorted(sets[set_id])))
-            fh.write("\n")
+    write_text(path, "".join(" ".join(map(str, sorted(sets[i]))) + "\n" for i in expected))
 
 
 def write_pairs(path: str, pairs: Sequence[tuple[int, int]]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for id_a, id_b in pairs:
-            fh.write(f"{id_a} {id_b}\n")
+    write_text(path, "".join(f"{id_a} {id_b}\n" for id_a, id_b in pairs))
 
 
 @dataclass(frozen=True)

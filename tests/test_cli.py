@@ -239,6 +239,44 @@ class TestHarness:
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: {problem}")):
             read_outcomes_csv(str(path))
 
+    @pytest.mark.parametrize(
+        "indexes, line, problem",
+        [
+            (("0", "2"), 3, "pair_index 2, expected 1"),
+            (("0", "0"), 3, "pair_index 0, expected 1"),
+            (("1", "0"), 2, "pair_index 1, expected 0"),
+            (('"0"', "1"), 2, "bad number (expected decimal digits, got '\"0\"')"),
+        ],
+    )
+    def test_read_outcomes_rows_count_from_0_in_order(self, tmp_path, indexes, line, problem):
+        path = tmp_path / "bad.csv"
+        rows = [f"{i},1,2,BelowThreshold,FilteredEarly,100,100,0.1" for i in indexes]
+        path.write_text("\n".join([",".join(OUTCOME_COLUMNS), *rows, ""]))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:{line}: {problem}") + "$"):
+            read_outcomes_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "first, second, line, problem",
+        [
+            ('100,"0.1', "", 2, "bad number (could not convert string to float: '\"0.1')"),
+            ("100,0.1", "\n", 3, "expected 8 fields, got 1"),
+        ],
+    )
+    def test_read_outcomes_takes_one_row_per_line(
+        self, tmp_path, first, second, line, problem
+    ):
+        """A quote is not CSV quoting and a blank line is not skipped: each
+        fails at its own line, not later in the file."""
+        path = tmp_path / "bad.csv"
+        head = ",".join(OUTCOME_COLUMNS) + "\n0,1,2,BelowThreshold,FilteredEarly,100," + first
+        tail = (
+            "1,3,4,BelowThreshold,FilteredEarly,100,100,0.1\n"
+            "2,5,6,AboveThreshold,OutputEarly,100,100,0.9\n"
+        )
+        path.write_text(head + "\n" + second + tail)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:{line}: {problem}") + "$"):
+            read_outcomes_csv(str(path))
+
     def test_fr_curves_rows_are_cumulative(self):
         sets, pairs = small_workload()
         cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(100, 200), k=200, master_seed=5)
@@ -630,6 +668,31 @@ class TestCli:
         assert capsys.readouterr().err == "error: bad group '1/0:5:10-20': zero denominator\n"
         assert not (tmp_path / "s.txt").exists()
 
+    def test_fr_refuses_rows_out_of_order(self, tmp_path, capsys):
+        path = tmp_path / "it.csv"
+        rows = ['"0",1,2', "5,3,4", "5,3,4"]
+        tail = ",BelowThreshold,FilteredEarly,100,100,0.1\n"
+        path.write_text(",".join(OUTCOME_COLUMNS) + "\n" + "".join(row + tail for row in rows))
+        assert main(["fr", "--outcomes", f"a={path}", "--schedule", "100"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {path}:2: bad number (expected decimal digits, got '\"0\"')\n"
+        )
+
+    @pytest.mark.parametrize("name, label", [("o.csv", "\u03b53"), ("\u03b5.csv", None)])
+    def test_fr_refuses_a_non_ascii_label_before_any_file(self, tmp_path, capsys, name, label):
+        """A label that is not ASCII is refused before any outcomes file is
+        read (this one does not exist) and before --out is touched; a path
+        without a label is its own label."""
+        path = tmp_path / name
+        item = str(path) if label is None else f"{label}={path}"
+        out = tmp_path / "fr.csv"
+        out.write_bytes(b"kept\n")
+        message = f"error: --outcomes label {label or str(path)!r} is not ASCII\n"
+        for extra in ([], ["--out", str(out)]):
+            assert main(["fr", "--outcomes", item, "--schedule", "100,200", *extra]) == 1
+            assert capsys.readouterr() == ("", message)
+        assert out.read_bytes() == b"kept\n"
+
     def test_fr_refuses_a_repeated_label(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -706,6 +769,17 @@ class TestCli:
         )
         assert code == 1
         assert "conflicts" in capsys.readouterr().err
+        args = ["--cache", str(workdir / "k100.mhsg"), "--pairs", str(workdir / "pairs.txt")]
+        assert main(["screen", *args, "--seed", "4", "--out", str(workdir / "o.csv")]) == 1
+        assert capsys.readouterr().err == "error: --seed 4 conflicts with cache seed=3\n"
+        assert not (workdir / "o.csv").exists()
+
+    def test_sign_refuses_a_file_with_no_sets(self, tmp_path, capsys):
+        sets = tmp_path / "sets.txt"
+        sets.write_text("")
+        assert main(["sign", "--sets", str(sets), "--out", str(tmp_path / "s.mhsg")]) == 1
+        assert capsys.readouterr() == ("", f"error: {sets}: no sets to sign\n")
+        assert not (tmp_path / "s.mhsg").exists()
 
 
 class TestGoldenSignatureCache:

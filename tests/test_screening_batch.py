@@ -187,9 +187,9 @@ def test_walk_compares_no_column_past_the_last_checkpoint_reached(monkeypatch):
     calls = []
     count = screening._count_matches
 
-    def spy(values, a, b, lo, hi):
+    def spy(values, a, b, lo, hi, x):
         calls.append((len(a), lo, hi))
-        return count(values, a, b, lo, hi)
+        return count(values, a, b, lo, hi, x)
 
     monkeypatch.setattr(screening, "_count_matches", spy)
     rng = np.random.default_rng(9)

@@ -17,6 +17,7 @@ from minscreen.workload import (
     parse_group,
     write_pairs,
     write_sets,
+    write_text,
 )
 
 
@@ -256,6 +257,15 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match="contiguous"):
             write_sets(str(tmp_path / "bad.txt"), {0: {1}, 2: {2}})
 
+    def test_text_that_cannot_be_encoded_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"kept\r\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text(str(path), "a\n\u03b5\n")
+        assert path.read_bytes() == b"kept\r\n"
+        write_text(str(path), "a\nb\n")
+        assert path.read_bytes() == b"a\nb\n"
+
 
 class TestParseGroup:
     def test_range_form(self):
@@ -298,6 +308,9 @@ class TestWorkloadGroup:
             ((Fraction(1, 2), 3, 2.0, 4), "size_lo 2.0 is not an integer"),
             ((Fraction(1, 2), 3, 2, "4"), "size_hi '4' is not an integer"),
             ((Fraction(1, 2), -3, 2, 4), "pair_count -3 outside unsigned 64-bit range"),
+            ((Fraction(1, 2), 0, 2, 4), "pair count must be at least 1, got 0"),
+            ((Fraction(1, 2), 3, 0, 4), "bad size range [0, 4]"),
+            ((Fraction(1, 2), 3, 5, 4), "bad size range [5, 4]"),
         ],
     )
     def test_counts_pass_the_integer_rule(self, args, message):
