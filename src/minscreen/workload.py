@@ -3,14 +3,21 @@ r"""Set and pair files, plus synthetic workloads with exact target Jaccard.
 Sets file: one set per line, whitespace-separated decimal token ids. The
 0-based physical line number is the set id, so comment lines (leading '#')
 still consume an id. Pairs file: two set ids per line; comments and blank
-lines are skipped. Like every text file of the package, both are read by
-read_lines, with universal newlines, so a line ends at "\n", "\r\n" or a
-lone "\r"; form feed, vertical tab and the separators \x1c-\x1e are
-whitespace inside a line. A byte outside ASCII is an error that names its
-line, a comment line included. Token and set ids are plain ASCII decimal
-digits, no sign and no underscore, of value at most 2**64 - 1. An error
-names path:N, N counting lines from 1; in a sets file also the set id, N-1.
-Every text file is written by write_text.
+lines are skipped.
+
+A file in the canonical form that write_sets and write_pairs (and so gen)
+write is read in one numpy pass over its bytes (_scan_ids): only ASCII
+digits, one space between ids, "\n" after every line, the last included,
+every id 1 to 19 digits long, no blank or comment line, and in a pairs file
+two ids on every line. Any other file is read line by line by read_lines,
+like every text file of the package, with the same values on canonical text
+and every message below. read_lines uses universal newlines, so a line ends
+at "\n", "\r\n" or a lone "\r"; form feed, vertical tab and the separators
+\x1c-\x1e are whitespace inside a line. A byte outside ASCII is an error
+that names its line, a comment line included. Token and set ids are plain
+ASCII decimal digits, no sign and no underscore, of value at most
+2**64 - 1. An error names path:N, N counting lines from 1; in a sets file
+also the set id, N-1. Every text file is written by write_text.
 
 Synthetic pairs are constructed, not sampled: a target similarity a/b in
 lowest terms becomes a*c shared tokens out of b*c union tokens, so the
@@ -21,13 +28,19 @@ from __future__ import annotations
 
 import logging
 import numbers
+import os
+import stat
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Mapping, Sequence
 
+import numpy as np
+
 from .sets import U64_MAX, as_u64
 
 logger = logging.getLogger(__name__)
+
+_SPACE, _NEWLINE = ord(" "), ord("\n")
 
 
 def parse_decimal(text: str) -> int:
@@ -84,8 +97,59 @@ def _line_problem(line: str, fields: list[str], noun: str) -> str | None:
     return None
 
 
+def _scan_ids(path: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ids of a non-empty regular file in the canonical form above, read
+    by numpy alone; an id of at most 19 digits is below 2**64, so it needs no
+    range check. Returns the ids as one uint64 array and, per line, the index
+    past its last id, or None for any other file, which its reader then reads
+    line by line. A pipe is not read here, as it could not be read twice."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        data = np.fromfile(path, dtype=np.uint8)
+    except OSError:  # the per-line path raises it as it always has
+        return None
+    if data.size == 0 or data[-1] != _NEWLINE:
+        return None
+    digits = data - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+    ends = np.flatnonzero(digits > 9)  # the separator after each id
+    separators = data[ends]
+    lengths = np.diff(ends, prepend=-1) - 1
+    if not (
+        np.all((separators == _SPACE) | (separators == _NEWLINE))
+        and 1 <= lengths.min()
+        and lengths.max() <= 19
+    ):
+        return None
+    # Column by column from the last digit, each pass over the longer ids.
+    ids = digits[ends - 1].astype(np.uint64)
+    scale = np.uint64(1)
+    for column in range(2, int(lengths.max()) + 1):
+        scale *= np.uint64(10)
+        longer = np.flatnonzero(lengths >= column)
+        ids[longer] += digits[ends[longer] - column] * scale
+    return ids, np.flatnonzero(separators == _NEWLINE) + 1
+
+
 def load_sets(path: str) -> dict[int, frozenset[int]]:
     """Parse a sets file into {line number: token set}."""
+    scanned = _scan_ids(path)
+    if scanned is None:
+        sets, duplicates = _sets_from_lines(path)
+    else:
+        tokens, ends = (array.tolist() for array in scanned)
+        del scanned
+        starts = [0, *ends[:-1]]
+        sets = {i: frozenset(tokens[a:b]) for i, (a, b) in enumerate(zip(starts, ends))}
+        duplicates = len(tokens) - sum(map(len, sets.values()))
+    if duplicates:
+        logger.warning("%s: deduplicated %d repeated tokens", path, duplicates)
+    return sets
+
+
+def _sets_from_lines(path: str) -> tuple[dict[int, frozenset[int]], int]:
+    """load_sets line by line, for any file: the sets and the number of
+    repeated tokens dropped."""
     lines, ascii_text = read_lines(path)
     sets: dict[int, frozenset[int]] = {}
     duplicates = 0
@@ -102,13 +166,21 @@ def load_sets(path: str) -> dict[int, frozenset[int]]:
         tokens = frozenset(map(int, fields))
         duplicates += len(fields) - len(tokens)
         sets[lineno] = tokens
-    if duplicates:
-        logger.warning("%s: deduplicated %d repeated tokens", path, duplicates)
-    return sets
+    return sets, duplicates
 
 
 def load_pairs(path: str) -> list[tuple[int, int]]:
     """Parse a pairs file into an ordered list of (id, id)."""
+    scanned = _scan_ids(path)
+    if scanned is not None:
+        ids, ends = scanned
+        if np.array_equal(ends, np.arange(2, ids.size + 1, 2)):  # two ids a line
+            return list(zip(ids[0::2].tolist(), ids[1::2].tolist()))
+    return _pairs_from_lines(path)
+
+
+def _pairs_from_lines(path: str) -> list[tuple[int, int]]:
+    """load_pairs line by line, for any file."""
     lines, ascii_text = read_lines(path)
     pairs: list[tuple[int, int]] = []
     for lineno, line in enumerate(lines):

@@ -1,12 +1,18 @@
 """Set/pair file formats and exact-similarity workload generation."""
 
+import itertools
 import logging
+import os
 import re
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from minscreen import workload
+from minscreen.cli import main
 from minscreen.sets import jaccard_fraction
 from minscreen.workload import (
     WorkloadGroup,
@@ -238,6 +244,156 @@ class TestBothReaders:
             reader(str(path))
         path.write_bytes(b"1 2\n  # cafe\n3 4\n")
         assert len(reader(str(path))) == 2
+
+
+def _first_id(text: bytes, new: bytes) -> bytes:
+    """text with the first id of its first line replaced by new."""
+    return new + text[text.index(b" "):]
+
+
+# Byte edits of a file that write_sets or write_pairs wrote, and whether the
+# result is still canonical, so that _scan_ids reads it.
+_EDITS = {
+    "as written": (lambda t: t, True),
+    "leading zeros": (lambda t: b"00" + t, True),
+    "19 digits": (lambda t: _first_id(t, b"9999999999999999999"), True),
+    "repeated token": (lambda t: t[: t.index(b" ") + 1] + t, True),
+    "three ids on a line": (lambda t: t.replace(b"\n", b" 5\n", 1), True),
+    "tabs": (lambda t: t.replace(b" ", b"\t"), False),
+    "double spaces": (lambda t: t.replace(b" ", b"  "), False),
+    "leading space": (lambda t: b" " + t, False),
+    "trailing spaces": (lambda t: t.replace(b"\n", b" \n"), False),
+    "crlf": (lambda t: t.replace(b"\n", b"\r\n"), False),
+    "cr line ends": (lambda t: t.replace(b"\n", b"\r"), False),
+    "one lone cr": (lambda t: t.replace(b"\n", b"\r", 1), False),
+    "comment line": (lambda t: b"# header\n" + t, False),
+    "blank line": (lambda t: t.replace(b"\n", b"\n\n", 1), False),
+    "no final newline": (lambda t: t[:-1], False),
+    "2**64 - 1": (lambda t: _first_id(t, b"%d" % (2**64 - 1)), False),
+    "2**64": (lambda t: _first_id(t, b"%d" % 2**64), False),
+    "non-ascii byte": (lambda t: t.replace(b"\n", b"\xe9\n", 2), False),
+    "empty": (lambda t: b"", False),
+}
+
+
+def _written_files(tmp_path):
+    """A sets and a pairs file from write_sets and write_pairs, with ids of
+    one to three digits."""
+    spec = WorkloadSpec(
+        groups=(WorkloadGroup(Fraction(1, 2), 20, 5, 9), WorkloadGroup(Fraction(9, 10), 5, 10, 20)),
+        seed=95,
+    )
+    sets, pairs = gen_synthetic(spec)
+    sets_path, pairs_path = tmp_path / "sets.txt", tmp_path / "pairs.txt"
+    write_sets(str(sets_path), sets)
+    write_pairs(str(pairs_path), pairs)
+    return sets, pairs, sets_path, pairs_path
+
+
+def _outcome(reader, path, caplog):
+    """What reader gives for path: its value or its error, and its warnings."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="minscreen.workload"):
+        try:
+            value = reader(path)
+        except ValueError as exc:  # the type and message are compared
+            value = (type(exc), str(exc))
+    return value, [record.getMessage() for record in caplog.records]
+
+
+class TestCanonicalScan:
+    """Files in write_sets/write_pairs form are read by one numpy scan of
+    their bytes; everything else by the per-line loop, with the same result
+    on canonical text."""
+
+    @pytest.mark.parametrize("edit", list(_EDITS))
+    @pytest.mark.parametrize("reader", [load_sets, load_pairs], ids=["sets", "pairs"])
+    @pytest.mark.parametrize("source", ["sets", "pairs"])
+    def test_scan_and_per_line_loop_agree(
+        self, tmp_path, monkeypatch, caplog, edit, reader, source
+    ):
+        _, _, sets_path, pairs_path = _written_files(tmp_path)
+        change, canonical = _EDITS[edit]
+        path = tmp_path / "edited.txt"
+        path.write_bytes(change((sets_path if source == "sets" else pairs_path).read_bytes()))
+        assert (workload._scan_ids(str(path)) is not None) == canonical
+        scanned = _outcome(reader, str(path), caplog)
+        monkeypatch.setattr(workload, "_scan_ids", lambda path: None)
+        assert scanned == _outcome(reader, str(path), caplog)
+
+    def test_ids_are_read_column_by_column(self, tmp_path):
+        values = [0, 7, 10, 99, 100, 12345, 10**18, 9999999999999999999]
+        path = tmp_path / "ids.txt"
+        path.write_bytes(b"1 2\n" + " ".join(map(str, values)).encode() + b"\n3\n")
+        ids, ends = workload._scan_ids(str(path))
+        assert ids.dtype == np.uint64
+        assert ids.tolist() == [1, 2, *values, 3]
+        assert ends.tolist() == [2, 2 + len(values), 3 + len(values)]
+
+    def test_written_files_never_reach_the_per_line_loop(self, tmp_path, monkeypatch):
+        read = []
+        read_lines = workload.read_lines
+        monkeypatch.setattr(
+            workload, "read_lines", lambda path: read.append(path) or read_lines(path)
+        )
+        sets, pairs, sets_path, pairs_path = _written_files(tmp_path)
+        all_pairs_path = tmp_path / "all-pairs.txt"
+        all_pairs = list(itertools.combinations(range(len(sets)), 2))
+        write_pairs(str(all_pairs_path), all_pairs)
+        gen_sets, gen_pairs = tmp_path / "gen-sets.txt", tmp_path / "gen-pairs.txt"
+        assert main(["gen", "--group", "0.5:30:5-9", "--group", "0.1:30:15-25", "--seed", "7",
+                     "--out-sets", str(gen_sets), "--out-pairs", str(gen_pairs)]) == 0
+        assert load_sets(str(sets_path)) == sets
+        assert load_pairs(str(pairs_path)) == pairs
+        assert load_pairs(str(all_pairs_path)) == all_pairs
+        assert (load_sets(str(gen_sets)), load_pairs(str(gen_pairs))) == gen_synthetic(
+            WorkloadSpec((parse_group("0.5:30:5-9"), parse_group("0.1:30:15-25")), seed=7)
+        )
+        assert read == []
+        for path, reader, expected in (
+            (sets_path, load_sets, sets),
+            (pairs_path, load_pairs, pairs),
+        ):
+            crlf = tmp_path / f"crlf-{path.name}"
+            crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            assert reader(str(crlf)) == expected
+        assert read == [str(tmp_path / "crlf-sets.txt"), str(tmp_path / "crlf-pairs.txt")]
+
+    def test_a_pipe_is_read_once_by_the_per_line_loop(self, tmp_path):
+        # CRLF text, which the per-line loop must read, and could not if the
+        # scan had read the pipe first
+        path = tmp_path / "pairs.fifo"
+        os.mkfifo(path)
+        read = []
+        threads = [
+            threading.Thread(target=path.write_bytes, args=(b"0 1\r\n2 3\r\n",), daemon=True),
+            threading.Thread(target=lambda: read.append(load_pairs(str(path))), daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:  # a second open of the pipe would wait for ever
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert read == [[(0, 1), (2, 3)]]
+
+    def test_scanning_a_pairs_file_takes_no_more_memory_than_the_per_line_loop(
+        self, tmp_path, monkeypatch
+    ):
+        pairs = list(itertools.combinations(range(300), 2))
+        path = tmp_path / "pairs.txt"
+        write_pairs(str(path), pairs)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                assert load_pairs(str(path)) == pairs
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        scanned = peak()
+        monkeypatch.setattr(workload, "_scan_ids", lambda path: None)
+        assert scanned <= 1.1 * peak()
 
 
 class TestRoundTrips:
