@@ -31,8 +31,6 @@ summing term by term and bisecting.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import operator
 from dataclasses import dataclass
@@ -193,18 +191,10 @@ def build_threshold_table(
 
 
 def threshold_table_csv(table: ThresholdTable) -> str:
-    """Render a table as CSV with columns k, m_l, T_L, m_u, T_U."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "m_l", "T_L", "m_u", "T_U"])
+    """Render a table as CSV with columns k, m_l, T_L, m_u, T_U, by plain
+    joins: no field can contain a comma, quote or newline."""
+    lines = ["k,m_l,T_L,m_u,T_U"]
     for row in table.rows:
-        writer.writerow(
-            [
-                row.k,
-                "" if row.m_l is None else row.m_l,
-                "" if row.m_l is None else repr(row.t_l),
-                row.m_u,
-                repr(row.t_u),
-            ]
-        )
-    return buf.getvalue()
+        lower = "," if row.m_l is None else f"{row.m_l},{row.t_l!r}"
+        lines.append(f"{row.k},{lower},{row.m_u},{row.t_u!r}")
+    return "\n".join(lines) + "\n"

@@ -168,7 +168,7 @@ def read_outcomes_csv(path: str) -> tuple[list[tuple[int, int]], list[PairOutcom
     per line, fields split at ',' with no quoting, the header on line 1 and
     pair_index counting rows from 0 in order. A malformed row fails with
     path:line (1-based, the header being line 1)."""
-    lines, _ = read_lines(path)
+    lines = read_lines(path)
     header = lines[0].split(",") if lines else None
     if header != OUTCOME_COLUMNS:
         raise ValueError(f"{path}: not an outcomes CSV (header {header})")

@@ -136,8 +136,8 @@ class SignatureMatrix(Mapping[int, Signature]):
     """
 
     def __init__(self, ids: np.ndarray, matrix: np.ndarray, fingerprint: tuple | None) -> None:
-        if not _is_u64(ids, 1):  # -1 in int64 ids must not wrap to 2**64 - 1
-            ids = as_u64_array((ids,), "set id")
+        if not _is_u64(ids, 1):  # a cast would wrap an int64 -1 to 2**64 - 1
+            raise ValueError(f"need a 1-D uint64 array of set ids, got {_describe(ids)}")
         if not (_is_u64(matrix, 2) and len(matrix) == len(ids)):
             raise ValueError(
                 f"need a 2-D uint64 matrix, one row per set id ({len(ids)}), "

@@ -30,7 +30,7 @@ import numpy as np
 
 from .binomial import ThresholdTable, build_threshold_table, validate_table_args
 from .minhash import Signature, SignatureMatrix, validate_family_args
-from .sets import as_u64_array
+from .sets import pair_ids
 
 ABOVE = "AboveThreshold"
 BELOW = "BelowThreshold"
@@ -130,12 +130,10 @@ def screen_batch(
     frequency, ties at the threshold counting as above. Each set id must
     pass sets.as_u64 and have a signature; the first that does not is named.
     """
-    if set(map(len, pairs)) - {2}:
-        index = next(i for i, pair in enumerate(pairs) if len(pair) != 2)
-        raise ValueError(f"pair {index} is {tuple(pairs[index])}, not two set ids")
+    ids = pair_ids(pairs)
     matrix = SignatureMatrix.stack(signatures)
     try:
-        pair_rows = matrix.rows(as_u64_array(pairs, "set id", 2 * len(pairs))).reshape(-1, 2)
+        pair_rows = matrix.rows(ids).reshape(-1, 2)
     except KeyError as missing:
         raise ValueError(f"no signature for set id {missing.args[0]}") from None
     if len(matrix) and matrix.k != cfg.k:

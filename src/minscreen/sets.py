@@ -11,7 +11,7 @@ import numbers
 import operator
 from fractions import Fraction
 from itertools import chain
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -55,6 +55,16 @@ def as_u64_array(groups: Iterable[Iterable[object]], name: str, count: int = -1)
         for value in chain.from_iterable(groups):
             as_u64(value, name)
         raise
+
+
+def pair_ids(pairs: Sequence[Sequence[object]]) -> np.ndarray:
+    """The set ids of pairs, in order, as one uint64 array by as_u64_array,
+    or a ValueError naming the first pair that is not two ids or the first
+    bad id."""
+    if set(map(len, pairs)) - {2}:
+        index = next(i for i, pair in enumerate(pairs) if len(pair) != 2)
+        raise ValueError(f"pair {index} is {tuple(pairs[index])}, not two set ids")
+    return as_u64_array(pairs, "set id", 2 * len(pairs))
 
 
 def jaccard_fraction(a: AbstractSet[int], b: AbstractSet[int]) -> Fraction:

@@ -5,19 +5,18 @@ Sets file: one set per line, whitespace-separated decimal token ids. The
 still consume an id. Pairs file: two set ids per line; comments and blank
 lines are skipped.
 
-A file in the canonical form that write_sets and write_pairs (and so gen)
-write is read in one numpy pass over its bytes (_scan_ids): only ASCII
-digits, one space between ids, "\n" after every line, the last included,
-every id 1 to 19 digits long, no blank or comment line, and in a pairs file
-two ids on every line. Any other file is read line by line by read_lines,
-like every text file of the package, with the same values on canonical text
-and every message below. read_lines uses universal newlines, so a line ends
-at "\n", "\r\n" or a lone "\r"; form feed, vertical tab and the separators
-\x1c-\x1e are whitespace inside a line. A byte outside ASCII is an error
-that names its line, a comment line included. Token and set ids are plain
-ASCII decimal digits, no sign and no underscore, of value at most
-2**64 - 1. An error names path:N, N counting lines from 1; in a sets file
-also the set id, N-1. Every text file is written by write_text.
+Every text file is read once, as bytes, by _read_bytes, with universal
+newlines: a line ends at "\n", "\r\n" or a lone "\r". A sets or pairs file,
+a pipe included, is then read by one numpy scan of those bytes, _read_ids.
+Inside a line, tab, vertical tab, form feed, \x1c-\x1f and space separate
+ids, as str.split() has it. Python looks only at a line holding any other
+byte (a comment, or an error), a line with an id of 20 digits or more (its
+range check) and a line of the wrong shape (an error). A byte outside ASCII
+is an error that names its line, a comment included. Token and set ids are
+plain ASCII decimal digits, no sign and no underscore, of value at most
+2**64 - 1. An error names the first bad line as path:N, N counting lines
+from 1; in a sets file also the set id, N-1. Every text file is written by
+write_text.
 
 Synthetic pairs are constructed, not sampled: a target similarity a/b in
 lowest terms becomes a*c shared tokens out of b*c union tokens, so the
@@ -28,19 +27,21 @@ from __future__ import annotations
 
 import logging
 import numbers
-import os
-import stat
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
-from .sets import U64_MAX, as_u64
+from .sets import U64_MAX, as_u64, as_u64_array, pair_ids
 
 logger = logging.getLogger(__name__)
 
 _SPACE, _NEWLINE = ord(" "), ord("\n")
+# The bytes that str.split() takes for whitespace inside an ASCII line.
+_SEPARATOR = np.zeros(256, dtype=bool)
+_SEPARATOR[[9, 11, 12, 28, 29, 30, 31, 32]] = True
 
 
 def parse_decimal(text: str) -> int:
@@ -52,17 +53,21 @@ def parse_decimal(text: str) -> int:
     return int(text)
 
 
-def read_lines(path: str) -> tuple[list[str], bool]:
-    r"""The lines of a sets, pairs or outcomes file, split at "\n" without
-    the empty field after a final newline, and whether the whole text is
-    ASCII. str.splitlines would also break lines at form feeds, vertical
-    tabs and \x1c-\x1e, shifting every later set id."""
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines, text.isascii()
+def _read_bytes(path: str) -> bytes:
+    r"""A text file's bytes, read once, with "\r\n" and then a lone "\r"
+    made "\n", and a final "\n" added to a non-empty file that lacks one."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # replace copies the bytes even when it finds nothing
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data + b"\n" if data and not data.endswith(b"\n") else data
+
+
+def read_lines(path: str) -> list[str]:
+    r"""The lines of a text file by _read_bytes' newline rule, a byte outside
+    ASCII as a surrogate escape. str.splitlines would also break lines at
+    form feeds, vertical tabs and \x1c-\x1e, shifting every later line."""
+    return _read_bytes(path).decode("ascii", "surrogateescape").split("\n")[:-1]
 
 
 def write_text(path: str, text: str) -> None:
@@ -80,11 +85,10 @@ def _is_comment(line: str, fields: list[str]) -> bool:
 
 
 def _line_problem(line: str, fields: list[str], noun: str) -> str | None:
-    """The first problem on a line that failed its reader's fast test: a
-    byte outside ASCII, then, field by field, a field that is not plain
-    decimal digits or a value past 2**64 - 1. None when every field is a
-    valid id. The reader applies the comment rule before this and its own
-    shape rule after."""
+    """The first problem on a line that is not a comment: a byte outside
+    ASCII, then, field by field, a field that is not plain decimal digits or
+    a value past 2**64 - 1. None when every field is a valid id. The
+    reader's own shape rule comes after this."""
     if not line.isascii():
         return "non-ASCII byte"
     for field in fields:
@@ -97,124 +101,107 @@ def _line_problem(line: str, fields: list[str], noun: str) -> str | None:
     return None
 
 
-def _scan_ids(path: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ids of a non-empty regular file in the canonical form above, read
-    by numpy alone; an id of at most 19 digits is below 2**64, so it needs no
-    range check. Returns the ids as one uint64 array and, per line, the index
-    past its last id, or None for any other file, which its reader then reads
-    line by line. A pipe is not read here, as it could not be read twice."""
-    try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
-        data = np.fromfile(path, dtype=np.uint8)
-    except OSError:  # the per-line path raises it as it always has
-        return None
-    if data.size == 0 or data[-1] != _NEWLINE:
-        return None
-    digits = data - np.uint8(ord("0"))  # a byte below "0" wraps past 9
-    ends = np.flatnonzero(digits > 9)  # the separator after each id
-    separators = data[ends]
-    lengths = np.diff(ends, prepend=-1) - 1
-    if not (
-        np.all((separators == _SPACE) | (separators == _NEWLINE))
-        and 1 <= lengths.min()
-        and lengths.max() <= 19
-    ):
-        return None
-    # Column by column from the last digit, each pass over the longer ids.
-    ids = digits[ends - 1].astype(np.uint64)
-    scale = np.uint64(1)
-    for column in range(2, int(lengths.max()) + 1):
-        scale *= np.uint64(10)
-        longer = np.flatnonzero(lengths >= column)
-        ids[longer] += digits[ends[longer] - column] * scale
-    return ids, np.flatnonzero(separators == _NEWLINE) + 1
+def _read_ids(path: str, pairs: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of a sets file, or with pairs of a pairs file, as one uint64
+    array, and each line's id count, 0 for a comment line, whose ids are
+    left out. A set has at least one id; a pairs line two, or none if blank.
+    The first line that breaks a rule is named in a ValueError."""
+    data = _read_bytes(path)
+    text = np.frombuffer(data, dtype=np.uint8)
+    digits = text - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+    stops = np.flatnonzero(digits > 9)  # the other bytes, each "\n" among them
+    lengths = np.diff(stops, prepend=-1)
+    lengths -= 1  # the digits before each stop
+    stop_bytes = text[stops]
+    line_ends = np.flatnonzero(stop_bytes == _NEWLINE)  # as indices into stops
+    gaps = np.flatnonzero(lengths == 0)  # the stops that end no id
+    counts = np.diff(line_ends + 1 - gaps.searchsorted(line_ends, "right"), prepend=0)
+    # Stops that are no separator: a comment's or an error's bytes.
+    odd = np.flatnonzero((stop_bytes != _SPACE) & (stop_bytes != _NEWLINE))
+    odd = odd[~_SEPARATOR[stop_bytes[odd]]]
+    top = int(lengths.max(initial=0))
+    if top >= 20:
+        odd = np.union1d(odd, np.flatnonzero(lengths >= 20))
+    shape = ((counts != 2) & (counts != 0)) if pairs else counts == 0
+    look = np.union1d(line_ends.searchsorted(odd), np.flatnonzero(shape)).tolist()
+    read = []  # (line number, its ids) for each line read by Python
+    for line_no in look:  # a comment, an error, or a line of long ids
+        start = stops[line_ends[line_no - 1]] + 1 if line_no else 0
+        line = data[start : stops[line_ends[line_no]]].decode("ascii", "surrogateescape")
+        fields = line.split()
+        if _is_comment(line, fields):
+            read.append((line_no, []))
+            continue
+        problem = _line_problem(line, fields, "set id" if pairs else "token")
+        if problem is None and pairs and len(fields) not in (0, 2):
+            problem = f"expected two set ids, got {line!r}"
+        elif problem is None and not (pairs or fields):
+            problem = "empty set"
+        if problem is not None:
+            where = "" if pairs else f" (set id {line_no})"
+            raise ValueError(f"{path}:{line_no + 1}: {problem}{where}")
+        read.append((line_no, list(map(int, fields))))
+    if gaps.size:
+        stops, lengths = stops[lengths > 0], lengths[lengths > 0]
+    # Horner's rule over at most 19 digit columns (below 2**64; Python read
+    # longer ids), at moving in place to the last; a digit before an id is 0.
+    del stop_bytes, line_ends
+    top, at = min(top, 19), stops
+    at -= top
+    ids = np.zeros(at.size, dtype=np.uint64)
+    for column in range(top, 0, -1):
+        column_digits = digits.take(at)
+        column_digits *= lengths >= column
+        ids *= np.uint64(10)
+        ids += column_digits
+        at += 1
+    if read:  # each line Python read gets the ids Python read
+        line_stops, pieces, done = np.cumsum(counts), [], 0
+        for line_no, values in read:
+            first = line_stops[line_no] - counts[line_no]
+            pieces += [ids[done:first], np.array(values, dtype=np.uint64)]
+            done, counts[line_no] = line_stops[line_no], len(values)
+        ids = np.concatenate([*pieces, ids[done:]])
+    return ids, counts
 
 
 def load_sets(path: str) -> dict[int, frozenset[int]]:
     """Parse a sets file into {line number: token set}."""
-    scanned = _scan_ids(path)
-    if scanned is None:
-        sets, duplicates = _sets_from_lines(path)
-    else:
-        tokens, ends = (array.tolist() for array in scanned)
-        del scanned
-        starts = [0, *ends[:-1]]
-        sets = {i: frozenset(tokens[a:b]) for i, (a, b) in enumerate(zip(starts, ends))}
-        duplicates = len(tokens) - sum(map(len, sets.values()))
+    ids, counts = _read_ids(path, pairs=False)
+    tokens = ids.tolist()
+    del ids
+    ends = np.cumsum(counts).tolist()
+    starts = [0, *ends[:-1]]  # a comment line has none: a == b
+    sets = {i: frozenset(tokens[a:b]) for i, (a, b) in enumerate(zip(starts, ends)) if a < b}
+    duplicates = len(tokens) - sum(map(len, sets.values()))
     if duplicates:
         logger.warning("%s: deduplicated %d repeated tokens", path, duplicates)
     return sets
 
 
-def _sets_from_lines(path: str) -> tuple[dict[int, frozenset[int]], int]:
-    """load_sets line by line, for any file: the sets and the number of
-    repeated tokens dropped."""
-    lines, ascii_text = read_lines(path)
-    sets: dict[int, frozenset[int]] = {}
-    duplicates = 0
-    for lineno, line in enumerate(lines):
-        fields = line.split()
-        # In ASCII text isdigit means 0-9, so one isdigit over the joined
-        # fields checks every token, and fewer than 20 digits fit 64 bits.
-        if not (ascii_text and "".join(fields).isdigit() and max(map(len, fields)) < 20):
-            if _is_comment(line, fields):
-                continue
-            problem = _line_problem(line, fields, "token") if fields else "empty set"
-            if problem is not None:
-                raise ValueError(f"{path}:{lineno + 1}: {problem} (set id {lineno})")
-        tokens = frozenset(map(int, fields))
-        duplicates += len(fields) - len(tokens)
-        sets[lineno] = tokens
-    return sets, duplicates
-
-
 def load_pairs(path: str) -> list[tuple[int, int]]:
     """Parse a pairs file into an ordered list of (id, id)."""
-    scanned = _scan_ids(path)
-    if scanned is not None:
-        ids, ends = scanned
-        if np.array_equal(ends, np.arange(2, ids.size + 1, 2)):  # two ids a line
-            return list(zip(ids[0::2].tolist(), ids[1::2].tolist()))
-    return _pairs_from_lines(path)
-
-
-def _pairs_from_lines(path: str) -> list[tuple[int, int]]:
-    """load_pairs line by line, for any file."""
-    lines, ascii_text = read_lines(path)
-    pairs: list[tuple[int, int]] = []
-    for lineno, line in enumerate(lines):
-        fields = line.split()
-        try:
-            id_a, id_b = fields
-            # In ASCII text isdigit means 0-9, and a line under 22 characters
-            # holds no id of 20 digits, so both ids fit 64 bits.
-            if ascii_text and len(line) < 22 and id_a.isdigit() and id_b.isdigit():
-                pairs.append((int(id_a), int(id_b)))
-                continue
-        except ValueError:  # not two fields
-            pass
-        if not fields or _is_comment(line, fields):
-            continue
-        problem = _line_problem(line, fields, "set id")
-        if problem is None and len(fields) != 2:
-            problem = f"expected two set ids, got {line!r}"
-        if problem is not None:
-            raise ValueError(f"{path}:{lineno + 1}: {problem}")
-        pairs.append((int(fields[0]), int(fields[1])))
-    return pairs
+    ids, _ = _read_ids(path, pairs=True)
+    return list(zip(ids[0::2].tolist(), ids[1::2].tolist()))
 
 
 def write_sets(path: str, sets: Mapping[int, AbstractSet[int]]) -> None:
-    """Write sets with ids 0..n-1, one per line, tokens sorted."""
+    """Write sets with ids 0..n-1, one per line, tokens sorted. The tokens
+    are checked by sets.as_u64_array first, so a bad one writes nothing."""
     expected = range(len(sets))
     if sorted(sets) != list(expected):
         raise ValueError("set ids must be contiguous from 0 to match line numbers")
-    write_text(path, "".join(" ".join(map(str, sorted(sets[i]))) + "\n" for i in expected))
+    rows = [sets[i] for i in expected]
+    tokens = iter(as_u64_array(rows, "token").tolist())
+    lines = (" ".join(map(str, sorted(islice(tokens, len(row))))) + "\n" for row in rows)
+    write_text(path, "".join(lines))
 
 
 def write_pairs(path: str, pairs: Sequence[tuple[int, int]]) -> None:
-    write_text(path, "".join(f"{id_a} {id_b}\n" for id_a, id_b in pairs))
+    """Write pairs one per line. The set ids are checked by sets.pair_ids
+    first, so a bad one writes nothing."""
+    ids = iter(pair_ids(pairs).tolist())
+    write_text(path, "".join(f"{id_a} {id_b}\n" for id_a, id_b in zip(ids, ids)))
 
 
 @dataclass(frozen=True)

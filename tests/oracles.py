@@ -8,6 +8,9 @@
   big-integer binomial coefficients.
 * exhaustive_collision_probability: the min-wise collision probability of
   two sets, by enumerating every permutation of a tiny universe.
+* sets_from_lines and pairs_from_lines: the sets and pairs file readers as
+  per-line loops over the text read with Python's universal newlines, the
+  readers that the package's one byte scan replaced.
 
 package_tails gives the package's own tails, as build_threshold_table
 evaluates them, for comparison with these.
@@ -19,6 +22,7 @@ from itertools import permutations
 from typing import AbstractSet, Callable
 
 from minscreen.binomial import E_ROUNDING_SLACK, _cdf, _log_factorials, _pmf
+from minscreen.workload import _is_comment, _line_problem
 
 ORACLE_UNIVERSE_LIMIT = 8
 
@@ -133,3 +137,63 @@ def exhaustive_collision_probability(
         if min(perm[t] for t in a) == min(perm[t] for t in b):
             hits += 1
     return Fraction(hits, total)
+
+
+def text_lines(path: str) -> tuple[list[str], bool]:
+    """The lines of a file read as text with universal newlines, split at
+    "\n" without the empty field after a final newline, and whether the
+    whole text is ASCII."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines, text.isascii()
+
+
+def sets_from_lines(path: str) -> tuple[dict[int, frozenset[int]], int]:
+    """load_sets line by line, for any file: the sets and the number of
+    repeated tokens dropped."""
+    lines, ascii_text = text_lines(path)
+    sets: dict[int, frozenset[int]] = {}
+    duplicates = 0
+    for lineno, line in enumerate(lines):
+        fields = line.split()
+        # In ASCII text isdigit means 0-9, so one isdigit over the joined
+        # fields checks every token, and fewer than 20 digits fit 64 bits.
+        if not (ascii_text and "".join(fields).isdigit() and max(map(len, fields)) < 20):
+            if _is_comment(line, fields):
+                continue
+            problem = _line_problem(line, fields, "token") if fields else "empty set"
+            if problem is not None:
+                raise ValueError(f"{path}:{lineno + 1}: {problem} (set id {lineno})")
+        tokens = frozenset(map(int, fields))
+        duplicates += len(fields) - len(tokens)
+        sets[lineno] = tokens
+    return sets, duplicates
+
+
+def pairs_from_lines(path: str) -> list[tuple[int, int]]:
+    """load_pairs line by line, for any file."""
+    lines, ascii_text = text_lines(path)
+    pairs: list[tuple[int, int]] = []
+    for lineno, line in enumerate(lines):
+        fields = line.split()
+        try:
+            id_a, id_b = fields
+            # In ASCII text isdigit means 0-9, and a line under 22 characters
+            # holds no id of 20 digits, so both ids fit 64 bits.
+            if ascii_text and len(line) < 22 and id_a.isdigit() and id_b.isdigit():
+                pairs.append((int(id_a), int(id_b)))
+                continue
+        except ValueError:  # not two fields
+            pass
+        if not fields or _is_comment(line, fields):
+            continue
+        problem = _line_problem(line, fields, "set id")
+        if problem is None and len(fields) != 2:
+            problem = f"expected two set ids, got {line!r}"
+        if problem is not None:
+            raise ValueError(f"{path}:{lineno + 1}: {problem}")
+        pairs.append((int(fields[0]), int(fields[1])))
+    return pairs

@@ -500,12 +500,19 @@ class TestSignatureMatrix:
                 SignatureMatrix(np.array(ids, dtype=np.uint64), values, "fp")
 
     def test_ids_and_matrix_it_cannot_use_are_refused(self):
-        """int64 ids are checked by the integer rule before the order check,
-        so -1 is refused rather than wrapped to 2**64 - 1 past 5 and 6; the
-        matrix must be 2-D unsigned 64-bit with one row per id."""
+        """ids must be a 1-D unsigned 64-bit array: int64 ids are refused,
+        not cast, so -1 cannot wrap to 2**64 - 1 past 5 and 6; the matrix
+        must be 2-D unsigned 64-bit with one row per id."""
         values = np.zeros((3, 4), dtype=np.uint64)
-        with pytest.raises(ValueError, match="^set id -1 outside unsigned 64-bit range$"):
-            SignatureMatrix(np.array([-1, 5, 6]), values, "fp")
+        for ids, got in (
+            (np.array([-1, 5, 6]), "int64 (3,)"),
+            (np.array([4, 5, 6]), "int64 (3,)"),
+            (np.array([[4, 5, 6]], dtype=np.uint64), "uint64 (1, 3)"),
+            ([4, 5, 6], "<class 'list'>"),
+        ):
+            message = f"need a 1-D uint64 array of set ids, got {got}"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                SignatureMatrix(ids, values, "fp")
         for ids, matrix, got in (
             ([1, 2], values, "uint64 (3, 4)"),
             ([1, 2, 3], values.astype(np.float64), "float64 (3, 4)"),
@@ -515,7 +522,7 @@ class TestSignatureMatrix:
             message = f"need a 2-D uint64 matrix, one row per set id ({len(ids)}), got {got}"
             with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
                 SignatureMatrix(np.array(ids, dtype=np.uint64), matrix, "fp")
-        sigs = SignatureMatrix(np.array([4, 5, 6]), values, "fp")
+        sigs = SignatureMatrix(np.array([4, 5, 6], dtype=np.uint64), values, "fp")
         assert sigs.ids.dtype == np.uint64 and list(sigs) == [4, 5, 6] and 5 in sigs
 
 

@@ -26,7 +26,7 @@ from minscreen.screening import (
     build_table,
     screen_batch,
 )
-from minscreen.workload import write_pairs
+from minscreen.workload import write_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -318,7 +318,7 @@ def test_cli_names_an_id_above_uint64_range(tmp_path, capsys):
     cache_path = str(tmp_path / "sigs.mhsg")
     assert main(["sign", "--sets", str(sets_path), "--k", "100", "--out", cache_path]) == 0
     pairs_path = str(tmp_path / "pairs.txt")
-    write_pairs(pairs_path, [(0, 1), (1, 2**64)])
+    write_text(pairs_path, f"0 1\n1 {2**64}\n")  # write_pairs refuses the id
     args = ["screen", "--cache", cache_path, "--pairs", pairs_path, "--schedule", "50"]
     assert main(args + ["--out", str(tmp_path / "o.csv")]) == 1
     message = f"error: {pairs_path}:2: set id {2**64} outside unsigned 64-bit range\n"

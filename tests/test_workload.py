@@ -3,6 +3,7 @@
 import itertools
 import logging
 import os
+import random
 import re
 import threading
 import tracemalloc
@@ -25,6 +26,7 @@ from minscreen.workload import (
     write_sets,
     write_text,
 )
+from oracles import pairs_from_lines, sets_from_lines
 
 
 class TestLoadSets:
@@ -228,8 +230,8 @@ class TestBothReaders:
         ],
     )
     def test_ids_up_to_the_top_of_64_bits_are_read(self, tmp_path, text, expected):
-        # each line here fails a fast test (20 digits or more, or a pair line
-        # of 22 characters or more) and is read by the full checks
+        # an id of 20 digits or more is read by Python, with its range check;
+        # a run of tabs and spaces separates two ids as one space does
         path = tmp_path / "ids.txt"
         path.write_text(text)
         assert (load_sets(str(path)), load_pairs(str(path))) == expected
@@ -251,28 +253,27 @@ def _first_id(text: bytes, new: bytes) -> bytes:
     return new + text[text.index(b" "):]
 
 
-# Byte edits of a file that write_sets or write_pairs wrote, and whether the
-# result is still canonical, so that _scan_ids reads it.
+# Byte edits of a file that write_sets or write_pairs wrote.
 _EDITS = {
-    "as written": (lambda t: t, True),
-    "leading zeros": (lambda t: b"00" + t, True),
-    "19 digits": (lambda t: _first_id(t, b"9999999999999999999"), True),
-    "repeated token": (lambda t: t[: t.index(b" ") + 1] + t, True),
-    "three ids on a line": (lambda t: t.replace(b"\n", b" 5\n", 1), True),
-    "tabs": (lambda t: t.replace(b" ", b"\t"), False),
-    "double spaces": (lambda t: t.replace(b" ", b"  "), False),
-    "leading space": (lambda t: b" " + t, False),
-    "trailing spaces": (lambda t: t.replace(b"\n", b" \n"), False),
-    "crlf": (lambda t: t.replace(b"\n", b"\r\n"), False),
-    "cr line ends": (lambda t: t.replace(b"\n", b"\r"), False),
-    "one lone cr": (lambda t: t.replace(b"\n", b"\r", 1), False),
-    "comment line": (lambda t: b"# header\n" + t, False),
-    "blank line": (lambda t: t.replace(b"\n", b"\n\n", 1), False),
-    "no final newline": (lambda t: t[:-1], False),
-    "2**64 - 1": (lambda t: _first_id(t, b"%d" % (2**64 - 1)), False),
-    "2**64": (lambda t: _first_id(t, b"%d" % 2**64), False),
-    "non-ascii byte": (lambda t: t.replace(b"\n", b"\xe9\n", 2), False),
-    "empty": (lambda t: b"", False),
+    "as written": lambda t: t,
+    "leading zeros": lambda t: b"00" + t,
+    "19 digits": lambda t: _first_id(t, b"9999999999999999999"),
+    "repeated token": lambda t: t[: t.index(b" ") + 1] + t,
+    "three ids on a line": lambda t: t.replace(b"\n", b" 5\n", 1),
+    "tabs": lambda t: t.replace(b" ", b"\t"),
+    "double spaces": lambda t: t.replace(b" ", b"  "),
+    "leading space": lambda t: b" " + t,
+    "trailing spaces": lambda t: t.replace(b"\n", b" \n"),
+    "crlf": lambda t: t.replace(b"\n", b"\r\n"),
+    "cr line ends": lambda t: t.replace(b"\n", b"\r"),
+    "one lone cr": lambda t: t.replace(b"\n", b"\r", 1),
+    "comment line": lambda t: b"# header\n" + t,
+    "blank line": lambda t: t.replace(b"\n", b"\n\n", 1),
+    "no final newline": lambda t: t[:-1],
+    "2**64 - 1": lambda t: _first_id(t, b"%d" % (2**64 - 1)),
+    "2**64": lambda t: _first_id(t, b"%d" % 2**64),
+    "non-ascii byte": lambda t: t.replace(b"\n", b"\xe9\n", 2),
+    "empty": lambda t: b"",
 }
 
 
@@ -301,67 +302,103 @@ def _outcome(reader, path, caplog):
     return value, [record.getMessage() for record in caplog.records]
 
 
+def _oracle_outcome(reader, path):
+    """What the per-line loop of tests/oracles.py for reader gives for path,
+    in _outcome's form."""
+    try:
+        if reader is load_pairs:
+            return pairs_from_lines(path), []
+        sets, duplicates = sets_from_lines(path)
+    except ValueError as exc:
+        return (type(exc), str(exc)), []
+    return sets, [f"{path}: deduplicated {duplicates} repeated tokens"] if duplicates else []
+
+
+# The pieces of _random_file's lines.
+_SEPARATORS = (b" ", b"\t", b"\x0b", b"\x0c", b"\x1c", b"\x1f")
+_LINE_ENDS = (b"\n", b"\r", b"\r\n")
+_JUNK = (b"#", b"x", b"-", b"\xe9")
+
+
+def _random_id(rng):
+    """Mostly 1 to 3 digits; now and then 19 to 25, some near 2**64."""
+    if rng.random() < 0.95:
+        return b"%d" % rng.randrange(1000)
+    if rng.random() < 0.5:
+        return b"0" * rng.randrange(6) + b"%d" % (2**64 + rng.randrange(-2, 2))
+    return bytes(rng.choice(b"0123456789") for _ in range(rng.randint(19, 25)))
+
+
+def _random_file(rng, ids_per_line):
+    """A few lines of ids and separators, each ending at a random line end
+    (the last maybe at none), some with a leading '#' or other junk."""
+    junk = rng.choice((0.0, 0.0, 0.03, 0.15))
+    lines = []
+    for _ in range(rng.choice((0, 1, 2, 2, 3, 3, 4, 5, 6))):
+        pieces = [rng.choice(_SEPARATORS)] if rng.random() < 0.2 else []
+        for index in range(rng.choice(ids_per_line)):
+            if index:
+                pieces += rng.choices(_SEPARATORS, k=rng.choice((1, 1, 1, 2)))
+            pieces.append(_random_id(rng))
+        if rng.random() < 0.2:
+            pieces.append(rng.choice(_SEPARATORS))
+        if rng.random() < 0.1:
+            pieces.insert(0, b"#")
+        for _ in range(len(pieces)):
+            if rng.random() < junk:
+                pieces.insert(rng.randrange(len(pieces) + 1), rng.choice(_JUNK))
+        lines.append(b"".join(pieces) + rng.choice(_LINE_ENDS))
+    if lines and rng.random() < 0.3:
+        lines[-1] = lines[-1].rstrip(b"\r\n")
+    return b"".join(lines)
+
+
 class TestCanonicalScan:
-    """Files in write_sets/write_pairs form are read by one numpy scan of
-    their bytes; everything else by the per-line loop, with the same result
-    on canonical text."""
+    """Every sets and pairs file, written by write_sets or write_pairs or
+    edited by hand, is read by one numpy scan of its bytes, which gives the
+    values, warnings and messages of the per-line loops in tests/oracles.py."""
 
     @pytest.mark.parametrize("edit", list(_EDITS))
     @pytest.mark.parametrize("reader", [load_sets, load_pairs], ids=["sets", "pairs"])
     @pytest.mark.parametrize("source", ["sets", "pairs"])
-    def test_scan_and_per_line_loop_agree(
-        self, tmp_path, monkeypatch, caplog, edit, reader, source
-    ):
+    def test_scan_and_per_line_loop_agree(self, tmp_path, caplog, edit, reader, source):
         _, _, sets_path, pairs_path = _written_files(tmp_path)
-        change, canonical = _EDITS[edit]
         path = tmp_path / "edited.txt"
-        path.write_bytes(change((sets_path if source == "sets" else pairs_path).read_bytes()))
-        assert (workload._scan_ids(str(path)) is not None) == canonical
-        scanned = _outcome(reader, str(path), caplog)
-        monkeypatch.setattr(workload, "_scan_ids", lambda path: None)
-        assert scanned == _outcome(reader, str(path), caplog)
+        path.write_bytes(_EDITS[edit]((sets_path if source == "sets" else pairs_path).read_bytes()))
+        assert _outcome(reader, str(path), caplog) == _oracle_outcome(reader, str(path))
+
+    @pytest.mark.parametrize(
+        "reader, ids_per_line",
+        [(load_sets, (0, 1, 2, 3, 3, 4)), (load_pairs, (0, 1, 2, 2, 2, 2, 3))],
+        ids=["sets", "pairs"],
+    )
+    def test_random_files_are_read_as_the_per_line_loop_reads_them(
+        self, tmp_path, caplog, reader, ids_per_line
+    ):
+        rng = random.Random(20)
+        path = str(tmp_path / "random.txt")
+        read = 0
+        for _ in range(2000):
+            with open(path, "wb") as fh:
+                fh.write(_random_file(rng, ids_per_line))
+            outcome = _outcome(reader, path, caplog)
+            assert outcome == _oracle_outcome(reader, path), open(path, "rb").read()
+            read += not isinstance(outcome[0], tuple)
+        assert 400 < read < 1600  # both values and messages are compared
 
     def test_ids_are_read_column_by_column(self, tmp_path):
         values = [0, 7, 10, 99, 100, 12345, 10**18, 9999999999999999999]
         path = tmp_path / "ids.txt"
-        path.write_bytes(b"1 2\n" + " ".join(map(str, values)).encode() + b"\n3\n")
-        ids, ends = workload._scan_ids(str(path))
+        path.write_bytes(
+            b"1 2\n# 5 6\n" + " ".join(map(str, values)).encode()
+            + b"\n3\n%d 00000000000000000000042\n" % (2**64 - 1)
+        )
+        ids, counts = workload._read_ids(str(path), pairs=False)
         assert ids.dtype == np.uint64
-        assert ids.tolist() == [1, 2, *values, 3]
-        assert ends.tolist() == [2, 2 + len(values), 3 + len(values)]
+        assert ids.tolist() == [1, 2, *values, 3, 2**64 - 1, 42]
+        assert counts.tolist() == [2, 0, len(values), 1, 2]
 
-    def test_written_files_never_reach_the_per_line_loop(self, tmp_path, monkeypatch):
-        read = []
-        read_lines = workload.read_lines
-        monkeypatch.setattr(
-            workload, "read_lines", lambda path: read.append(path) or read_lines(path)
-        )
-        sets, pairs, sets_path, pairs_path = _written_files(tmp_path)
-        all_pairs_path = tmp_path / "all-pairs.txt"
-        all_pairs = list(itertools.combinations(range(len(sets)), 2))
-        write_pairs(str(all_pairs_path), all_pairs)
-        gen_sets, gen_pairs = tmp_path / "gen-sets.txt", tmp_path / "gen-pairs.txt"
-        assert main(["gen", "--group", "0.5:30:5-9", "--group", "0.1:30:15-25", "--seed", "7",
-                     "--out-sets", str(gen_sets), "--out-pairs", str(gen_pairs)]) == 0
-        assert load_sets(str(sets_path)) == sets
-        assert load_pairs(str(pairs_path)) == pairs
-        assert load_pairs(str(all_pairs_path)) == all_pairs
-        assert (load_sets(str(gen_sets)), load_pairs(str(gen_pairs))) == gen_synthetic(
-            WorkloadSpec((parse_group("0.5:30:5-9"), parse_group("0.1:30:15-25")), seed=7)
-        )
-        assert read == []
-        for path, reader, expected in (
-            (sets_path, load_sets, sets),
-            (pairs_path, load_pairs, pairs),
-        ):
-            crlf = tmp_path / f"crlf-{path.name}"
-            crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-            assert reader(str(crlf)) == expected
-        assert read == [str(tmp_path / "crlf-sets.txt"), str(tmp_path / "crlf-pairs.txt")]
-
-    def test_a_pipe_is_read_once_by_the_per_line_loop(self, tmp_path):
-        # CRLF text, which the per-line loop must read, and could not if the
-        # scan had read the pipe first
+    def test_a_pipe_is_read_once(self, tmp_path):
         path = tmp_path / "pairs.fifo"
         os.mkfifo(path)
         read = []
@@ -376,24 +413,20 @@ class TestCanonicalScan:
         assert not any(thread.is_alive() for thread in threads)
         assert read == [[(0, 1), (2, 3)]]
 
-    def test_scanning_a_pairs_file_takes_no_more_memory_than_the_per_line_loop(
-        self, tmp_path, monkeypatch
-    ):
+    def test_scanning_a_pairs_file_takes_no_more_memory_than_the_per_line_loop(self, tmp_path):
         pairs = list(itertools.combinations(range(300), 2))
         path = tmp_path / "pairs.txt"
         write_pairs(str(path), pairs)
 
-        def peak():
+        def peak(reader):
             tracemalloc.start()
             try:
-                assert load_pairs(str(path)) == pairs
+                assert reader(str(path)) == pairs
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        scanned = peak()
-        monkeypatch.setattr(workload, "_scan_ids", lambda path: None)
-        assert scanned <= 1.1 * peak()
+        assert peak(load_pairs) <= 1.1 * peak(pairs_from_lines)
 
 
 class TestRoundTrips:
@@ -408,6 +441,41 @@ class TestRoundTrips:
         path = tmp_path / "pairs.txt"
         write_pairs(str(path), pairs)
         assert load_pairs(str(path)) == pairs
+
+    def test_gen_files_load_back_as_generated(self, tmp_path, capsys):
+        sets_path, pairs_path = tmp_path / "sets.txt", tmp_path / "pairs.txt"
+        groups = ["0.5:30:5-9", "0.1:30:15-25"]
+        assert main(["gen", "--group", groups[0], "--group", groups[1], "--seed", "7",
+                     "--out-sets", str(sets_path), "--out-pairs", str(pairs_path)]) == 0
+        assert (load_sets(str(sets_path)), load_pairs(str(pairs_path))) == gen_synthetic(
+            WorkloadSpec(tuple(map(parse_group, groups)), seed=7)
+        )
+
+    def test_numpy_and_bool_ids_are_written_as_the_ints_they_are(self, tmp_path):
+        sets = {0: {np.uint64(2**64 - 1), np.int8(3)}, 1: {True, np.uint16(2)}}
+        pairs = [(np.int64(0), True), (np.uint8(1), False)]
+        sets_path, pairs_path = tmp_path / "sets.txt", tmp_path / "pairs.txt"
+        write_sets(str(sets_path), sets)
+        write_pairs(str(pairs_path), pairs)
+        assert sets_path.read_bytes() == b"3 18446744073709551615\n1 2\n"
+        assert load_sets(str(sets_path)) == {0: {2**64 - 1, 3}, 1: {1, 2}}
+        assert load_pairs(str(pairs_path)) == [(0, 1), (1, 0)]
+
+    @pytest.mark.parametrize(
+        "writer, value, message",
+        [
+            (write_pairs, [(1.5, 2)], "set id 1.5 is not an integer"),
+            (write_pairs, [(0, 1), (1, 2, 3)], "pair 1 is (1, 2, 3), not two set ids"),
+            (write_sets, {0: {True, 2}, 1: {-3, 4}}, "token -3 outside unsigned 64-bit range"),
+            (write_sets, {0: {"7"}}, "token '7' is not an integer"),
+        ],
+    )
+    def test_a_bad_id_is_named_and_writes_nothing(self, tmp_path, writer, value, message):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            writer(str(path), value)
+        assert path.read_bytes() == b"kept\n"
 
     def test_write_sets_requires_contiguous_ids(self, tmp_path):
         with pytest.raises(ValueError, match="contiguous"):
