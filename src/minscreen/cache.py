@@ -18,8 +18,9 @@ them. The mapping holds the file's contents and one open file descriptor
 (mmap keeps a duplicate) until the last array read from it is dropped, also
 when a SignatureMatrix outlives its SignatureCache: each live read counts
 against the descriptor limit. A cache must not be modified in place while a
-screen reads it. write_cache never does: it writes a new file beside the
-target and renames it over the target, so its directory must be writable.
+screen reads it. write_cache never does: like every file the package
+writes, a cache is written by workload.replace_file, to a new file that is
+renamed over the target, so its directory must be writable.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 
 from .minhash import Signature, SignatureMatrix
 from .sets import as_u64
+from .workload import replace_file
 
 MAGIC = b"MHSG"
 VERSION = 1
@@ -57,12 +59,9 @@ def _records(k: int) -> np.dtype:
 def write_cache(path: str, master_seed: int, signatures: Mapping[int, Signature]) -> None:
     """Write signatures of one family keyed by set id, the seed by sets.as_u64.
 
-    The cache is written to a new file in the target's directory and renamed
-    over the target (a symlink's target), so a screen that has the old file
-    mapped keeps reading the old file; on failure the old file is untouched.
-    A new file gets the mode open(path, "wb") would give it. A target that
-    exists and is not a regular file, such as /dev/null, is opened and
-    written as it is, never replaced.
+    The cache is written by workload.replace_file: a screen that has the old
+    file mapped keeps reading it, a failed write leaves it untouched, and a
+    target that is not a regular file, such as /dev/null, is written in place.
     """
     master_seed = as_u64(master_seed, "master_seed")
     if not signatures:
@@ -70,27 +69,7 @@ def write_cache(path: str, master_seed: int, signatures: Mapping[int, Signature]
     matrix = SignatureMatrix.stack(signatures)
     if matrix.fingerprint != (master_seed, matrix.k):
         raise ValueError(f"signatures come from a different family than seed {master_seed}")
-
-    try:
-        in_place = not stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
-        in_place = False
-    if in_place:
-        with open(path, "wb") as fh:
-            _write_to(fh, master_seed, matrix)
-        return
-    directory, name = os.path.split(os.path.realpath(path))
-    temporary = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
-    # O_EXCL never opens an existing file; mode 0o666 is masked by the umask
-    # as open(path, "wb") masks it (mkstemp would give 0o600).
-    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "wb") as fh:
-            _write_to(fh, master_seed, matrix)
-        os.replace(temporary, os.path.join(directory, name))
-    except BaseException:
-        os.unlink(temporary)
-        raise
+    replace_file(path, lambda fh: _write_to(fh, master_seed, matrix))
 
 
 def _write_to(fh: BinaryIO, master_seed: int, matrix: SignatureMatrix) -> None:

@@ -32,7 +32,7 @@ import itertools
 import os
 from collections.abc import Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import AbstractSet
 
 import numpy as np
@@ -102,13 +102,17 @@ def derive_keys(master_seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class HashFamily:
-    """k keyed hash slots from one master seed, named by fingerprint (master_seed, k)."""
+    """k keyed hash slots from one master seed, named by fingerprint (master_seed,
+    k). The keys follow from it, so families compare and hash by seed and k."""
 
     k: int
     master_seed: int
-    key_add: np.ndarray
-    key_mid: np.ndarray
-    fingerprint: tuple[int, int]
+    key_add: np.ndarray = field(compare=False, repr=False)
+    key_mid: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def fingerprint(self) -> tuple[int, int]:
+        return self.master_seed, self.k
 
 
 @dataclass(frozen=True)
@@ -240,13 +244,7 @@ def make_family(k: int, master_seed: int) -> HashFamily:
     """Derive the keyed slots for a family of k hash functions."""
     k, master_seed = validate_family_args(k, master_seed)
     key_add, key_mid = derive_keys(master_seed, k)
-    return HashFamily(
-        k=k,
-        master_seed=master_seed,
-        key_add=key_add,
-        key_mid=key_mid,
-        fingerprint=(master_seed, k),
-    )
+    return HashFamily(k=k, master_seed=master_seed, key_add=key_add, key_mid=key_mid)
 
 
 def sign(family: HashFamily, tokens: AbstractSet[int]) -> Signature:

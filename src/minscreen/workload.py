@@ -15,8 +15,8 @@ range check) and a line of the wrong shape (an error). A byte outside ASCII
 is an error that names its line, a comment included. Token and set ids are
 plain ASCII decimal digits, no sign and no underscore, of value at most
 2**64 - 1. An error names the first bad line as path:N, N counting lines
-from 1; in a sets file also the set id, N-1. Every text file is written by
-write_text.
+from 1; in a sets file also the set id, N-1. Every file the package writes,
+a cache too, is written whole beside its target by replace_file, then renamed.
 
 Synthetic pairs are constructed, not sampled: a target similarity a/b in
 lowest terms becomes a*c shared tokens out of b*c union tokens, so the
@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import logging
 import numbers
+import os
+import stat
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, BinaryIO, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -70,12 +72,39 @@ def read_lines(path: str) -> list[str]:
     return _read_bytes(path).decode("ascii", "surrogateescape").split("\n")[:-1]
 
 
+def replace_file(path: str, write: Callable[[BinaryIO], object]) -> None:
+    """Fill a new file beside path (a symlink's target) by write(fh) and
+    rename it over path: a failed write leaves the old file and no new one.
+    The file, new or replacing one, gets the mode and owner open(path, "wb")
+    gives a new file. A target that is not a regular file, such as /dev/null
+    or a pipe, is opened and written in place, never replaced."""
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "wb") as fh:
+            write(fh)
+        return
+    directory, name = os.path.split(os.path.realpath(path))
+    temporary = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    # O_EXCL opens no existing file; 0o666 is masked as open() masks it.
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named by the target: the temporary is ours
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "wb") as fh:
+            write(fh)
+        os.replace(temporary, os.path.join(directory, name))
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
 def write_text(path: str, text: str) -> None:
-    """text to path as ASCII bytes, encoded before the file is opened and
-    emptied: a text that cannot be encoded leaves the file as it was."""
-    data = text.encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(data)
+    """text to path as ASCII bytes by replace_file."""
+    replace_file(path, lambda fh: fh.write(text.encode("ascii")))
 
 
 def _is_comment(line: str, fields: list[str]) -> bool:

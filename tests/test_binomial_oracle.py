@@ -126,7 +126,8 @@ def test_golden_tables_keep_their_anchors():
 def test_the_accept_side_exceeds_e_at_its_cutoff():
     """The walk accepts at X >= m_u, but the table bounds only P(X > m_u):
     at k = 100, T = 0.5, e = 1e-3 the README quotes 1.76e-3 for the first
-    and 8.9e-4 for the second."""
+    and 8.9e-4 for the second. At T = 0.99 m_u is k itself, so a pair at
+    J = T is accepted whenever all k slots match: 0.99**100 = 0.366."""
     (row,) = build_threshold_table(0.5, 1e-3, (100,)).rows
     assert row.m_u == 65
     at_or_above = exact_upper(row.m_u - 1, 100, Fraction(1, 2))
@@ -134,3 +135,7 @@ def test_the_accept_side_exceeds_e_at_its_cutoff():
     assert f"{float(at_or_above):.2e}" == "1.76e-03"
     assert f"{float(above):.1e}" == "8.9e-04"
     assert above <= Fraction(1, 1000) < at_or_above
+    (row,) = build_threshold_table(0.99, 1e-3, (100,)).rows
+    assert row.m_u == 100
+    assert exact_upper(99, 100, Fraction(99, 100)) == Fraction(99, 100) ** 100
+    assert f"{float(Fraction(99, 100) ** 100):.3f}" == "0.366"

@@ -18,6 +18,7 @@ from minscreen.cache import MAGIC, SignatureCache, read_cache, write_cache
 from minscreen.cli import main
 from minscreen.minhash import SignatureMatrix, make_family, sign, sign_many
 from minscreen.screening import ScreenConfig, screen_batch
+from minscreen.workload import write_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -312,9 +313,24 @@ def test_replacing_a_cache_leaves_signatures_read_from_it_unchanged(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["c.mhsg"]
 
 
-def test_a_failed_replace_leaves_the_old_cache_and_no_temporary_file(tmp_path, monkeypatch):
-    path = tmp_path / "c.mhsg"
-    write_cache(str(path), 42, _some_signatures())
+def _write_cache_version(path, version):
+    write_cache(path, version, _random_matrix(3, 8, version))
+
+
+def _write_text_version(path, version):
+    write_text(path, f"version {version}\n")
+
+
+# Every output file is written by workload.replace_file, caches and text alike.
+each_writer = pytest.mark.parametrize(
+    "write", [_write_cache_version, _write_text_version], ids=["write_cache", "write_text"]
+)
+
+
+@each_writer
+def test_a_failed_replace_leaves_the_old_file_and_no_temporary_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "c.out"
+    write(str(path), 42)
     old_bytes = path.read_bytes()
 
     def refuse(src, dst):
@@ -322,34 +338,49 @@ def test_a_failed_replace_leaves_the_old_cache_and_no_temporary_file(tmp_path, m
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="replace refused"):
-        write_cache(str(path), 7, _random_matrix(3, 8, 7))
+        write(str(path), 7)
     assert path.read_bytes() == old_bytes
-    assert sorted(os.listdir(tmp_path)) == ["c.mhsg"]
+    assert sorted(os.listdir(tmp_path)) == ["c.out"]
 
 
-def test_a_new_cache_has_the_mode_open_gives_a_new_file(tmp_path):
+@each_writer
+def test_a_new_or_replaced_file_has_the_mode_open_gives_a_new_file(tmp_path, write):
+    replaced = tmp_path / "replaced.out"
+    replaced.write_bytes(b"old")
+    replaced.chmod(0o604)
     umask = os.umask(0o027)
     try:
-        write_cache(str(tmp_path / "c.mhsg"), 42, _some_signatures())
+        write(str(tmp_path / "c.out"), 42)
+        write(str(replaced), 42)
         with open(tmp_path / "plain", "wb"):
             pass
     finally:
         os.umask(umask)
-    mode = stat.S_IMODE((tmp_path / "c.mhsg").stat().st_mode)
-    assert mode == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o640
+    for path in (tmp_path / "c.out", replaced, tmp_path / "plain"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
 
-def test_sign_out_through_a_symlink_updates_its_target(tmp_path, capsys):
-    target = tmp_path / "store" / "sigs.mhsg"
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["sign", "--sets", str(GOLDEN / "sign_sets.txt"), "--k", "256", "--seed", "42"],
+         "sign_k256_seed42.mhsg"),
+        (["thresholds", "--threshold", "0.5", "--e", "1e-3", "--schedule",
+          ",".join(map(str, range(100, 1000, 100)))],
+         "thresholds_t0.5_e1e-3_100-900.csv"),
+    ],
+    ids=["sign", "thresholds"],
+)
+def test_an_output_through_a_symlink_updates_its_target(tmp_path, capsys, argv, golden):
+    target = tmp_path / "store" / "out"
     target.parent.mkdir()
     target.write_bytes(b"stale")
-    link = tmp_path / "link.mhsg"
+    link = tmp_path / "link"
     link.symlink_to(target)
-    argv = ["sign", "--sets", str(GOLDEN / "sign_sets.txt"), "--k", "256", "--seed", "42"]
     assert main(argv + ["--out", str(link)]) == 0
     assert link.is_symlink() and os.readlink(link) == str(target)
-    assert target.read_bytes() == (GOLDEN / "sign_k256_seed42.mhsg").read_bytes()
-    assert sorted(os.listdir(target.parent)) == ["sigs.mhsg"]
+    assert target.read_bytes() == (GOLDEN / golden).read_bytes()
+    assert sorted(os.listdir(target.parent)) == ["out"]
 
 
 def test_a_pipe_is_read_into_memory(tmp_path):
@@ -367,23 +398,25 @@ def test_a_pipe_is_read_into_memory(tmp_path):
     assert back.master_seed == 3 and np.array_equal(back.signatures.matrix, signatures.matrix)
 
 
-def test_a_target_that_is_not_a_regular_file_is_never_replaced(tmp_path):
-    """A pipe stands in for a device such as /dev/null: write_cache opens it
+@each_writer
+def test_a_target_that_is_not_a_regular_file_is_never_replaced(tmp_path, write):
+    """A pipe stands in for a device such as /dev/null: the writer opens it
     as it is (numpy may refuse to write records to a pipe) and leaves no
     regular file in its place or beside it."""
-    fifo = tmp_path / "pipe.mhsg"
+    regular, fifo = tmp_path / "regular.out", tmp_path / "pipe.out"
+    write(str(regular), 42)
     os.mkfifo(fifo)
     drained = []
     reader = threading.Thread(target=lambda: drained.append(fifo.read_bytes()), daemon=True)
     reader.start()
     try:
         with contextlib.suppress(OSError):
-            write_cache(str(fifo), 42, _some_signatures())
+            write(str(fifo), 42)
     finally:
         reader.join(timeout=10)
         if reader.is_alive():  # nothing opened the pipe for writing
             os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
             reader.join(timeout=10)
-    assert drained and drained[0].startswith(MAGIC)
+    assert drained and drained[0][:4] == regular.read_bytes()[:4]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
-    assert os.listdir(tmp_path) == ["pipe.mhsg"]
+    assert sorted(os.listdir(tmp_path)) == ["pipe.out", "regular.out"]

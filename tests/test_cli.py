@@ -1,6 +1,7 @@
 """Harness plumbing and the command-line workflow, end to end."""
 
 import csv
+import errno
 import io
 import json
 import os
@@ -736,6 +737,33 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert main(["fr", "--outcomes", str(workdir / "nothing.csv"), "--schedule", ""]) == 1
         assert "non-empty" in capsys.readouterr().err
+
+    def test_a_failed_replace_leaves_both_old_outputs(self, workdir, capsys, monkeypatch):
+        out, report = workdir / "o.csv", workdir / "o.json"
+        out.write_bytes(b"old outcomes\n")
+        report.write_bytes(b"old report\n")
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def refuse(src, dst):
+            raise full
+
+        monkeypatch.setattr(os, "replace", refuse)
+        argv = ["screen", "--sets", str(workdir / "sets.txt"), "--pairs", str(workdir / "pairs.txt")]
+        argv += ["--k", "200", "--schedule", "100", "--out", str(out), "--report", str(report)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {full}\n"
+        assert out.read_bytes() == b"old outcomes\n"
+        assert report.read_bytes() == b"old report\n"
+        assert sorted(os.listdir(workdir)) == ["o.csv", "o.json", "pairs.txt", "sets.txt"]
+
+    @pytest.mark.parametrize("command", ["sign", "screen"])
+    def test_an_output_in_a_missing_directory_is_named(self, workdir, capsys, command):
+        out = workdir / "nodir" / "x.out"
+        argv = [command, "--sets", str(workdir / "sets.txt"), "--k", "64", "--out", str(out)]
+        if command == "screen":
+            argv += ["--pairs", str(workdir / "pairs.txt"), "--schedule", "32"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
     def test_cache_flag_conflicts_are_rejected(self, workdir, capsys):
         assert (

@@ -73,7 +73,9 @@ class TestFamily:
     def test_same_inputs_same_key_material(self):
         one = make_family(200, 7)
         two = make_family(200, 7)
-        assert one.fingerprint == two.fingerprint
+        assert one.fingerprint == two.fingerprint == (7, 200)
+        assert one == two and hash(one) == hash(two)
+        assert {one: "signed"}[two] == "signed"
         assert np.array_equal(one.key_add, two.key_add)
         assert np.array_equal(one.key_mid, two.key_mid)
 
@@ -89,6 +91,9 @@ class TestFamily:
     def test_fingerprint_separates_configurations(self):
         assert make_family(10, 1).fingerprint != make_family(10, 2).fingerprint
         assert make_family(10, 1).fingerprint != make_family(11, 1).fingerprint
+        assert make_family(10, 1) != make_family(10, 2)
+        assert make_family(10, 1) != make_family(11, 1)
+        assert len({make_family(10, 1), make_family(10, 2), make_family(11, 1)}) == 3
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Set/pair file formats and exact-similarity workload generation."""
 
+import errno
 import itertools
 import logging
 import os
@@ -22,6 +23,7 @@ from minscreen.workload import (
     load_pairs,
     load_sets,
     parse_group,
+    replace_file,
     write_pairs,
     write_sets,
     write_text,
@@ -487,8 +489,28 @@ class TestRoundTrips:
         with pytest.raises(UnicodeEncodeError):
             write_text(str(path), "a\n\u03b5\n")
         assert path.read_bytes() == b"kept\r\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
         write_text(str(path), "a\nb\n")
         assert path.read_bytes() == b"a\nb\n"
+
+
+class TestReplaceFile:
+    @pytest.mark.parametrize("old", [b"kept\n", None], ids=["existing", "new"])
+    def test_a_write_that_fails_midway_leaves_the_old_file_and_no_temporary(self, tmp_path, old):
+        path = tmp_path / "out.txt"
+        if old is not None:
+            path.write_bytes(old)
+
+        def write_until_the_disk_is_full(fh):
+            fh.write(b"0 1\n" * 1000)
+            fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with pytest.raises(OSError) as failed:
+            replace_file(str(path), write_until_the_disk_is_full)
+        assert failed.value.errno == errno.ENOSPC
+        assert os.listdir(tmp_path) == ([] if old is None else ["out.txt"])
+        assert old is None or path.read_bytes() == old
 
 
 class TestParseGroup:
