@@ -142,7 +142,8 @@ def _cmd_fr(args: argparse.Namespace) -> int:
     if not schedule:
         raise ValueError("fr needs a non-empty --schedule")
     labelled: dict[str, str] = {}
-    for label, _, path in (item.rpartition("=") for item in args.outcomes):  # [LABEL=]PATH
+    for item in args.outcomes:  # [LABEL=]PATH, the label ending at the first "="
+        label, _, path = item.partition("=") if "=" in item else ("", "", item)
         label = label or path
         if not label.isascii():
             raise ValueError(f"--outcomes label {label!r} is not ASCII")
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         required=True,
         metavar="[LABEL=]PATH",
-        help="outcomes CSV to include (repeatable)",
+        help="outcomes CSV to include (repeatable); LABEL ends at the first '='",
     )
     p_fr.add_argument("--schedule", default=_DEFAULT_SCHEDULE_TEXT)
     p_fr.add_argument("--out", default=None)

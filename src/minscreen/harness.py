@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import AbstractSet, Mapping, Sequence
 
 from .minhash import Signature, make_family, sign_many
-from .sets import jaccard_at_least
+from .sets import as_u64, jaccard_at_least
 from .workload import parse_decimal, read_lines, write_text
 from .screening import (
     ABOVE,
@@ -184,8 +184,8 @@ def read_outcomes_csv(path: str) -> tuple[list[tuple[int, int]], list[PairOutcom
 def _parse_outcome_row(row: list[str], position: int) -> tuple[tuple[int, int], PairOutcome]:
     """One outcomes row as outcomes_csv writes it: a known decision and kind,
     an early row deciding as its kind says at a checkpoint (at least 1) equal
-    to comparisons_used, plain decimal integers, an estimate in [0, 1] by
-    repr, and, checked last, a pair_index equal to the row's position."""
+    to comparisons_used, plain decimal integers, set ids by sets.as_u64, an
+    estimate in [0, 1] by repr, and, checked last, pair_index == position."""
     if not all(field.isascii() for field in row):
         raise ValueError("non-ASCII byte")
     if len(row) != len(OUTCOME_COLUMNS):
@@ -208,6 +208,7 @@ def _parse_outcome_row(row: list[str], position: int) -> tuple[tuple[int, int], 
         outcome = PairOutcome(decision, kind, resolved_at, parse_decimal(used), float(estimate))
     except ValueError as exc:
         raise ValueError(f"bad number ({exc})") from None
+    pair = (as_u64(pair[0], "set id"), as_u64(pair[1], "set id"))
     if resolved_at == 0:
         raise ValueError("resolution_checkpoint 0, expected at least 1")
     if resolved_at is not None and outcome.comparisons_used != resolved_at:

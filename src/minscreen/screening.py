@@ -223,10 +223,10 @@ def _collect(
             row = table.rows[index]
             if x >= row.m_u:
                 outcome = PairOutcome(ABOVE, OUTPUT_EARLY, row.k, row.k, x / row.k)
-                output_at[row.k] = output_at.get(row.k, 0) + count
+                output_at[row.k] += count
             else:
                 outcome = PairOutcome(BELOW, FILTERED_EARLY, row.k, row.k, x / row.k)
-                filtered_at[row.k] = filtered_at.get(row.k, 0) + count
+                filtered_at[row.k] += count
         else:
             estimate = x / cfg.k
             decision = ABOVE if estimate >= cfg.threshold else BELOW

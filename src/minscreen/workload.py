@@ -7,16 +7,17 @@ lines are skipped.
 
 Every text file is read once, as bytes, by _read_bytes, with universal
 newlines: a line ends at "\n", "\r\n" or a lone "\r". A sets or pairs file,
-a pipe included, is then read by one numpy scan of those bytes, _read_ids.
-Inside a line, tab, vertical tab, form feed, \x1c-\x1f and space separate
-ids, as str.split() has it. Python looks only at a line holding any other
-byte (a comment, or an error), a line with an id of 20 digits or more (its
-range check) and a line of the wrong shape (an error). A byte outside ASCII
-is an error that names its line, a comment included. Token and set ids are
-plain ASCII decimal digits, no sign and no underscore, of value at most
-2**64 - 1. An error names the first bad line as path:N, N counting lines
-from 1; in a sets file also the set id, N-1. Every file the package writes,
-a cache too, is written whole beside its target by replace_file, then renamed.
+a pipe included, is then read by one numpy scan of those bytes, _read_ids,
+which builds every id. Inside a line, tab, vertical tab, form feed,
+\x1c-\x1f and space separate ids, as str.split() has it. Python only checks
+a line holding any other byte (a comment, whose ids the scan then drops, or
+an error), a line with an id of 20 digits or more (its range check) and a
+line of the wrong shape (an error). A byte outside ASCII is an error that
+names its line, a comment included. Token and set ids are plain ASCII
+decimal digits, no sign and no underscore, of value at most 2**64 - 1. An
+error names the first bad line as path:N, N counting lines from 1; in a
+sets file also the set id, N-1. Every file the package writes, a cache
+too, is written whole beside its target by replace_file, then renamed.
 
 Synthetic pairs are constructed, not sampled: a target similarity a/b in
 lowest terms becomes a*c shared tokens out of b*c union tokens, so the
@@ -134,7 +135,8 @@ def _read_ids(path: str, pairs: bool) -> tuple[np.ndarray, np.ndarray]:
     """The ids of a sets file, or with pairs of a pairs file, as one uint64
     array, and each line's id count, 0 for a comment line, whose ids are
     left out. A set has at least one id; a pairs line two, or none if blank.
-    The first line that breaks a rule is named in a ValueError."""
+    The first line that breaks a rule is named in a ValueError. Python
+    checks the lines the scan cannot, but every id comes from the scan."""
     data = _read_bytes(path)
     text = np.frombuffer(data, dtype=np.uint8)
     digits = text - np.uint8(ord("0"))  # a byte below "0" wraps past 9
@@ -153,13 +155,13 @@ def _read_ids(path: str, pairs: bool) -> tuple[np.ndarray, np.ndarray]:
         odd = np.union1d(odd, np.flatnonzero(lengths >= 20))
     shape = ((counts != 2) & (counts != 0)) if pairs else counts == 0
     look = np.union1d(line_ends.searchsorted(odd), np.flatnonzero(shape)).tolist()
-    read = []  # (line number, its ids) for each line read by Python
     for line_no in look:  # a comment, an error, or a line of long ids
         start = stops[line_ends[line_no - 1]] + 1 if line_no else 0
         line = data[start : stops[line_ends[line_no]]].decode("ascii", "surrogateescape")
         fields = line.split()
-        if _is_comment(line, fields):
-            read.append((line_no, []))
+        if _is_comment(line, fields):  # its '#' is in gaps: the filter below drops its ids
+            first = line_ends[line_no - 1] + 1 if line_no else 0
+            lengths[first : line_ends[line_no] + 1] = counts[line_no] = 0
             continue
         problem = _line_problem(line, fields, "set id" if pairs else "token")
         if problem is None and pairs and len(fields) not in (0, 2):
@@ -169,13 +171,14 @@ def _read_ids(path: str, pairs: bool) -> tuple[np.ndarray, np.ndarray]:
         if problem is not None:
             where = "" if pairs else f" (set id {line_no})"
             raise ValueError(f"{path}:{line_no + 1}: {problem}{where}")
-        read.append((line_no, list(map(int, fields))))
     if gaps.size:
         stops, lengths = stops[lengths > 0], lengths[lengths > 0]
-    # Horner's rule over at most 19 digit columns (below 2**64; Python read
-    # longer ids), at moving in place to the last; a digit before an id is 0.
+    # Horner's rule over each id's last 20 digits at most, at moving in place
+    # to the last; a digit before an id is 0. An id of 20 digits or more was
+    # checked above to be at most 2**64 - 1 < 10**20, so those digits are its
+    # value, and no prefix of them is larger: nothing wraps.
     del stop_bytes, line_ends
-    top, at = min(top, 19), stops
+    top, at = min(top, 20), stops
     at -= top
     ids = np.zeros(at.size, dtype=np.uint64)
     for column in range(top, 0, -1):
@@ -184,13 +187,6 @@ def _read_ids(path: str, pairs: bool) -> tuple[np.ndarray, np.ndarray]:
         ids *= np.uint64(10)
         ids += column_digits
         at += 1
-    if read:  # each line Python read gets the ids Python read
-        line_stops, pieces, done = np.cumsum(counts), [], 0
-        for line_no, values in read:
-            first = line_stops[line_no] - counts[line_no]
-            pieces += [ids[done:first], np.array(values, dtype=np.uint64)]
-            done, counts[line_no] = line_stops[line_no], len(values)
-        ids = np.concatenate([*pieces, ids[done:]])
     return ids, counts
 
 

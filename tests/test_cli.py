@@ -208,6 +208,14 @@ class TestHarness:
             ("0,1,2,BelowThreshold,FilteredEarly,-100,100,0.1", "bad number"),
             ("0,1,2,BelowThreshold,FilteredEarly,1_00,100,0.1", "bad number"),
             ("0,1,+2,BelowThreshold,FilteredEarly,100,100,0.1", "bad number"),
+            (
+                "0,99999999999999999999999999,1,BelowThreshold,FilteredEarly,100,100,0.1",
+                "set id 99999999999999999999999999 outside unsigned 64-bit range",
+            ),
+            (
+                "0,1,18446744073709551616,BelowThreshold,FilteredEarly,100,100,0.1",
+                "set id 18446744073709551616 outside unsigned 64-bit range",
+            ),
             ("x,1,2,BelowThreshold,FilteredEarly,100,100,0.1", "bad number"),
             ("0,1,2,BelowThreshold,FilteredEarly,100, 100,0.1", "bad number"),
             (
@@ -705,6 +713,15 @@ class TestCli:
         assert not (tmp_path / "fr.csv").exists()
         assert main(["fr", "--outcomes", f"x={a}", "--outcomes", f"y={a}", "--schedule", "100"]) == 0
         assert capsys.readouterr().out.splitlines()[1:] == ["x,100,0.0,1.0", "y,100,0.0,1.0"]
+
+    def test_fr_reads_a_path_that_holds_an_equals_sign(self, tmp_path, capsys):
+        """LABEL=PATH splits at the first '=', so an outcomes file under a
+        directory such as e=1e-3 is reached through its label."""
+        path = tmp_path / "e=1e-3" / "o.csv"
+        path.parent.mkdir()
+        path.write_text(",".join(OUTCOME_COLUMNS) + "\n0,1,2,AboveThreshold,OutputEarly,100,100,0.9\n")
+        assert main(["fr", "--outcomes", f"e3={path}", "--schedule", "100"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["e3,100,0.0,1.0"]
 
     @pytest.mark.parametrize("schedule", ["1_00,200", "100,+200"])
     def test_schedule_is_plain_decimal_digits(self, workdir, capsys, schedule):

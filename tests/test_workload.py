@@ -389,16 +389,17 @@ class TestCanonicalScan:
         assert 400 < read < 1600  # both values and messages are compared
 
     def test_ids_are_read_column_by_column(self, tmp_path):
-        values = [0, 7, 10, 99, 100, 12345, 10**18, 9999999999999999999]
+        values = [0, 7, 10, 99, 100, 12345, 10**18, 9999999999999999999, 10**19]
         path = tmp_path / "ids.txt"
         path.write_bytes(
             b"1 2\n# 5 6\n" + " ".join(map(str, values)).encode()
             + b"\n3\n%d 00000000000000000000042\n" % (2**64 - 1)
+            + b"00000%d\n# %s 8\n9\n" % (2**64 - 2, b"1234567890" * 2 + b"12345")
         )
         ids, counts = workload._read_ids(str(path), pairs=False)
         assert ids.dtype == np.uint64
-        assert ids.tolist() == [1, 2, *values, 3, 2**64 - 1, 42]
-        assert counts.tolist() == [2, 0, len(values), 1, 2]
+        assert ids.tolist() == [1, 2, *values, 3, 2**64 - 1, 42, 2**64 - 2, 9]
+        assert counts.tolist() == [2, 0, len(values), 1, 2, 1, 0, 1]
 
     def test_a_pipe_is_read_once(self, tmp_path):
         path = tmp_path / "pairs.fifo"
