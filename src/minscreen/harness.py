@@ -10,12 +10,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import AbstractSet, Mapping, Sequence
 
 from .minhash import Signature, make_family, sign_many
-from .sets import as_u64, jaccard_at_least
+from .sets import as_u64, jaccard_at_least_each
 from .workload import parse_decimal, read_lines, write_text
 from .screening import (
     ABOVE,
@@ -69,32 +71,28 @@ def screen_signatures(
 ) -> tuple[list[PairOutcome], ExperimentReport]:
     """Screen presigned pairs and aggregate the report.
 
-    With baseline=True the same signatures are also decided by a plain
-    full-width comparison, and accuracy is the fraction of pairs on which
-    the screened decision agrees with it. agreement_vs_exact is only
-    available when the underlying sets are supplied. The cutoffs are
-    cfg.table, so a config whose table is already built is not solved again.
+    With baseline=True the one screening walk also settles each pair's
+    full-width decision (see screening.screen_batch), and accuracy is the
+    fraction of pairs on which the screened decision agrees with it.
+    agreement_vs_exact is only available when the underlying sets are
+    supplied. The cutoffs are cfg.table, so a config whose table is already
+    built is not solved again.
     """
     started = time.perf_counter()
-    outcomes, summary = screen_batch(pairs, signatures, cfg)
+    outcomes, summary = screen_batch(pairs, signatures, cfg, baseline=baseline)
     fr_strict, fr_resolved = filtering_rates(
         cfg.schedule, summary.filtered_at, summary.output_at, summary.n_pairs
     )
 
     accuracy = None
     if baseline:
-        full_cfg = replace(cfg, schedule=())
-        full_outcomes, _ = screen_batch(pairs, signatures, full_cfg)
-        agree = sum(o.decision == f.decision for o, f in zip(outcomes, full_outcomes))
-        accuracy = agree / len(outcomes)
+        accuracy = summary.agree_with_full / len(outcomes)
 
     agreement_vs_exact = None
     if sets is not None:
-        hits = 0
-        for (id_a, id_b), outcome in zip(pairs, outcomes):
-            truth = jaccard_at_least(sets[id_a], sets[id_b], cfg.threshold)
-            hits += (outcome.decision == ABOVE) == truth
-        agreement_vs_exact = hits / len(outcomes)
+        above = [outcome.decision == ABOVE for outcome in outcomes]
+        truth = jaccard_at_least_each(sets, pairs, cfg.threshold)
+        agreement_vs_exact = sum(map(operator.eq, truth, above)) / len(outcomes)
 
     report = ExperimentReport(
         n_pairs=len(outcomes),
@@ -122,8 +120,9 @@ def run_screen(
     baseline: bool = False,
 ) -> tuple[list[PairOutcome], ExperimentReport]:
     """Sign the sets the pairs reference, then screen every pair."""
+    ids = dict.fromkeys(chain.from_iterable(pairs))
     try:
-        referenced = {set_id: sets[set_id] for pair in pairs for set_id in pair}
+        referenced = {set_id: sets[set_id] for set_id in ids}
     except KeyError as missing:
         raise ValueError(f"pair list references unknown set id {missing.args[0]}") from None
     signatures = sign_many(make_family(cfg.k, cfg.master_seed), referenced)

@@ -15,12 +15,21 @@ gathers only the unresolved pairs' slots of that interval straight from the
 matrix, adds the matches to their running counts, and drops the pairs the
 checkpoint resolves. A pair resolved at checkpoint k therefore costs k slot
 comparisons in time as well as in the count, and no column past the last
-checkpoint a pair reaches is read. The full-width baseline is the same call
-with an empty schedule.
+checkpoint a pair reaches is read. The plain full-width screen is the same
+call with an empty schedule.
+
+With baseline=True the same walk also settles each pair's full-width
+decision x_K / K >= T, so a run is compared with the full-width screen
+without a second walk. A pair the table resolves early stays in the walk
+only until that decision is certain: above once x >= need, the least count
+with need / K >= T, and below once x + (K - k) < need, when even K - k more
+matches cannot reach it. This is deterministic curtailment; the cutoffs
+play no part in it, and it is tested only at the walk's stops.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -98,7 +107,9 @@ class ScreenConfig:
 
 @dataclass(frozen=True)
 class BatchSummary:
-    """Aggregate accounting for one screened batch."""
+    """Aggregate accounting for one screened batch. agree_with_full counts
+    the pairs whose decision equals the full-width decision; it is None
+    unless screen_batch ran with baseline=True."""
 
     n_pairs: int
     total_comparisons: int
@@ -107,6 +118,7 @@ class BatchSummary:
     output_at: dict[int, int] = field(default_factory=dict)
     full_comparisons: int = 0
     above_threshold: tuple[tuple[int, int], ...] = ()
+    agree_with_full: int | None = None
 
 
 def build_table(cfg: ScreenConfig) -> ThresholdTable:
@@ -118,6 +130,8 @@ def screen_batch(
     signatures: Mapping[int, Signature],
     cfg: ScreenConfig,
     table: ThresholdTable | None = None,
+    *,
+    baseline: bool = False,
 ) -> tuple[list[PairOutcome], BatchSummary]:
     """Screen every pair, in order, against cfg.table.
 
@@ -129,6 +143,10 @@ def screen_batch(
     pair that survives every checkpoint is decided by its full-width match
     frequency, ties at the threshold counting as above. Each set id must
     pass sets.as_u64 and have a signature; the first that does not is named.
+    With baseline=True the walk also settles every pair's full-width
+    decision, as the module docstring says, and the summary counts the
+    pairs whose decision agrees with it. The outcomes and comparison counts
+    are those of a screen without baseline.
     """
     ids = pair_ids(pairs)
     matrix = SignatureMatrix.stack(signatures)
@@ -148,8 +166,16 @@ def screen_batch(
             "configuration's table"
         )
     table = cfg.table
-    resolved_at, matches = _walk(matrix.matrix, pair_rows[:, 0], pair_rows[:, 1], table, cfg.k)
-    return _collect(pairs, resolved_at, matches, table, cfg)
+    need = _full_need(cfg.threshold, cfg.k) if baseline else None
+    walked = _walk(matrix.matrix, pair_rows[:, 0], pair_rows[:, 1], table, cfg.k, need)
+    return _collect(pairs, *walked, table, cfg)
+
+
+def _full_need(threshold: float, k: int) -> int:
+    """The least match count x in [0, k] with x / k >= threshold, the float
+    rule of a full comparison, so ties decide as they do there; k + 1 if
+    there is none. x / k rises with x, so a bisection finds it."""
+    return bisect_left(range(k + 1), threshold, key=lambda x: x / k)
 
 
 def _count_matches(
@@ -164,13 +190,21 @@ def _count_matches(
 
 
 def _walk(
-    values: np.ndarray, a: np.ndarray, b: np.ndarray, table: ThresholdTable, k: int
-) -> tuple[np.ndarray, np.ndarray]:
+    values: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    table: ThresholdTable,
+    k: int,
+    need: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Checkpoint-major walk of the pairs of signature rows (a[i], b[i]).
 
     Returns, per pair, the index of the table row that resolved it (the
-    number of rows for a full comparison) and its match count there.
+    number of rows for a full comparison), its match count there, and,
+    with need given, whether its full-width count reaches need (else None).
     alive lists the unresolved pairs and x holds their running counts.
+    late, la, lb and lx hold the same for resolved pairs whose full-width
+    decision is not yet settled; without need it stays empty.
     """
     rows = table.rows
     stops = [row.k for row in rows]
@@ -180,11 +214,15 @@ def _walk(
     counts = np.empty(len(a), dtype=np.int64)
     alive = np.arange(len(a))
     x = np.zeros(len(a), dtype=np.int64)
+    full_above = None if need is None else np.empty(len(a), dtype=bool)
+    late, la, lb, lx = alive[:0], a[:0], b[:0], x[:0]
     lo = 0
     for index, hi in enumerate(stops):
-        if not alive.size:
+        if not alive.size and not late.size:
             break
         _count_matches(values, a, b, lo, hi, x)
+        if late.size:
+            _count_matches(values, la, lb, lo, hi, lx)
         lo = hi
         if index < len(rows):
             row = rows[index]
@@ -194,16 +232,29 @@ def _walk(
             if done.any():
                 resolved_at[alive[done]] = index
                 counts[alive[done]] = x[done]
+                if need is not None:
+                    moved = (alive[done], a[done], b[done], x[done])
+                    late, la, lb, lx = map(np.concatenate, zip((late, la, lb, lx), moved))
                 kept = ~done
                 alive, a, b, x = alive[kept], a[kept], b[kept], x[kept]
+        if late.size:
+            above = lx >= need
+            settled = above | (lx < need - (k - hi))
+            if settled.any():
+                full_above[late[settled]] = above[settled]
+                kept = ~settled
+                late, la, lb, lx = late[kept], la[kept], lb[kept], lx[kept]
     counts[alive] = x
-    return resolved_at, counts
+    if need is not None:
+        full_above[alive] = x >= need
+    return resolved_at, counts, full_above
 
 
 def _collect(
     pairs: Sequence[tuple[int, int]],
     resolved_at: np.ndarray,
     matches: np.ndarray,
+    full_above: np.ndarray | None,
     table: ThresholdTable,
     cfg: ScreenConfig,
 ) -> tuple[list[PairOutcome], BatchSummary]:
@@ -243,6 +294,7 @@ def _collect(
         output_at=output_at,
         full_comparisons=full,
         above_threshold=tuple(tuple(pairs[i]) for i in np.flatnonzero(is_above).tolist()),
+        agree_with_full=None if full_above is None else int((is_above == full_above).sum()),
     )
     return [shared[i] for i in inverse.tolist()], summary
 

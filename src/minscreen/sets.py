@@ -11,7 +11,7 @@ import numbers
 import operator
 from fractions import Fraction
 from itertools import chain
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -77,15 +77,27 @@ def jaccard_fraction(a: AbstractSet[int], b: AbstractSet[int]) -> Fraction:
     return Fraction(shared, union)
 
 
-def jaccard_at_least(a: AbstractSet[int], b: AbstractSet[int], threshold: float) -> bool:
-    """Exact test of jaccard_fraction(a, b) >= threshold, on integers only.
+def jaccard_at_least_each(
+    sets: Mapping[int, AbstractSet[int]],
+    pairs: Iterable[tuple[int, int]],
+    threshold: float,
+) -> Iterator[bool]:
+    """Per pair of set ids, in order, the exact test of the pair's
+    jaccard_fraction >= threshold, on Python integers only.
 
     A float is a dyadic rational num / den, so cross-multiplying decides the
-    comparison exactly, as comparing the Fraction with the float would.
+    comparison exactly, as comparing the Fraction with the float would; den
+    reaches 2**55 at 0.1, too large for int64 products. The overlap is
+    _overlap's, inlined: this loop runs once per screened pair.
     """
-    shared, union = _overlap(a, b)
     num, den = threshold.as_integer_ratio()
-    return shared * den >= union * num
+    for id_a, id_b in pairs:
+        a, b = sets[id_a], sets[id_b]
+        shared = len(a & b)
+        union = len(a) + len(b) - shared
+        if not union:
+            raise ValueError("undefined Jaccard: both sets are empty")
+        yield shared * den >= union * num
 
 
 def _overlap(a: AbstractSet[int], b: AbstractSet[int]) -> tuple[int, int]:

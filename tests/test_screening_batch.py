@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minscreen import screening
+from minscreen import harness, screening
 from minscreen.binomial import ThresholdTable
 from minscreen.cache import read_cache, write_cache
 from minscreen.cli import main
@@ -216,6 +216,134 @@ def test_walk_compares_no_column_past_the_last_checkpoint_reached(monkeypatch):
 def test_empty_pair_list_matches_reference():
     cfg = CONFIGS["mid-schedule"]
     assert screen_batch([], {}, cfg) == oracle_screen_batch([], {}, cfg, build_table(cfg))
+
+
+@pytest.mark.parametrize("t", [0.1, 0.3, 1 / 3, 0.5, 0.7, 0.9, 1 - 2**-53])
+def test_full_need_is_the_least_count_a_full_comparison_accepts(t):
+    """need is the first x in [0, k] whose estimate x / k reaches t, found
+    here by trying every x: the float rule of a full comparison."""
+    for k in [*range(1, 2001), 4000]:
+        accepted = np.arange(k + 1) / k >= t
+        assert screening._full_need(t, k) == int(np.argmax(accepted)), (t, k)
+
+
+BASELINE_CONFIGS = {
+    **{name: CONFIGS[name] for name in ("no-schedule", "ends-at-k", "no-discard-rows")},
+    "one-checkpoint": ScreenConfig(threshold=0.5, e=1e-2, schedule=(60,), k=200),
+    "separate-e-upper": CONFIGS["separate-e-upper"],
+    "tiny-e": ScreenConfig(threshold=0.5, e=1e-12, schedule=(20, 50, 100, 150, 180), k=200),
+}
+
+
+def boundary_signatures(k: int, need: int) -> dict[int, Signature]:
+    """Signature 0 and signatures that match it in exactly the first or the
+    last m slots, m within 3 of need or of k - need: pairs with 0 whose
+    counts meet need, or fall short of it by exactly the slots left, at
+    some stop."""
+    base = np.arange(k, dtype=np.uint64)
+    signatures = {0: base}
+    for m in {*range(need - 3, need + 4), *range(k - need - 3, k - need + 4)} & set(range(k + 1)):
+        for ident, matched in ((2 * m + 1, np.arange(k) < m), (2 * m + 2, np.arange(k) >= k - m)):
+            signatures[ident] = np.where(matched, base, base + np.uint64(k))
+    fingerprint = (ScreenConfig.master_seed, k)
+    for values in signatures.values():
+        values.setflags(write=False)
+    return {i: Signature(values, fingerprint=fingerprint) for i, values in signatures.items()}
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_CONFIGS))
+def test_one_walk_baseline_agrees_with_a_separate_full_screen(name, monkeypatch):
+    """With baseline=True the outcomes and summary are those of a plain
+    screen, and agree_with_full is the agreement with a separate
+    schedule=() screen. Per pair, the walk's settled full-width decision is
+    the full count's, and the walk reads each pair up to the first stop, at
+    or after the one that resolves it, where its full-width decision is
+    certain. tiny-e has m_u above need, so a pair can be settled above
+    while the table still walks it. The pairs include self-pairs, repeats
+    and pairs that meet the settling rules with equality."""
+    cfg = BASELINE_CONFIGS[name]
+    table = build_table(cfg)
+    need = screening._full_need(cfg.threshold, cfg.k)
+    if name == "no-discard-rows":
+        assert any(row.m_l is None for row in table.rows)
+    if name == "tiny-e":
+        assert any(row.m_u > need for row in table.rows)
+    rng = np.random.default_rng(sorted(BASELINE_CONFIGS).index(name) + 40)
+    signatures = crafted_signatures(cfg.k, 40, rng)
+    pairs = crafted_pairs(signatures, 300, rng)
+    boundary = boundary_signatures(cfg.k, need)
+    signatures.update(boundary)
+    pairs += [(0, i) for i in sorted(boundary)]
+    plain = screen_batch(pairs, signatures, cfg)
+    calls = []
+    count = screening._count_matches
+
+    def spy(values, a, b, lo, hi, x):
+        calls.append(len(a) * (hi - lo))
+        return count(values, a, b, lo, hi, x)
+
+    monkeypatch.setattr(screening, "_count_matches", spy)
+    outcomes, summary = screen_batch(pairs, signatures, cfg, baseline=True)
+    assert plain == (outcomes, replace(summary, agree_with_full=None))
+    full, _ = screen_batch(pairs, signatures, replace(cfg, schedule=()))
+    agree = sum(o.decision == f.decision for o, f in zip(outcomes, full))
+    assert summary.agree_with_full == agree
+    if name == "no-schedule":
+        assert agree == len(pairs)
+
+    ids = sorted(signatures)
+    values = np.stack([signatures[i].values for i in ids])
+    a = np.searchsorted(ids, [i for i, _ in pairs])
+    b = np.searchsorted(ids, [j for _, j in pairs])
+    prefix = np.cumsum(values[a] == values[b], axis=1)
+    stops = sorted({*cfg.schedule, cfg.k})
+    read = 0
+    for counts, outcome in zip(prefix.tolist(), outcomes):
+        read += next(
+            stop
+            for stop in stops
+            if stop >= outcome.comparisons_used
+            and (counts[stop - 1] >= need or counts[stop - 1] + cfg.k - stop < need)
+        )
+    calls.clear()
+    _, _, full_above = screening._walk(values, a, b, table, cfg.k, need)
+    assert sum(calls) == read
+    assert full_above.tolist() == (prefix[:, -1] >= need).tolist()
+
+
+def test_one_walk_baseline_of_an_empty_batch():
+    cfg = CONFIGS["mid-schedule"]
+    outcomes, summary = screen_batch([], {}, cfg, baseline=True)
+    assert outcomes == [] and summary.agree_with_full == 0
+    assert screen_batch([], {}, cfg)[1].agree_with_full is None
+
+
+def test_one_walk_baseline_stops_when_the_full_decision_is_certain(monkeypatch):
+    """Token-disjoint pairs match in no slot. At T = 0.5 and K = 1000 they
+    are discarded at checkpoint 100, and their full-width decision is
+    certain at 600, where 0 matches plus the 400 slots left fall short of
+    need = 500: with baseline=True no column at or past 600 is read. (The
+    walk also passes its emptied set of unresolved pairs, which reads
+    nothing.)"""
+    calls = []
+    count = screening._count_matches
+
+    def spy(values, a, b, lo, hi, x):
+        calls.append((len(a), lo, hi))
+        return count(values, a, b, lo, hi, x)
+
+    monkeypatch.setattr(screening, "_count_matches", spy)
+    cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=tuple(range(100, 1000, 100)), k=1000)
+    sets = {i: frozenset(range(30 * i, 30 * i + 30)) for i in range(12)}
+    signatures = sign_many(make_family(cfg.k, cfg.master_seed), sets)
+    pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+    outcomes, summary = screen_batch(pairs, signatures, cfg, baseline=True)
+    assert {(o.resolution_kind, o.resolution_checkpoint) for o in outcomes} == {
+        (FILTERED_EARLY, 100)
+    }
+    assert summary.agree_with_full == len(pairs)
+    late = [(len(pairs), lo, lo + 100) for lo in range(100, 600, 100)]
+    assert [call for call in calls if call[0]] == [(len(pairs), 0, 100), *late]
 
 
 def test_pairs_resolving_alike_share_one_outcome():
@@ -427,3 +555,27 @@ def test_screen_signatures_reuses_a_table_built_before(monkeypatch):
     assert screen_signatures(signatures, [(0, 1), (1, 0)], twin)[0] == outcomes
     screen_batch([(0, 1)], signatures, twin)
     assert calls == [(0.5, 1e-3, (100, 200, 300), None)]
+
+
+def test_a_baseline_run_screens_once(monkeypatch):
+    """run_screen with baseline=True makes one screen_batch call, and its
+    accuracy is the share of pairs on which a separate schedule=() screen
+    decides alike."""
+    # master_seed is signed_sets' seed.
+    cfg = ScreenConfig(threshold=0.5, e=0.2, schedule=(10, 20, 40), k=200, master_seed=5)
+    rng = np.random.default_rng(12)
+    family, sets, _ = signed_sets(cfg.k, 40, rng)
+    pairs = crafted_pairs(sets, 300, rng)
+    calls = []
+    original = harness.screen_batch
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "screen_batch", spy)
+    outcomes, report = run_screen(sets, pairs, cfg, baseline=True)
+    assert calls == [{"baseline": True}]
+    full, _ = screen_batch(pairs, sign_many(family, sets), replace(cfg, schedule=()))
+    agree = sum(o.decision == f.decision for o, f in zip(outcomes, full))
+    assert report.accuracy == agree / len(pairs) < 1.0

@@ -13,7 +13,7 @@ from minscreen.sets import (
     as_real,
     as_u64,
     as_u64_array,
-    jaccard_at_least,
+    jaccard_at_least_each,
     jaccard_fraction,
 )
 from oracles import exhaustive_collision_probability
@@ -43,25 +43,33 @@ def test_jaccard_fraction_is_exact_rational():
 
 
 def test_jaccard_at_least_on_boundaries():
-    # J = 1/2 exactly at T = 0.5 counts as above.
-    assert jaccard_at_least({1, 2, 3}, {2, 3, 4}, 0.5)
-    assert not jaccard_at_least({1, 2, 3}, {3, 4, 5}, 0.5)
-    # The float 0.3 lies just below 3/10, so J = 3/10 is above it.
+    """jaccard_at_least_each over a mapping of set ids, each pair both ways.
+    Two empty sets fail when their pair is reached."""
     three_tenths = (set(range(7)), set(range(4, 10)))
     assert jaccard_fraction(*three_tenths) == Fraction(3, 10)
-    assert jaccard_at_least(*three_tenths, 0.3)
-    # The float 0.1 lies just above 1/10, so J = 1/10 is below it.
     one_tenth = (set(range(1)), set(range(10)))
     assert jaccard_fraction(*one_tenth) == Fraction(1, 10)
-    assert not jaccard_at_least(*one_tenth, 0.1)
+    sets = {10: {1, 2, 3}, 11: {2, 3, 4}, 12: {3, 4, 5}, 40: set(), 41: set()}
+    sets.update({20: three_tenths[0], 21: three_tenths[1], 30: one_tenth[0], 31: one_tenth[1]})
+    cases = [
+        ((10, 11), 0.5, True),  # J = 1/2 exactly at T = 0.5 counts as above.
+        ((10, 12), 0.5, False),
+        ((20, 21), 0.3, True),  # The float 0.3 lies just below 3/10.
+        ((30, 31), 0.1, False),  # The float 0.1 lies just above 1/10.
+    ]
+    for pair, t, above in cases:
+        assert list(jaccard_at_least_each(sets, [pair, pair[::-1]], t)) == [above, above]
+    decided = jaccard_at_least_each(sets, [(10, 11), (40, 41)], 0.5)
+    assert next(decided)
     with pytest.raises(ValueError, match="undefined Jaccard"):
-        jaccard_at_least(set(), set(), 0.5)
+        next(decided)
 
 
 def test_jaccard_at_least_agrees_with_fraction_comparison():
-    """Both functions count the union as |a| + |b| - |a & b|; the oracle
-    builds it. Sizes are uneven, one side may be empty, and the thresholds
-    include 0, 1 and the floats 1/3 and 0.5 at exact ties."""
+    """jaccard_fraction and jaccard_at_least_each count the union as
+    |a| + |b| - |a & b|; the oracle builds it. Sizes are uneven, one side
+    may be empty, and the thresholds include 0, 1 and the floats 1/3 and
+    0.5 at exact ties."""
     rng = random.Random(11)
     thresholds = [0.0, 0.1, 0.2, 0.3, 1 / 3, 0.5, 0.6, 2 / 3, 0.7, 0.9, 0.999, 1.0]
     cases = [
@@ -79,11 +87,14 @@ def test_jaccard_at_least_agrees_with_fraction_comparison():
         (set(), {7}),  # 0
         ({7}, {7}),  # 1
     ]
-    for a, b in cases + [(b, a) for a, b in cases]:
-        exact = Fraction(len(a & b), len(a | b))
-        assert jaccard_fraction(a, b) == exact
-        for t in thresholds:
-            assert jaccard_at_least(a, b, t) == (exact >= Fraction(t))
+    cases += [(b, a) for a, b in cases]
+    exact = [Fraction(len(a & b), len(a | b)) for a, b in cases]
+    assert [jaccard_fraction(a, b) for a, b in cases] == exact
+    sets = {2 * i + side: pair[side] for i, pair in enumerate(cases) for side in (0, 1)}
+    pairs = [(2 * i, 2 * i + 1) for i in range(len(cases))]
+    for t in thresholds:
+        expected = [j >= Fraction(t) for j in exact]
+        assert list(jaccard_at_least_each(sets, pairs, t)) == expected
 
 
 def test_jaccard_symmetry_and_self_similarity():
