@@ -215,7 +215,7 @@ def _walk(
     alive = np.arange(len(a))
     x = np.zeros(len(a), dtype=np.int64)
     full_above = None if need is None else np.empty(len(a), dtype=bool)
-    late, la, lb, lx = alive[:0], a[:0], b[:0], x[:0]
+    late = la = lb = lx = np.empty(0, dtype=np.int64)
     lo = 0
     for index, hi in enumerate(stops):
         if not alive.size and not late.size:
