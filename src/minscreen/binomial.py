@@ -21,12 +21,23 @@ term is positive, so relative error stays around 1e-13. In the mirror that
 mass sits at k - ceil(k * t), so the reversed tail sums the slices a direct
 upper tail would.
 
-The masses of a checkpoint are one vector, computed with numpy from a table
-of log-factorials that a threshold table builds once up to its largest
-checkpoint. A running sum locates each cutoff and the exact tail confirms it
-in about two evaluations. The terms are the floats of scalar lgamma terms
-and math.fsum is correctly rounded, so tails and cutoffs are those of
-summing term by term and bisecting.
+The log masses of a checkpoint are one vector, computed with numpy from a
+table of log-factorials that a threshold table builds once up to its
+largest checkpoint. A running sum locates each cutoff and the exact tail
+confirms it in about two evaluations. The terms are the floats of scalar
+lgamma terms and math.fsum is correctly rounded, so tails and cutoffs are
+those of summing term by term and bisecting.
+
+A threshold table exponentiates only a window of each side's masses: from
+the first whose log exceeds ln(bound) - 60 up to the split. The start masses
+left out are each at most bound * e**-60, so the tail of any m below the
+split is the window's fsum plus at most start * bound * e**-60, give or take
+half an ulp of fsum's rounding. A test of tail(m) <= bound is decided from
+the window when its fsum lies further from the bound than twice that
+omitted bound plus two ulps of the bound. A side whose search needs a tail the window cannot
+decide (e within rounding of an exact tail value, or a tail at or past the
+split, where _cdf takes the complement) is solved from all k + 1 masses by
+_cutoff, so every cutoff is the one all the masses give.
 """
 
 from __future__ import annotations
@@ -48,25 +59,45 @@ from .sets import as_real
 # The screening walk accepts at X >= m_u, which this bound does not cover.
 E_ROUNDING_SLACK = 5e-3
 
+# A side's window starts at the first mass whose log exceeds ln(bound) minus
+# this depth. The masses before it are each at most bound * e**-60, and
+# e**-60 < 2**-86, so even 2**33 of them (a 64 GiB log-factorial table) sum
+# to under half an ulp of a normal bound: they cannot move a cutoff, and are
+# never exponentiated. A shallower depth would widen the margin within which
+# a window cannot decide; a deeper one exponentiates masses that never count.
+_WINDOW_LOG_DEPTH = 60.0
+
 
 def _log_factorials(n: int) -> np.ndarray:
-    """log(j!) = math.lgamma(j + 1) for j in 0..n."""
-    return np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    """log(j!) = math.lgamma(j + 1) for j in 0..n.
+
+    np.fromiter with a count allocates the n + 1 floats first, so an n too
+    large for memory fails before any lgamma is evaluated.
+    """
+    return np.fromiter(map(math.lgamma, range(1, n + 2)), dtype=float, count=n + 1)
 
 
-def _pmf(k: int, p: float, log_fact: np.ndarray) -> list[float]:
-    """Binomial(k, p) masses at 0..k for 0 < p < 1; log_fact reaches at least k.
+def _log_pmf(k: int, p: float, log_fact: np.ndarray) -> np.ndarray:
+    """Log Binomial(k, p) masses at 0..k for 0 < p < 1; log_fact reaches at
+    least k.
 
-    Term i is math.exp of the log mass lgamma(k + 1) - lgamma(i + 1) -
-    lgamma(k - i + 1) + i * log(p) + (k - i) * log1p(-p), evaluated as one
-    scalar expression would be: numpy performs the same IEEE operations in
-    the same order, and math.exp exponentiates because np.exp may differ in
-    the last ulp.
+    Term i is lgamma(k + 1) - lgamma(i + 1) - lgamma(k - i + 1) + i * log(p)
+    + (k - i) * log1p(-p), evaluated as one scalar expression would be:
+    numpy performs the same IEEE operations in the same order.
     """
     i = np.arange(k + 1)
     logs = (log_fact[k] - log_fact[: k + 1]) - log_fact[k::-1]
-    logs = logs + i * math.log(p) + (k - i) * math.log1p(-p)
+    return logs + i * math.log(p) + (k - i) * math.log1p(-p)
+
+
+def _masses(logs: np.ndarray) -> list[float]:
+    """math.exp of each log mass; np.exp may differ in the last ulp."""
     return [math.exp(x) for x in logs.tolist()]
+
+
+def _pmf(k: int, p: float, log_fact: np.ndarray) -> list[float]:
+    """Binomial(k, p) masses at 0..k for 0 < p < 1."""
+    return _masses(_log_pmf(k, p, log_fact))
 
 
 def _cdf(pmf: list[float], m: int, split: int) -> float:
@@ -130,6 +161,63 @@ def _cutoff(pmf: list[float], split: int, bound: float) -> int:
     return m
 
 
+def _side_cutoff(logs: np.ndarray, split: int, bound: float) -> int:
+    """_cutoff(pmf, split, bound) for the masses pmf = exp(logs), from the
+    masses of a window when it decides, else from all of them."""
+    m = _window_cutoff(logs, split, bound)
+    return _cutoff(_masses(logs), split, bound) if m is None else m
+
+
+def _window_cutoff(logs: np.ndarray, split: int, bound: float) -> int | None:
+    """_cutoff's answer from the masses at start..split - 1 alone, where
+    start is the first index whose log mass exceeds ln(bound) minus
+    _WINDOW_LOG_DEPTH; None when the window cannot decide it.
+
+    The search is _cutoff's: a running sum locates the candidate and tails
+    step to it. Below the split every tail is a direct sum, which never
+    decreases in m, so the boundary found there is the one _cutoff finds as
+    long as its running sum over all masses passes the bound before the
+    split. That sum is within (k + 1) * 2**-53 relative of the window's
+    running sum, so the window gives None unless its running sum passes the
+    bound by 4 * (k + 1) * 2**-53 relative, and if a step needs the tail at
+    the split all the same.
+
+    tail(m) is the window's fsum w over start..m plus the omitted masses,
+    which sum to at most start * bound * e**-60 (counted twice here, to
+    cover the rounding of that product and of ln(bound)). As w is within
+    half an ulp of its sum, tail(m) <= bound holds if bound - w is at least
+    the omitted bound plus two ulps of the bound, and fails if w - bound
+    is; in between the window gives None. With start = 0 nothing is
+    omitted and w is the tail itself, so no margin is needed.
+    """
+    k = len(logs) - 1
+    above = logs[:split] > math.log(bound) - _WINDOW_LOG_DEPTH
+    if not above.any():
+        return None
+    start = int(above.argmax())
+    window = _masses(logs[start:split])
+    running = np.cumsum(window)
+    if not running[-1] * (1.0 - 4 * (k + 1) * 2.0**-53) > bound:
+        return None
+    omitted = 2 * start * bound * math.exp(-_WINDOW_LOG_DEPTH)
+    margin = 2 * math.ulp(bound) + omitted if start else 0.0
+
+    def holds(m: int) -> bool | None:
+        if m >= split:
+            return None
+        w = math.fsum(reversed(window[: m + 1 - start]))
+        if bound - w >= margin:
+            return True
+        return False if w - bound >= margin else None
+
+    m = start + int(np.searchsorted(running, bound, side="right")) - 1
+    while (verdict := holds(m + 1)) is True:
+        m += 1
+    while verdict is False and m >= 0 and (verdict := holds(m)) is False:
+        m -= 1
+    return None if verdict is None else m
+
+
 @dataclass(frozen=True)
 class ThresholdRow:
     """Cutoffs for one checkpoint: discard at or below m_l, accept at or
@@ -181,11 +269,11 @@ def build_threshold_table(
     log_fact = _log_factorials(max(points, default=0))
     rows = []
     for k in points:
-        pmf = _pmf(k, t, log_fact)
+        logs = _log_pmf(k, t, log_fact)
         split = math.ceil(k * t)
-        m_l = _cutoff(pmf, split, lower_bound)
+        m_l = _side_cutoff(logs, split, lower_bound)
         # P(X > m) is P(k - X <= k - m - 1): the tail of the reversed masses.
-        m_u = max(0, k - 1 - _cutoff(pmf[::-1], k - split, upper_bound))
+        m_u = max(0, k - 1 - _side_cutoff(logs[::-1], k - split, upper_bound))
         rows.append(ThresholdRow(k=k, m_l=None if m_l < 0 else m_l, m_u=m_u))
     return ThresholdTable(threshold=t, e_lower=e, e_upper=e_up, rows=tuple(rows))
 

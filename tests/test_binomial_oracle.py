@@ -4,16 +4,25 @@ The oracle, oracles.OracleTails, is the earlier solver: each tail is a
 math.fsum of scalar log-mass terms, one lgamma expression per term, and each
 cutoff is found by bisection on the exact tail predicate. The solver in
 minscreen.binomial must return the same cutoff on every configuration, and
-the tails it sums must be the same floats.
+the tails it sums must be the same floats. Tables solved from a window of
+each side's masses must equal tables solved from all of them.
 """
 
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from minscreen.binomial import E_ROUNDING_SLACK, build_threshold_table
+from minscreen import binomial
+from minscreen.binomial import (
+    E_ROUNDING_SLACK,
+    _cutoff,
+    _log_factorials,
+    _pmf,
+    build_threshold_table,
+)
 from minscreen.cli import main
 from oracles import OracleTails, exact_upper, package_tails
 
@@ -139,3 +148,91 @@ def test_the_accept_side_exceeds_e_at_its_cutoff():
     assert row.m_u == 100
     assert exact_upper(99, 100, Fraction(99, 100)) == Fraction(99, 100) ** 100
     assert f"{float(Fraction(99, 100) ** 100):.3f}" == "0.366"
+
+
+def _all_masses_rows(t, e, points, e_upper=None):
+    """(k, m_l, m_u) per checkpoint, each side solved by _cutoff on all
+    k + 1 masses."""
+    lower, upper = (x * (1.0 + E_ROUNDING_SLACK) for x in (e, e if e_upper is None else e_upper))
+    log_fact = _log_factorials(max(points))
+    rows = []
+    for k in points:
+        pmf, split = _pmf(k, t, log_fact), math.ceil(k * t)
+        m_l = _cutoff(pmf, split, lower)
+        m_u = max(0, k - 1 - _cutoff(pmf[::-1], k - split, upper))
+        rows.append((k, None if m_l < 0 else m_l, m_u))
+    return rows
+
+
+@pytest.fixture
+def all_masses_solves(monkeypatch):
+    """Counts the sides solved from all masses, by counting _cutoff calls."""
+    calls = []
+
+    def counted(pmf, split, bound):
+        calls.append((len(pmf) - 1, split, bound))
+        return _cutoff(pmf, split, bound)
+
+    monkeypatch.setattr(binomial, "_cutoff", counted)
+    return calls
+
+
+def test_window_tables_equal_all_masses_tables(all_masses_solves):
+    """300 seeded random configurations: k up to 20,000, T anywhere in
+    (0, 1) and near either end, e and e_upper from 1e-15 to 0.9. Some sides
+    fall back to all masses (a large e puts the cutoff past the split), most
+    do not."""
+    rng = random.Random(20)
+    sides = 0
+    for _ in range(300):
+        top = rng.choice((50, 500, 5000, 20000))
+        points = sorted(rng.sample(range(1, top + 1), rng.randint(1, 3)))
+        t = rng.choice((rng.random(), rng.uniform(0.0, 0.02), rng.uniform(0.98, 1.0)))
+        t = min(max(t, 1e-6), 1.0 - 1e-6)
+        e = 10 ** rng.uniform(-15, math.log10(0.9))
+        e_upper = rng.choice((None, 10 ** rng.uniform(-15, math.log10(0.9))))
+        table = build_threshold_table(t, e, points, e_upper=e_upper)
+        got = [(row.k, row.m_l, row.m_u) for row in table.rows]
+        assert got == _all_masses_rows(t, e, points, e_upper), (t, e, e_upper, points)
+        sides += 2 * len(points)
+    assert 0 < len(all_masses_solves) < sides / 4
+
+
+def test_the_window_decides_the_golden_and_benchmark_tables(all_masses_solves):
+    """The golden schedules are those of the benchmark's workloads: thirds
+    and join screen with 100..900, wide with 100..3900, all at T = 0.5 and
+    e = 1e-3."""
+    for points in GOLDEN_TABLES.values():
+        build_threshold_table(0.5, 1e-3, points)
+    assert all_masses_solves == []
+
+
+@pytest.mark.parametrize("t", (0.1, 0.5, 0.9))
+def test_significance_on_a_tail_value_is_solved_from_all_masses(t, all_masses_solves):
+    """At k = 1000 the windows omit masses, so a bound within rounding of an
+    exact tail cannot be decided from a window: that side, and only it, is
+    solved from all masses, with the cutoff of the bisection."""
+    k = 1000
+    oracle = OracleTails(k, t)
+    for m, side in ((int(k * t * 0.8), "lower"), (k - int(k * (1 - t) * 0.8), "upper")):
+        e0 = (oracle.cdf(m) if side == "lower" else oracle.upper(m)) / (1.0 + E_ROUNDING_SLACK)
+        for e in (math.nextafter(e0, 0.0), e0, math.nextafter(e0, 1.0)):
+            all_masses_solves.clear()
+            row = build_threshold_table(t, e, [k]).rows[0]
+            assert (row.m_l, row.m_u) == (oracle.solve_lower(e), oracle.solve_upper(e))
+            assert len(all_masses_solves) == 1, (t, m, side, e)
+
+
+def test_the_wide_table_exponentiates_a_window(monkeypatch):
+    """The 39-checkpoint table to k = 3900 holds 78,039 masses; its windows
+    need fewer than a third of them."""
+    calls = []
+    exp = math.exp
+
+    def counted(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", counted)
+    build_threshold_table(0.5, 1e-3, range(100, 4000, 100))
+    assert len(calls) <= 25_000

@@ -618,6 +618,14 @@ class TestCli:
         assert capsys.readouterr() == ("", f"error: {str(error) or 'MemoryError'}\n")
         assert not out.exists()
 
+    def test_a_checkpoint_too_large_to_solve_is_an_error_line(self, capsys):
+        """The log-factorial table of a checkpoint of 2**62 needs 2**65 bytes,
+        which numpy refuses before allocating anything."""
+        assert main(["thresholds", "--schedule", str(2**62)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "schedule, points",
         [("300,100,100,0", (300, 100, 100, 0)), ("100,100", (100, 100)), ("0", (0,))],
