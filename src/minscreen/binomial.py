@@ -28,16 +28,11 @@ confirms it in about two evaluations. The terms are the floats of scalar
 lgamma terms and math.fsum is correctly rounded, so tails and cutoffs are
 those of summing term by term and bisecting.
 
-A threshold table exponentiates only a window of each side's masses: from
-the first whose log exceeds ln(bound) - 60 up to the split. The start masses
-left out are each at most bound * e**-60, so the tail of any m below the
-split is the window's fsum plus at most start * bound * e**-60, give or take
-half an ulp of fsum's rounding. A test of tail(m) <= bound is decided from
-the window when its fsum lies further from the bound than twice that
-omitted bound plus two ulps of the bound. A side whose search needs a tail the window cannot
-decide (e within rounding of an exact tail value, or a tail at or past the
-split, where _cdf takes the complement) is solved from all k + 1 masses by
-_cutoff, so every cutoff is the one all the masses give.
+The solver is one search. It runs first on a window of a side's masses,
+from the first whose log exceeds ln(bound) - 60 up to the split, and only
+when the window cannot decide (e within rounding of an exact tail value, or
+a tail at or past the split, where _cdf takes the complement) on all k + 1
+masses, so every cutoff is the one all the masses give.
 """
 
 from __future__ import annotations
@@ -65,7 +60,9 @@ E_ROUNDING_SLACK = 5e-3
 # to under half an ulp of a normal bound: they cannot move a cutoff, and are
 # never exponentiated. A shallower depth would widen the margin within which
 # a window cannot decide; a deeper one exponentiates masses that never count.
+# _OMITTED_RATIO is that e**-60.
 _WINDOW_LOG_DEPTH = 60.0
+_OMITTED_RATIO = math.exp(-_WINDOW_LOG_DEPTH)
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -93,11 +90,6 @@ def _log_pmf(k: int, p: float, log_fact: np.ndarray) -> np.ndarray:
 def _masses(logs: np.ndarray) -> list[float]:
     """math.exp of each log mass; np.exp may differ in the last ulp."""
     return [math.exp(x) for x in logs.tolist()]
-
-
-def _pmf(k: int, p: float, log_fact: np.ndarray) -> list[float]:
-    """Binomial(k, p) masses at 0..k for 0 < p < 1."""
-    return _masses(_log_pmf(k, p, log_fact))
 
 
 def _cdf(pmf: list[float], m: int, split: int) -> float:
@@ -145,77 +137,53 @@ def validate_checkpoints(checkpoints: Iterable[int]) -> tuple[int, ...]:
     return points
 
 
-def _cutoff(pmf: list[float], split: int, bound: float) -> int:
+def _search(logs: np.ndarray, start: int, stop: int, split: int, bound: float) -> int | None:
     """Largest m in [-1, k] with _cdf(pmf, m, split) <= bound, for the k + 1
-    masses pmf.
+    masses pmf = exp(logs), from the masses at start..stop - 1 alone; None
+    when they cannot decide it.
 
-    A running sum of the masses locates the candidate; the exact tail then
-    confirms it, stepping until it holds at m and fails at m + 1.
+    A running sum locates the candidate and exact tails step to it until the
+    tail holds at m and fails at m + 1; a tail at or past stop is undecided.
+    With start = 0 every test is exact. With start > 0 the tail of m is w,
+    the fsum of the masses at start..m, plus those before start, which sum
+    to at most start * bound * e**-60 (counted twice, to cover the rounding
+    of that product and of ln(bound)). As w is within half an ulp of its
+    sum, a test is decided only when w lies that far plus two ulps of the
+    bound from the bound. Below the split w never decreases in m, so a
+    decided boundary is the one all the masses give.
     """
-    k = len(pmf) - 1
-    m = int(np.searchsorted(np.cumsum(pmf), bound, side="right")) - 1
-    while m < k and _cdf(pmf, m + 1, split) <= bound:
-        m += 1
-    while m >= 0 and _cdf(pmf, m, split) > bound:
-        m -= 1
-    return m
-
-
-def _side_cutoff(logs: np.ndarray, split: int, bound: float) -> int:
-    """_cutoff(pmf, split, bound) for the masses pmf = exp(logs), from the
-    masses of a window when it decides, else from all of them."""
-    m = _window_cutoff(logs, split, bound)
-    return _cutoff(_masses(logs), split, bound) if m is None else m
-
-
-def _window_cutoff(logs: np.ndarray, split: int, bound: float) -> int | None:
-    """_cutoff's answer from the masses at start..split - 1 alone, where
-    start is the first index whose log mass exceeds ln(bound) minus
-    _WINDOW_LOG_DEPTH; None when the window cannot decide it.
-
-    The search is _cutoff's: a running sum locates the candidate and tails
-    step to it. Below the split every tail is a direct sum, which never
-    decreases in m, so the boundary found there is the one _cutoff finds as
-    long as its running sum over all masses passes the bound before the
-    split. That sum is within (k + 1) * 2**-53 relative of the window's
-    running sum, so the window gives None unless its running sum passes the
-    bound by 4 * (k + 1) * 2**-53 relative, and if a step needs the tail at
-    the split all the same.
-
-    tail(m) is the window's fsum w over start..m plus the omitted masses,
-    which sum to at most start * bound * e**-60 (counted twice here, to
-    cover the rounding of that product and of ln(bound)). As w is within
-    half an ulp of its sum, tail(m) <= bound holds if bound - w is at least
-    the omitted bound plus two ulps of the bound, and fails if w - bound
-    is; in between the window gives None. With start = 0 nothing is
-    omitted and w is the tail itself, so no margin is needed.
-    """
-    k = len(logs) - 1
-    above = logs[:split] > math.log(bound) - _WINDOW_LOG_DEPTH
-    if not above.any():
-        return None
-    start = int(above.argmax())
-    window = _masses(logs[start:split])
-    running = np.cumsum(window)
-    if not running[-1] * (1.0 - 4 * (k + 1) * 2.0**-53) > bound:
-        return None
-    omitted = 2 * start * bound * math.exp(-_WINDOW_LOG_DEPTH)
-    margin = 2 * math.ulp(bound) + omitted if start else 0.0
+    masses = _masses(logs[start:stop])
+    margin = 2 * math.ulp(bound) + 2 * start * bound * _OMITTED_RATIO if start else 0.0
 
     def holds(m: int) -> bool | None:
-        if m >= split:
+        if m >= stop:
             return None
-        w = math.fsum(reversed(window[: m + 1 - start]))
+        w = _cdf(masses, m - start, split - start)
         if bound - w >= margin:
             return True
         return False if w - bound >= margin else None
 
-    m = start + int(np.searchsorted(running, bound, side="right")) - 1
-    while (verdict := holds(m + 1)) is True:
+    m = start + int(np.searchsorted(np.cumsum(masses), bound, side="right")) - 1
+    verdict = False
+    while m < len(logs) - 1 and (verdict := holds(m + 1)) is True:
         m += 1
     while verdict is False and m >= 0 and (verdict := holds(m)) is False:
         m -= 1
     return None if verdict is None else m
+
+
+def _cutoff(logs: np.ndarray, split: int, bound: float) -> int:
+    """Largest m in [-1, k] with _cdf(pmf, m, split) <= bound, for the k + 1
+    masses pmf = exp(logs).
+
+    The search runs first on a window: from the first index whose log mass
+    exceeds ln(bound) minus _WINDOW_LOG_DEPTH up to the split. Only when
+    the window cannot decide does it run on all k + 1 masses.
+    """
+    above = logs[:split] > math.log(bound) - _WINDOW_LOG_DEPTH
+    start = int(above.argmax()) if above.any() else split
+    m = _search(logs, start, split, split, bound)
+    return _search(logs, 0, len(logs), split, bound) if m is None else m
 
 
 @dataclass(frozen=True)
@@ -271,9 +239,9 @@ def build_threshold_table(
     for k in points:
         logs = _log_pmf(k, t, log_fact)
         split = math.ceil(k * t)
-        m_l = _side_cutoff(logs, split, lower_bound)
+        m_l = _cutoff(logs, split, lower_bound)
         # P(X > m) is P(k - X <= k - m - 1): the tail of the reversed masses.
-        m_u = max(0, k - 1 - _side_cutoff(logs[::-1], k - split, upper_bound))
+        m_u = max(0, k - 1 - _cutoff(logs[::-1], k - split, upper_bound))
         rows.append(ThresholdRow(k=k, m_l=None if m_l < 0 else m_l, m_u=m_u))
     return ThresholdTable(threshold=t, e_lower=e, e_upper=e_up, rows=tuple(rows))
 

@@ -73,7 +73,10 @@ def jaccard_fraction(a: AbstractSet[int], b: AbstractSet[int]) -> Fraction:
     Raises ValueError for two empty sets; the ratio is undefined there and
     picking 0 or 1 silently would mask ingestion bugs.
     """
-    shared, union = _overlap(a, b)
+    shared = len(a & b)
+    union = len(a) + len(b) - shared
+    if not union:
+        raise ValueError("undefined Jaccard: both sets are empty")
     return Fraction(shared, union)
 
 
@@ -87,8 +90,7 @@ def jaccard_at_least_each(
 
     A float is a dyadic rational num / den, so cross-multiplying decides the
     comparison exactly, as comparing the Fraction with the float would; den
-    reaches 2**55 at 0.1, too large for int64 products. The overlap is
-    _overlap's, inlined: this loop runs once per screened pair.
+    reaches 2**55 at 0.1, too large for int64 products.
     """
     num, den = threshold.as_integer_ratio()
     for id_a, id_b in pairs:
@@ -98,13 +100,3 @@ def jaccard_at_least_each(
         if not union:
             raise ValueError("undefined Jaccard: both sets are empty")
         yield shared * den >= union * num
-
-
-def _overlap(a: AbstractSet[int], b: AbstractSet[int]) -> tuple[int, int]:
-    """|a & b| and |a | b|, the union counted as |a| + |b| - |a & b| without
-    building it, the intersection built from the smaller set."""
-    if not a and not b:
-        raise ValueError("undefined Jaccard: both sets are empty")
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    shared = len(small & large)
-    return shared, len(a) + len(b) - shared

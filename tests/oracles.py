@@ -12,8 +12,8 @@
   per-line loops over the text read with Python's universal newlines, the
   readers that the package's one byte scan replaced.
 
-package_tails gives the package's own tails, as build_threshold_table
-evaluates them, for comparison with these.
+package_pmf and package_tails give the package's own masses and tails, as
+build_threshold_table evaluates them, for comparison with these.
 """
 
 import math
@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import AbstractSet, Callable
 
-from minscreen.binomial import E_ROUNDING_SLACK, _cdf, _log_factorials, _pmf
+from minscreen.binomial import E_ROUNDING_SLACK, _cdf, _log_factorials, _log_pmf, _masses
 from minscreen.workload import _is_comment, _line_problem
 
 ORACLE_UNIVERSE_LIMIT = 8
@@ -90,11 +90,17 @@ def exact_upper(m: int, k: int, p: Fraction) -> Fraction:
     return sum((_exact_pmf(i, k, p) for i in range(m + 1, k + 1)), Fraction(0))
 
 
+def package_pmf(k: int, p: float) -> list[float]:
+    """The package's Binomial(k, p) masses at 0..k, as build_threshold_table
+    exponentiates them."""
+    return _masses(_log_pmf(k, p, _log_factorials(k)))
+
+
 def package_tails(k: int, p: float) -> tuple[Callable[[int], float], Callable[[int], float]]:
     """The package's P(X <= m) and P(X > m) for X ~ Binomial(k, p), m in
     [0, k]: binomial._cdf on the masses, and on the reversed masses for the
     upper tail, with the split build_threshold_table uses."""
-    pmf = _pmf(k, p, _log_factorials(k))
+    pmf = package_pmf(k, p)
     split = math.ceil(k * p)
     mirrored = pmf[::-1]
 

@@ -16,12 +16,10 @@ import pytest
 
 from minscreen.binomial import (
     E_ROUNDING_SLACK,
-    _log_factorials,
-    _pmf,
     build_threshold_table,
     threshold_table_csv,
 )
-from oracles import exact_cdf, exact_upper, log_binom_pmf, package_tails
+from oracles import exact_cdf, exact_upper, log_binom_pmf, package_pmf, package_tails
 
 
 def _rel_err(value: float, truth: Fraction) -> float:
@@ -38,7 +36,7 @@ class TestPmf:
         truth = 0.07958923738717877
         assert math.isclose(math.exp(log_binom_pmf(50, 100, 0.5)), truth, rel_tol=1e-12)
         assert math.isclose(log_binom_pmf(50, 100, 0.5), -2.5308764039771035, abs_tol=1e-12)
-        assert _pmf(100, 0.5, _log_factorials(100))[50] == math.exp(log_binom_pmf(50, 100, 0.5))
+        assert package_pmf(100, 0.5)[50] == math.exp(log_binom_pmf(50, 100, 0.5))
 
 
 class TestTails:

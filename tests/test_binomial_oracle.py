@@ -18,9 +18,9 @@ import pytest
 from minscreen import binomial
 from minscreen.binomial import (
     E_ROUNDING_SLACK,
-    _cutoff,
     _log_factorials,
-    _pmf,
+    _log_pmf,
+    _search,
     build_threshold_table,
 )
 from minscreen.cli import main
@@ -151,29 +151,31 @@ def test_the_accept_side_exceeds_e_at_its_cutoff():
 
 
 def _all_masses_rows(t, e, points, e_upper=None):
-    """(k, m_l, m_u) per checkpoint, each side solved by _cutoff on all
+    """(k, m_l, m_u) per checkpoint, each side solved by _search on all
     k + 1 masses."""
     lower, upper = (x * (1.0 + E_ROUNDING_SLACK) for x in (e, e if e_upper is None else e_upper))
     log_fact = _log_factorials(max(points))
     rows = []
     for k in points:
-        pmf, split = _pmf(k, t, log_fact), math.ceil(k * t)
-        m_l = _cutoff(pmf, split, lower)
-        m_u = max(0, k - 1 - _cutoff(pmf[::-1], k - split, upper))
+        logs, split = _log_pmf(k, t, log_fact), math.ceil(k * t)
+        m_l = _search(logs, 0, k + 1, split, lower)
+        m_u = max(0, k - 1 - _search(logs[::-1], 0, k + 1, k - split, upper))
         rows.append((k, None if m_l < 0 else m_l, m_u))
     return rows
 
 
 @pytest.fixture
 def all_masses_solves(monkeypatch):
-    """Counts the sides solved from all masses, by counting _cutoff calls."""
+    """Counts the sides solved from all masses, by counting the _search
+    calls that start at 0 and stop at k + 1."""
     calls = []
 
-    def counted(pmf, split, bound):
-        calls.append((len(pmf) - 1, split, bound))
-        return _cutoff(pmf, split, bound)
+    def counted(logs, start, stop, split, bound):
+        if (start, stop) == (0, len(logs)):
+            calls.append((len(logs) - 1, split, bound))
+        return _search(logs, start, stop, split, bound)
 
-    monkeypatch.setattr(binomial, "_cutoff", counted)
+    monkeypatch.setattr(binomial, "_search", counted)
     return calls
 
 
@@ -223,9 +225,10 @@ def test_significance_on_a_tail_value_is_solved_from_all_masses(t, all_masses_so
             assert len(all_masses_solves) == 1, (t, m, side, e)
 
 
-def test_the_wide_table_exponentiates_a_window(monkeypatch):
-    """The 39-checkpoint table to k = 3900 holds 78,039 masses; its windows
-    need fewer than a third of them."""
+def test_the_benchmark_tables_exponentiate_a_window(monkeypatch):
+    """The 9-checkpoint table to k = 900 (thirds, join) holds 4,509 masses
+    and the 39-checkpoint table to k = 3900 (wide) holds 78,039; their
+    windows need under half and under a quarter of them."""
     calls = []
     exp = math.exp
 
@@ -234,5 +237,7 @@ def test_the_wide_table_exponentiates_a_window(monkeypatch):
         return exp(x)
 
     monkeypatch.setattr(math, "exp", counted)
-    build_threshold_table(0.5, 1e-3, range(100, 4000, 100))
-    assert len(calls) <= 25_000
+    for points, most in zip(GOLDEN_TABLES.values(), (2_108, 18_358)):
+        calls.clear()
+        build_threshold_table(0.5, 1e-3, points)
+        assert len(calls) <= most, points
