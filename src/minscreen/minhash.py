@@ -134,7 +134,8 @@ class SignatureMatrix(Mapping[int, Signature]):
     ids holds the set ids in strictly increasing order and matrix[i] is the
     signature of set ids[i]. fingerprint names the family, (master_seed, k),
     or is None for a stack of no signatures. rows() finds the rows of an
-    array of set ids by one search. As a mapping it reads like a dict of
+    array of set ids by offset when the ids are a range, otherwise by one
+    search. As a mapping it reads like a dict of
     Signatures: each item is a read-only row view of the matrix, and a key
     that is no set id by sets.as_u64 is simply not in it.
     """
@@ -154,6 +155,9 @@ class SignatureMatrix(Mapping[int, Signature]):
             raise ValueError(f"{problem} set id {set_id}")
         # Contiguous ids: searchsorted would copy strided ones on every call.
         self.ids = np.ascontiguousarray(ids, dtype=np.uint64)
+        # The first id when the ids are a range (no ids too), else None.
+        first, last = (int(ids[0]), int(ids[-1])) if len(ids) else (0, -1)
+        self._first = first if last - first == len(ids) - 1 else None
         self.matrix = matrix
         self.fingerprint = fingerprint
         for array in (self.ids, self.matrix):
@@ -201,15 +205,22 @@ class SignatureMatrix(Mapping[int, Signature]):
         return Signature(values=self.matrix[row], fingerprint=self.fingerprint)
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
-        """The rows of a uint64 array of set ids, found by one search, or a
-        KeyError naming the first id, in array order, without one."""
+        """The rows of a uint64 array of set ids, or a KeyError naming the
+        first id, in array order, without one. When the set ids are a range
+        a row is its id's offset from the first, found by one unsigned range
+        check (an id below the first wraps past the last); otherwise the
+        rows come from one search."""
         if not _is_u64(ids, 1):
             raise ValueError(f"need a 1-D uint64 array of set ids, got {_describe(ids)}")
-        rows = self.ids.searchsorted(ids)
-        hit = np.take(self.ids, rows, mode="clip") == ids if len(self) else np.zeros(len(ids), bool)
+        if self._first is None:  # two ids at least, so take has a row to clip to
+            rows = self.ids.searchsorted(ids)
+            hit = np.take(self.ids, rows, mode="clip") == ids
+        else:
+            rows = ids - np.uint64(self._first)  # a hit is below len(self): intp as well
+            hit = rows < len(self)
         if not hit.all():
             raise KeyError(int(ids[hit.argmin()]))
-        return rows
+        return rows.view(np.intp)
 
 
 def _is_u64(array: object, ndim: int) -> bool:

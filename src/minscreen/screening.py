@@ -77,7 +77,8 @@ class PairOutcome:
 @dataclass(frozen=True)
 class ScreenConfig:
     """One screening configuration. Its field defaults are the command
-    line's defaults."""
+    line's defaults. It keeps its cutoff table and the outcomes that
+    screen_batch builds under it, shared across calls; neither is a field."""
 
     threshold: float = 0.5
     e: float = 1e-5
@@ -103,6 +104,13 @@ class ScreenConfig:
         kept. It is not a field, so equality, hashing, asdict and replace
         see only the fields, and replace gives a config with its own table."""
         return build_threshold_table(self.threshold, self.e, self.schedule, self.e_upper)
+
+    @cached_property
+    def _outcomes(self) -> dict[int, PairOutcome]:
+        """The outcomes screen_batch has built under this configuration, by
+        _collect's key, shared across its calls. Like table it is no field,
+        and it holds at most (checkpoints + 1)·(k + 1) outcomes."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -159,16 +167,15 @@ def screen_batch(
     family = (cfg.master_seed, cfg.k)
     if len(matrix) and matrix.fingerprint != family:
         raise ValueError(f"expected hash family (seed, k) = {family}, got {matrix.fingerprint}")
-    if table is not None and table != cfg.table:
+    if table is not None and table is not cfg.table and table != cfg.table:
         raise ValueError(
             f"threshold table for threshold {table.threshold}, e {table.e_lower} (upper "
             f"{table.e_upper}), checkpoints {table.checkpoints} does not match the "
             "configuration's table"
         )
-    table = cfg.table
     need = _full_need(cfg.threshold, cfg.k) if baseline else None
-    walked = _walk(matrix.matrix, pair_rows[:, 0], pair_rows[:, 1], table, cfg.k, need)
-    return _collect(pairs, *walked, table, cfg)
+    walked = _walk(matrix.matrix, pair_rows[:, 0], pair_rows[:, 1], cfg.table, cfg.k, need)
+    return _collect(pairs, *walked, cfg)
 
 
 def _full_need(threshold: float, k: int) -> int:
@@ -255,48 +262,50 @@ def _collect(
     resolved_at: np.ndarray,
     matches: np.ndarray,
     full_above: np.ndarray | None,
-    table: ThresholdTable,
     cfg: ScreenConfig,
 ) -> tuple[list[PairOutcome], BatchSummary]:
-    """Outcomes and summary from the walk's per-pair results. Pairs that
-    resolve alike share one (frozen) PairOutcome."""
-    keys, inverse, tally = np.unique(
-        resolved_at * (cfg.k + 1) + matches, return_inverse=True, return_counts=True
-    )
-    filtered_at: dict[int, int] = {k: 0 for k in cfg.schedule}
-    output_at: dict[int, int] = {k: 0 for k in cfg.schedule}
-    full = 0
-    total = 0
-    shared: list[PairOutcome] = []
-    for key, count in zip(keys.tolist(), tally.tolist()):
-        index, x = divmod(key, cfg.k + 1)
-        if index < len(table.rows):
-            row = table.rows[index]
-            if x >= row.m_u:
-                outcome = PairOutcome(ABOVE, OUTPUT_EARLY, row.k, row.k, x / row.k)
-                output_at[row.k] += count
-            else:
-                outcome = PairOutcome(BELOW, FILTERED_EARLY, row.k, row.k, x / row.k)
-                filtered_at[row.k] += count
-        else:
-            estimate = x / cfg.k
-            decision = ABOVE if estimate >= cfg.threshold else BELOW
-            outcome = PairOutcome(decision, FULL_COMPARISON, None, cfg.k, estimate)
-            full += count
-        total += count * outcome.comparisons_used
-        shared.append(outcome)
-    is_above = np.array([o.decision == ABOVE for o in shared], dtype=bool)[inverse]
+    """Outcomes and summary from the walk's per-pair results. Pairs of one
+    key, table row index·(k + 1) + matches there, share one (frozen)
+    PairOutcome: cfg._outcomes', built by _outcome on a miss. The summary
+    counts pairs by table row: an early outcome is above the threshold
+    exactly when it is an early accept."""
+    flat = resolved_at * (cfg.k + 1) + matches
+    keys = flat.tolist()
+    distinct = set(keys)
+    known = cfg._outcomes
+    for key in distinct.difference(known):
+        known[key] = _outcome(key, cfg)
+    above = np.zeros(max(distinct, default=0) + 1, dtype=bool)
+    above[[key for key in distinct if known[key].decision == ABOVE]] = True
+    is_above = above[flat]
+    stops = [*cfg.schedule, cfg.k]  # the comparisons of a pair resolved at each row
+    resolved = np.bincount(resolved_at, minlength=len(stops)).tolist()
+    accepted = np.bincount(resolved_at[is_above], minlength=len(stops)).tolist()
     summary = BatchSummary(
-        n_pairs=len(inverse),
-        total_comparisons=total,
-        baseline_comparisons=len(inverse) * cfg.k,
-        filtered_at=filtered_at,
-        output_at=output_at,
-        full_comparisons=full,
+        n_pairs=len(keys),
+        total_comparisons=sum(n * k for n, k in zip(resolved, stops)),
+        baseline_comparisons=len(keys) * cfg.k,
+        filtered_at={k: n - a for k, n, a in zip(cfg.schedule, resolved, accepted)},
+        output_at=dict(zip(cfg.schedule, accepted)),
+        full_comparisons=resolved[-1],
         above_threshold=tuple(tuple(pairs[i]) for i in np.flatnonzero(is_above).tolist()),
         agree_with_full=None if full_above is None else int((is_above == full_above).sum()),
     )
-    return [shared[i] for i in inverse.tolist()], summary
+    return list(map(known.__getitem__, keys)), summary
+
+
+def _outcome(key: int, cfg: ScreenConfig) -> PairOutcome:
+    """The outcome of _collect's key: an early accept or an early discard
+    at its table row, or past the last row a full comparison."""
+    index, x = divmod(key, cfg.k + 1)
+    if index < len(cfg.table.rows):
+        row = cfg.table.rows[index]
+        if x >= row.m_u:
+            return PairOutcome(ABOVE, OUTPUT_EARLY, row.k, row.k, x / row.k)
+        return PairOutcome(BELOW, FILTERED_EARLY, row.k, row.k, x / row.k)
+    estimate = x / cfg.k
+    decision = ABOVE if estimate >= cfg.threshold else BELOW
+    return PairOutcome(decision, FULL_COMPARISON, None, cfg.k, estimate)
 
 
 def count_early(outcomes: Iterable[PairOutcome]) -> tuple[dict[int, int], dict[int, int]]:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from minscreen import minhash
+from minscreen.cache import read_cache, write_cache
 from minscreen.minhash import (
     HashFamily,
     Signature,
@@ -494,6 +495,54 @@ class TestSignatureMatrix:
             with pytest.raises(KeyError) as info:
                 got[key]
             assert info.value.args == (key,)
+
+    @pytest.mark.parametrize(
+        "listed, dense",
+        [
+            ([0, 1, 2, 3], True),
+            ([5, 6, 7], True),
+            ([MASK - 2, MASK - 1, MASK], True),
+            ([9], True),
+            ([], True),
+            ([3, 4, 6, 7], False),
+            ([0, MASK], False),
+            ([MASK - 4, MASK - 3, MASK], False),
+        ],
+    )
+    def test_rows_by_offset_or_search_equal_a_searchsorted_reference(self, tmp_path, listed, dense):
+        """Ids that are a range are found by their offset from the first,
+        others by one search; both give the rows and the KeyError that a
+        searchsorted reference gives, on matrices signed in memory and read
+        back (strided ids) from a cache, for random queries below the first
+        id, above the last, inside a gap and among the ids."""
+        family = make_family(8, 3)
+        signed = sign_many(family, {set_id: {set_id % 5} for set_id in listed})
+        matrices = [signed]
+        if listed:  # a cache holds one signature at least
+            write_cache(str(tmp_path / "c.mhsg"), 3, signed)
+            matrices.append(read_cache(str(tmp_path / "c.mhsg")).signatures)
+        near = {0, 1, 2, MASK - 1, MASK}
+        for set_id in listed:
+            near.update(range(max(set_id - 2, 0), min(set_id + 2, MASK) + 1))
+        rng = np.random.default_rng(len(listed))
+        pool = np.array(sorted(near), dtype=np.uint64)
+        ids = np.array(listed, dtype=np.uint64)
+        for got in matrices:
+            assert (got._first is not None) == dense
+            for _ in range(200):
+                queries = rng.choice(pool, size=rng.integers(0, 6))
+                at = ids.searchsorted(queries)
+                if listed:
+                    found = np.take(ids, at, mode="clip") == queries
+                else:
+                    found = np.zeros(len(queries), dtype=bool)
+                if found.all():
+                    rows = got.rows(queries)
+                    assert rows.dtype == np.intp and rows.tolist() == at.tolist()
+                else:
+                    with pytest.raises(KeyError) as info:
+                        got.rows(queries)
+                    assert info.value.args == (int(queries[found.argmin()]),)
 
     def test_ids_must_increase(self):
         values = np.zeros((3, 4), dtype=np.uint64)

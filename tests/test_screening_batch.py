@@ -347,13 +347,28 @@ def test_one_walk_baseline_stops_when_the_full_decision_is_certain(monkeypatch):
 
 
 def test_pairs_resolving_alike_share_one_outcome():
-    cfg = CONFIGS["mid-schedule"]
+    """Pairs that resolve alike share one outcome, within a call and across
+    the calls under one configuration, baseline=True included; a config
+    made by replace builds its own."""
+    cfg = replace(CONFIGS["mid-schedule"])  # none of the outcomes other tests built
     rng = np.random.default_rng(5)
     signatures = crafted_signatures(cfg.k, 10, rng)
     ids = sorted(signatures)
     outcomes, _ = screen_batch([(ids[0], ids[0]), (ids[3], ids[3])], signatures, cfg)
     assert outcomes[0] is outcomes[1]
     assert outcomes[0] == PairOutcome(ABOVE, OUTPUT_EARLY, 50, 50, 1.0)
+    pairs = crafted_pairs(signatures, 60, rng)
+    first, summary = screen_batch(pairs, signatures, cfg)
+    assert first[pairs.index((ids[0], ids[0]))] is outcomes[0]
+    again, _ = screen_batch(pairs[::-1], signatures, cfg)
+    assert all(a is b for a, b in zip(first, reversed(again)))
+    kept, kept_summary = screen_batch(pairs, signatures, cfg, baseline=True)
+    assert all(a is b for a, b in zip(first, kept))
+    assert replace(kept_summary, agree_with_full=None) == summary
+    assert first == oracle_screen_batch(pairs, signatures, cfg, cfg.table)[0]
+    other, _ = screen_batch(pairs, signatures, replace(cfg, e=2e-3))
+    assert {id(o) for o in other}.isdisjoint(map(id, first))
+    assert len(cfg._outcomes) <= (len(cfg.schedule) + 1) * (cfg.k + 1)
 
 
 def _one_in_39_signatures(k: int = 1000):

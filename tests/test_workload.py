@@ -6,6 +6,8 @@ import logging
 import os
 import random
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -248,6 +250,31 @@ class TestBothReaders:
             reader(str(path))
         path.write_bytes(b"1 2\n  # cafe\n3 4\n")
         assert len(reader(str(path))) == 2
+
+    def test_reading_does_not_import_numpy_ma(self, tmp_path):
+        """Lines that Python checks (a comment, a 20-digit id) are merged
+        without np.union1d, which imports numpy.ma (10 ms or more) on numpy
+        2.4. Skipped where importing numpy alone imports it."""
+        sets, pairs = tmp_path / "sets.txt", tmp_path / "pairs.txt"
+        sets.write_text("# tokens\n1 2\n12345678901234567890 3\n")
+        pairs.write_text("# a b\n1 2\n")
+        script = (
+            "import sys, numpy\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "from minscreen.workload import load_pairs, load_sets\n"
+            "assert load_sets(sys.argv[1]) == {1: {1, 2}, 2: {12345678901234567890, 3}}\n"
+            "assert load_pairs(sys.argv[2]) == [(1, 2)]\n"
+            "print(before, 'numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(workload.__file__))}
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(sets), str(pairs)],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        before, after = run.stdout.split()
+        if before == "True":
+            pytest.skip("importing numpy imports numpy.ma")
+        assert after == "False"
 
 
 def _first_id(text: bytes, new: bytes) -> bytes:
