@@ -3,11 +3,12 @@
 The screening engine asks two questions of a Binomial(k, t) match count X at
 each checkpoint k:
 
-* lower cutoff m_l: the largest m with P(X <= m) at most e, so that a match
-  count at or below m_l justifies discarding the pair, wrongly with
-  probability at most e when the true similarity is at least t;
-* upper cutoff m_u: the smallest m with P(X > m) at most e, so that a match
-  count at or above m_u justifies accepting the pair early.
+* lower cutoff m_l: the largest m with P(X <= m) at most 1.005·e
+  (E_ROUNDING_SLACK), so that a match count at or below m_l justifies
+  discarding the pair, wrongly with probability at most 1.005·e when the
+  true similarity is at least t;
+* upper cutoff m_u: the smallest m with P(X > m) at most 1.005·e, so that
+  a match count at or above m_u justifies accepting the pair early.
 
 They mirror each other: X > m exactly when k - X <= k - m - 1, and the
 masses of k - X are those of X reversed. So one tail, P(X <= m), and one

@@ -1,13 +1,16 @@
 """Sequential pair screening over signature prefixes.
 
-A pair's match count is examined at each configured checkpoint. Reaching the
-accept cutoff resolves the pair early as above-threshold, reaching the
-discard cutoff resolves it early as below-threshold, and a pair that clears
-every checkpoint is decided by the full-width match frequency. Cutoffs come
-from the binomial threshold table. An early discard is wrong with
-probability at most the configured significance per checkpoint. An early
-accept is not held to it: the table bounds P(X > m_u) but the walk accepts
-at X >= m_u, and at k = 100, T = 0.5, e = 1e-3 P(X >= m_u | T) is 1.76e-3.
+A pair's match count is examined at each stop of the walk: the configured
+checkpoints, then K. Each stop has a lower and an upper cutoff, and a count
+at or below the lower or at or above the upper resolves the pair there. At
+a checkpoint they are the threshold table's m_l, an early discard (-1, so
+none, where the table has no m_l), and m_u, an early accept. At K they are
+need - 1 and need, need being the least count whose frequency need / K
+reaches the threshold, so the full comparison is the walk's last stop.
+An early discard is wrong with probability at most 1.005·e per checkpoint
+(binomial.E_ROUNDING_SLACK). An early accept is not held to it: the table
+bounds P(X > m_u) but the walk accepts at X >= m_u, and at k = 100,
+T = 0.5, e = 1e-3 P(X >= m_u | T) is 1.76e-3.
 
 screen_batch walks a batch checkpoint by checkpoint rather than pair by
 pair, over one signature matrix. For each interval [k_{i-1}, k_i) it
@@ -19,12 +22,12 @@ checkpoint a pair reaches is read. The plain full-width screen is the same
 call with an empty schedule.
 
 With baseline=True the same walk also settles each pair's full-width
-decision x_K / K >= T, so a run is compared with the full-width screen
-without a second walk. A pair the table resolves early stays in the walk
-only until that decision is certain: above once x >= need, the least count
-with need / K >= T, and below once x + (K - k) < need, when even K - k more
-matches cannot reach it. This is deterministic curtailment; the cutoffs
-play no part in it, and it is tested only at the walk's stops.
+decision, so a run is compared with the full-width screen without a second
+walk. A pair resolved early stays among the walked pairs, no longer open,
+only until that decision is certain: above once x >= need, and below once
+x + (K - k) < need, when even K - k more matches cannot reach it. This is
+deterministic curtailment; the checkpoints' cutoffs play no part in it, and
+it is tested only at the walk's stops.
 """
 
 from __future__ import annotations
@@ -77,8 +80,9 @@ class PairOutcome:
 @dataclass(frozen=True)
 class ScreenConfig:
     """One screening configuration. Its field defaults are the command
-    line's defaults. It keeps its cutoff table and the outcomes that
-    screen_batch builds under it, shared across calls; neither is a field."""
+    line's defaults. It keeps its cutoff table, the walk's cutoffs and the
+    outcomes that screen_batch builds under it, shared across calls; none
+    is a field."""
 
     threshold: float = 0.5
     e: float = 1e-5
@@ -104,6 +108,16 @@ class ScreenConfig:
         kept. It is not a field, so equality, hashing, asdict and replace
         see only the fields, and replace gives a config with its own table."""
         return build_threshold_table(self.threshold, self.e, self.schedule, self.e_upper)
+
+    @cached_property
+    def _cutoffs(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+        """The walk's stops, (*schedule, k), and per stop the lower and
+        upper cutoff: m_l (-1 where a row has none) and m_u at a checkpoint,
+        need - 1 and need at k. Like table it is no field."""
+        rows, need = self.table.rows, _full_need(self.threshold, self.k)
+        lower = [-1 if row.m_l is None else row.m_l for row in rows]
+        upper = [row.m_u for row in rows]
+        return (*self.schedule, self.k), np.array([*lower, need - 1]), np.array([*upper, need])
 
     @cached_property
     def _outcomes(self) -> dict[int, PairOutcome]:
@@ -173,8 +187,7 @@ def screen_batch(
             f"{table.e_upper}), checkpoints {table.checkpoints} does not match the "
             "configuration's table"
         )
-    need = _full_need(cfg.threshold, cfg.k) if baseline else None
-    walked = _walk(matrix.matrix, pair_rows[:, 0], pair_rows[:, 1], cfg.table, cfg.k, need)
+    walked = _walk(matrix.matrix, pair_rows[:, 0], pair_rows[:, 1], cfg._cutoffs, baseline)
     return _collect(pairs, *walked, cfg)
 
 
@@ -189,71 +202,57 @@ def _count_matches(
     values: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int, x: np.ndarray
 ) -> None:
     """Add to x[i] the equal slots in columns [lo, hi) between matrix rows
-    a[i] and b[i], compared in steps that gather at most _STEP_BYTES."""
+    a[i] and b[i], compared in steps that gather at most _STEP_BYTES and
+    summed in int32, which holds any count of fewer than 2**31 columns."""
     step = max(1, _STEP_BYTES // (2 * 8 * (hi - lo)))
+    dtype = np.int32 if hi - lo < 2**31 else np.int64
     for i in range(0, len(a), step):
         part = slice(i, i + step)
-        x[part] += (values[a[part], lo:hi] == values[b[part], lo:hi]).sum(axis=1)
+        x[part] += (values[a[part], lo:hi] == values[b[part], lo:hi]).sum(axis=1, dtype=dtype)
 
 
 def _walk(
     values: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
-    table: ThresholdTable,
-    k: int,
-    need: int | None = None,
+    cutoffs: tuple[tuple[int, ...], np.ndarray, np.ndarray],
+    baseline: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Checkpoint-major walk of the pairs of signature rows (a[i], b[i]).
-
-    Returns, per pair, the index of the table row that resolved it (the
-    number of rows for a full comparison), its match count there, and,
-    with need given, whether its full-width count reaches need (else None).
-    alive lists the unresolved pairs and x holds their running counts.
-    late, la, lb and lx hold the same for resolved pairs whose full-width
-    decision is not yet settled; without need it stays empty.
+    """Stop-major walk of the pairs of signature rows (a[i], b[i]) through
+    a config's _cutoffs. Returns, per pair, the index of the stop that
+    resolved it, its match count there, and, with baseline, whether its
+    full-width count reaches need (else None). alive lists the walked pairs
+    and x their running counts; with baseline, is_open marks those still
+    unresolved, the others waiting for their full-width decision to settle.
     """
-    rows = table.rows
-    stops = [row.k for row in rows]
-    if not stops or stops[-1] < k:
-        stops.append(k)
-    resolved_at = np.full(len(a), len(rows), dtype=np.int64)
+    stops, lower, upper = cutoffs
+    k, need = stops[-1], upper[-1]
+    resolved_at = np.empty(len(a), dtype=np.int64)
     counts = np.empty(len(a), dtype=np.int64)
     alive = np.arange(len(a))
     x = np.zeros(len(a), dtype=np.int64)
-    full_above = None if need is None else np.empty(len(a), dtype=bool)
-    late = la = lb = lx = np.empty(0, dtype=np.int64)
+    full_above = np.empty(len(a), dtype=bool) if baseline else None
+    is_open = np.ones(len(a), dtype=bool)
     lo = 0
     for index, hi in enumerate(stops):
-        if not alive.size and not late.size:
+        if not alive.size:
             break
-        _count_matches(values, a, b, lo, hi, x)
-        if late.size:
-            _count_matches(values, la, lb, lo, hi, lx)
-        lo = hi
-        if index < len(rows):
-            row = rows[index]
-            done = x >= row.m_u
-            if row.m_l is not None:
-                done |= x <= row.m_l
-            if done.any():
-                resolved_at[alive[done]] = index
-                counts[alive[done]] = x[done]
-                if need is not None:
-                    moved = (alive[done], a[done], b[done], x[done])
-                    late, la, lb, lx = map(np.concatenate, zip((late, la, lb, lx), moved))
-                kept = ~done
-                alive, a, b, x = alive[kept], a[kept], b[kept], x[kept]
-        if late.size:
-            above = lx >= need
-            settled = above | (lx < need - (k - hi))
-            if settled.any():
-                full_above[late[settled]] = above[settled]
-                kept = ~settled
-                late, la, lb, lx = late[kept], la[kept], lb[kept], lx[kept]
-    counts[alive] = x
-    if need is not None:
-        full_above[alive] = x >= need
+        if hi > lo:
+            _count_matches(values, a, b, lo, hi, x)
+            lo = hi
+        done = (x <= lower[index]) | (x >= upper[index])
+        if baseline:
+            done &= is_open
+            is_open &= ~done
+        resolved_at[alive[done]] = index
+        counts[alive[done]] = x[done]
+        if baseline:
+            done = ~is_open & ((x >= need) | (x <= lower[-1] - (k - hi)))
+            full_above[alive[done]] = x[done] >= need
+            is_open = is_open[~done]
+        if done.any():
+            kept = ~done
+            alive, a, b, x = alive[kept], a[kept], b[kept], x[kept]
     return resolved_at, counts, full_above
 
 
@@ -265,20 +264,15 @@ def _collect(
     cfg: ScreenConfig,
 ) -> tuple[list[PairOutcome], BatchSummary]:
     """Outcomes and summary from the walk's per-pair results. Pairs of one
-    key, table row index·(k + 1) + matches there, share one (frozen)
-    PairOutcome: cfg._outcomes', built by _outcome on a miss. The summary
-    counts pairs by table row: an early outcome is above the threshold
-    exactly when it is an early accept."""
-    flat = resolved_at * (cfg.k + 1) + matches
-    keys = flat.tolist()
-    distinct = set(keys)
+    key, stop index·(k + 1) + matches there, share one (frozen)
+    PairOutcome: cfg._outcomes', built by _outcome on a miss. A pair is
+    above the threshold when its count reaches its stop's upper cutoff."""
+    keys = (resolved_at * (cfg.k + 1) + matches).tolist()
     known = cfg._outcomes
-    for key in distinct.difference(known):
+    for key in set(keys).difference(known):
         known[key] = _outcome(key, cfg)
-    above = np.zeros(max(distinct, default=0) + 1, dtype=bool)
-    above[[key for key in distinct if known[key].decision == ABOVE]] = True
-    is_above = above[flat]
-    stops = [*cfg.schedule, cfg.k]  # the comparisons of a pair resolved at each row
+    stops, _, upper = cfg._cutoffs  # a stop is also the comparisons it costs
+    is_above = matches >= upper[resolved_at]
     resolved = np.bincount(resolved_at, minlength=len(stops)).tolist()
     accepted = np.bincount(resolved_at[is_above], minlength=len(stops)).tolist()
     summary = BatchSummary(
@@ -296,16 +290,15 @@ def _collect(
 
 def _outcome(key: int, cfg: ScreenConfig) -> PairOutcome:
     """The outcome of _collect's key: an early accept or an early discard
-    at its table row, or past the last row a full comparison."""
+    at a checkpoint, or at the last stop a full comparison."""
     index, x = divmod(key, cfg.k + 1)
-    if index < len(cfg.table.rows):
-        row = cfg.table.rows[index]
-        if x >= row.m_u:
-            return PairOutcome(ABOVE, OUTPUT_EARLY, row.k, row.k, x / row.k)
-        return PairOutcome(BELOW, FILTERED_EARLY, row.k, row.k, x / row.k)
-    estimate = x / cfg.k
-    decision = ABOVE if estimate >= cfg.threshold else BELOW
-    return PairOutcome(decision, FULL_COMPARISON, None, cfg.k, estimate)
+    stops, _, upper = cfg._cutoffs
+    above = x >= upper[index]
+    decision = ABOVE if above else BELOW
+    if index < len(cfg.schedule):
+        kind = OUTPUT_EARLY if above else FILTERED_EARLY
+        return PairOutcome(decision, kind, stops[index], stops[index], x / stops[index])
+    return PairOutcome(decision, FULL_COMPARISON, None, cfg.k, x / cfg.k)
 
 
 def count_early(outcomes: Iterable[PairOutcome]) -> tuple[dict[int, int], dict[int, int]]:

@@ -200,6 +200,7 @@ def test_walk_compares_no_column_past_the_last_checkpoint_reached(monkeypatch):
         outcomes, summary = screen_batch(pairs, signatures, CONFIGS[name])
         used = [o.comparisons_used for o in outcomes]
         assert [lo for _, lo, _ in calls] == [0] + [hi for _, _, hi in calls[:-1]]
+        assert all(lo < hi for _, lo, hi in calls)
         assert calls[-1][2] == max(used)
         for alive, _, hi in calls:
             assert alive == sum(u >= hi for u in used)
@@ -233,6 +234,34 @@ BASELINE_CONFIGS = {
     "separate-e-upper": CONFIGS["separate-e-upper"],
     "tiny-e": ScreenConfig(threshold=0.5, e=1e-12, schedule=(20, 50, 100, 150, 180), k=200),
 }
+
+
+@pytest.mark.parametrize("name", sorted({*CONFIGS, *BASELINE_CONFIGS}))
+def test_cutoffs_are_the_table_rows_then_the_full_comparison(name):
+    """The walk's stops are the checkpoints and then k. A checkpoint's
+    cutoffs are its table row's m_l, or -1 where the row has none, and m_u;
+    k's are need - 1 and need, so a count at k resolves exactly as the full
+    comparison's float rule decides. A config made by replace builds its
+    own list."""
+    cfg = {**CONFIGS, **BASELINE_CONFIGS}[name]
+    stops, lower, upper = cfg._cutoffs
+    assert stops == (*cfg.schedule, cfg.k)
+    assert len(lower) == len(upper) == len(stops)
+    for row, low, up in zip(cfg.table.rows, lower.tolist(), upper.tolist()):
+        assert low == (-1 if row.m_l is None else row.m_l) and up == row.m_u
+    if name == "no-discard-rows":
+        assert -1 in lower.tolist()
+    need = screening._full_need(cfg.threshold, cfg.k)
+    assert (lower[-1], upper[-1]) == (need - 1, need)
+    assert (need - 1) / cfg.k < cfg.threshold <= need / cfg.k
+    assert cfg._cutoffs is cfg._cutoffs
+    copy = replace(cfg)
+    assert copy._cutoffs is not cfg._cutoffs
+    assert copy._cutoffs[0] == stops
+    assert all(np.array_equal(c, o) for c, o in zip(copy._cutoffs[1:], (lower, upper)))
+    moved = replace(cfg, threshold=cfg.threshold + 0.05)
+    assert moved._cutoffs[2][-1] == screening._full_need(moved.threshold, cfg.k)
+    assert moved._cutoffs[2][-1] > need
 
 
 def boundary_signatures(k: int, need: int) -> dict[int, Signature]:
@@ -306,7 +335,7 @@ def test_one_walk_baseline_agrees_with_a_separate_full_screen(name, monkeypatch)
             and (counts[stop - 1] >= need or counts[stop - 1] + cfg.k - stop < need)
         )
     calls.clear()
-    _, _, full_above = screening._walk(values, a, b, table, cfg.k, need)
+    _, _, full_above = screening._walk(values, a, b, cfg._cutoffs, baseline=True)
     assert sum(calls) == read
     assert full_above.tolist() == (prefix[:, -1] >= need).tolist()
 
@@ -322,9 +351,7 @@ def test_one_walk_baseline_stops_when_the_full_decision_is_certain(monkeypatch):
     """Token-disjoint pairs match in no slot. At T = 0.5 and K = 1000 they
     are discarded at checkpoint 100, and their full-width decision is
     certain at 600, where 0 matches plus the 400 slots left fall short of
-    need = 500: with baseline=True no column at or past 600 is read. (The
-    walk also passes its emptied set of unresolved pairs, which reads
-    nothing.)"""
+    need = 500: with baseline=True no column at or past 600 is read."""
     calls = []
     count = screening._count_matches
 
@@ -343,7 +370,7 @@ def test_one_walk_baseline_stops_when_the_full_decision_is_certain(monkeypatch):
     }
     assert summary.agree_with_full == len(pairs)
     late = [(len(pairs), lo, lo + 100) for lo in range(100, 600, 100)]
-    assert [call for call in calls if call[0]] == [(len(pairs), 0, 100), *late]
+    assert calls == [(len(pairs), 0, 100), *late]
 
 
 def test_pairs_resolving_alike_share_one_outcome():
