@@ -2,7 +2,9 @@
 
 Produces the outcome CSV and an aggregate report per run. The report's cost
 metric is slot comparisons, which is portable across machines; wall time is
-recorded for orientation only and is never compared against anything.
+recorded for orientation only and is never compared against anything. The
+outcome CSV is written from a screening.Screened record in blocks of rows
+rendered by numpy, never a Python string per row.
 """
 
 from __future__ import annotations
@@ -10,15 +12,16 @@ from __future__ import annotations
 import csv
 import io
 import json
-import operator
 import time
 from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, BinaryIO, Mapping, Sequence
+
+import numpy as np
 
 from .minhash import Signature, make_family, sign_many
 from .sets import as_u64, jaccard_at_least_each
-from .workload import parse_decimal, read_lines, write_text
+from .workload import parse_decimal, read_lines, replace_file
 from .screening import (
     ABOVE,
     BELOW,
@@ -27,6 +30,7 @@ from .screening import (
     OUTPUT_EARLY,
     PairOutcome,
     ScreenConfig,
+    Screened,
     count_early,
     filtering_rates,
     screen_batch,
@@ -42,6 +46,11 @@ OUTCOME_COLUMNS = [
     "comparisons_used",
     "estimate",
 ]
+
+# Rows of the outcome CSV rendered at a time. A block of the join workload's
+# 57-byte rows takes 0.9 MB, and the writer holds about three blocks' worth
+# at once (the block, its NUL mask and the compressed bytes), not the file.
+_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -68,14 +77,15 @@ def screen_signatures(
     cfg: ScreenConfig,
     baseline: bool = False,
     sets: Mapping[int, AbstractSet[int]] | None = None,
-) -> tuple[list[PairOutcome], ExperimentReport]:
+) -> tuple[Screened, ExperimentReport]:
     """Screen presigned pairs and aggregate the report.
 
     With baseline=True the one screening walk also settles each pair's
     full-width decision (see screening.screen_batch), and accuracy is the
     fraction of pairs on which the screened decision agrees with it.
     agreement_vs_exact is only available when the underlying sets are
-    supplied. The cutoffs are cfg.table, so a config whose table is already
+    supplied; the screened decisions it compares are the record's above().
+    The cutoffs are cfg.table, so a config whose table is already
     built is not solved again.
     """
     started = time.perf_counter()
@@ -90,9 +100,8 @@ def screen_signatures(
 
     agreement_vs_exact = None
     if sets is not None:
-        above = [outcome.decision == ABOVE for outcome in outcomes]
-        truth = jaccard_at_least_each(sets, pairs, cfg.threshold)
-        agreement_vs_exact = sum(map(operator.eq, truth, above)) / len(outcomes)
+        truth = np.fromiter(jaccard_at_least_each(sets, pairs, cfg.threshold), bool, len(pairs))
+        agreement_vs_exact = int((truth == outcomes.above()).sum()) / len(outcomes)
 
     report = ExperimentReport(
         n_pairs=len(outcomes),
@@ -118,7 +127,7 @@ def run_screen(
     pairs: Sequence[tuple[int, int]],
     cfg: ScreenConfig,
     baseline: bool = False,
-) -> tuple[list[PairOutcome], ExperimentReport]:
+) -> tuple[Screened, ExperimentReport]:
     """Sign the sets the pairs reference, then screen every pair."""
     ids = dict.fromkeys(chain.from_iterable(pairs))
     try:
@@ -129,37 +138,66 @@ def run_screen(
     return screen_signatures(signatures, pairs, cfg, baseline=baseline, sets=sets)
 
 
-def outcomes_csv(pairs: Sequence[tuple[int, int]], outcomes: Sequence[PairOutcome]) -> str:
-    """The outcomes as CSV, one row per pair.
+def write_outcomes_csv(path: str, pairs: Sequence[tuple[int, int]], outcomes: Screened) -> None:
+    """The outcomes of a screen as CSV, one row per pair, by replace_file.
 
-    No field can contain a comma, quote or newline, so plain joins give the
-    bytes csv.writer would. screen_batch shares one PairOutcome among pairs
-    resolved alike, so each distinct object's tail of five fields is
-    formatted once; the list keeps the objects alive, so id() is a safe key.
-    """
+    pairs must be the pairs screened, but only their number is checked,
+    before the file is opened: the set ids written are the record's.
+    Comparing them with pairs would cost about as much again as the write.
+    No field can hold a comma, quote or newline, so the rows are the bytes
+    csv.writer would give. Each block of at most _BLOCK_ROWS rows is
+    rendered into a uint8 array of fixed-width rows padded with NUL bytes:
+    pair_index and the ids by _decimal, and the rest of the row by
+    gathering its outcome's tail, rendered once per distinct outcome.
+    Dropping the NULs gives the block's bytes."""
     if len(pairs) != len(outcomes):
         raise ValueError(f"{len(pairs)} pairs but {len(outcomes)} outcomes")
-    tails: dict[int, str] = {}
-    lines = [",".join(OUTCOME_COLUMNS)]
-    for index, ((id_a, id_b), outcome) in enumerate(zip(pairs, outcomes)):
-        tail = tails.get(id(outcome))
-        if tail is None:
-            checkpoint = outcome.resolution_checkpoint
-            tail = tails[id(outcome)] = (
-                f"{outcome.decision},{outcome.resolution_kind},"
-                f"{'' if checkpoint is None else checkpoint},"
-                f"{outcome.comparisons_used},{outcome.estimate!r}"
-            )
-        lines.append(f"{index},{id_a},{id_b},{tail}")
-    lines.append("")
-    return "\n".join(lines)
+    replace_file(path, lambda fh: _write_rows(fh, outcomes))
 
 
-def write_outcomes_csv(
-    path: str, pairs: Sequence[tuple[int, int]], outcomes: Sequence[PairOutcome]
-) -> None:
-    """outcomes_csv to path by write_text, built before the file is opened."""
-    write_text(path, outcomes_csv(pairs, outcomes))
+def _write_rows(fh: BinaryIO, screened: Screened) -> None:
+    outcomes, which = screened.entries
+    tails = [
+        f",{o.decision},{o.resolution_kind},"
+        f"{'' if o.resolution_checkpoint is None else o.resolution_checkpoint},"
+        f"{o.comparisons_used},{o.estimate!r}\n".encode("ascii")
+        for o in outcomes
+    ]
+    width = max(map(len, tails), default=0)
+    padded = b"".join(tail.ljust(width, b"\0") for tail in tails)
+    tails = np.frombuffer(padded, np.uint8).reshape(len(tails), width)
+    fh.write((",".join(OUTCOME_COLUMNS) + "\n").encode("ascii"))
+    for start in range(0, len(screened), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(screened))
+        fields = (np.arange(start, stop, dtype=np.uint64), *screened.ids[start:stop].T)
+        widths = [len(str(int(values.max()))) for values in fields]
+        block = np.empty((stop - start, sum(widths) + 2 + width), np.uint8)
+        at = 0
+        for values, digits in zip(fields, widths):
+            if at:
+                block[:, at] = ord(",")
+                at += 1
+            _decimal(block[:, at : at + digits], values)
+            at += digits
+        block[:, at:] = tails[which[start:stop]]  # from the comma after id_b
+        flat = block.reshape(-1)
+        fh.write(flat[flat != 0])
+
+
+def _decimal(out: np.ndarray, values: np.ndarray) -> None:
+    """values, uint64, in decimal ASCII right-aligned in the columns of out,
+    which must hold the widest, with NUL bytes before the first digit. A
+    width of at most 9 digits is computed in uint32, which cut the whole
+    write on the join workload's 101,025 rows from 20 to 18 ms."""
+    if out.shape[1] <= 9:
+        values = values.astype(np.uint32)
+    for column in range(out.shape[1] - 1, -1, -1):
+        quotient = values // 10
+        digit = values - quotient * 10 + ord("0")
+        if column < out.shape[1] - 1:
+            digit *= values != 0  # a leading zero is a NUL
+        out[:, column] = digit
+        values = quotient
 
 
 def read_outcomes_csv(path: str) -> tuple[list[tuple[int, int]], list[PairOutcome]]:
@@ -181,7 +219,7 @@ def read_outcomes_csv(path: str) -> tuple[list[tuple[int, int]], list[PairOutcom
 
 
 def _parse_outcome_row(row: list[str], position: int) -> tuple[tuple[int, int], PairOutcome]:
-    """One outcomes row as outcomes_csv writes it: a known decision and kind,
+    """One outcomes row as write_outcomes_csv writes it: a known decision and kind,
     an early row deciding as its kind says at a checkpoint (at least 1) equal
     to comparisons_used, plain decimal integers, set ids by sets.as_u64, an
     estimate in [0, 1] by repr, and, checked last, pair_index == position."""

@@ -19,7 +19,9 @@ matrix, adds the matches to their running counts, and drops the pairs the
 checkpoint resolves. A pair resolved at checkpoint k therefore costs k slot
 comparisons in time as well as in the count, and no column past the last
 checkpoint a pair reaches is read. The plain full-width screen is the same
-call with an empty schedule.
+call with an empty schedule. The result is a Screened record of the walk's
+arrays, per pair the resolving stop and the match count there; its
+PairOutcomes are built only when it is read.
 
 With baseline=True the same walk also settles each pair's full-width
 decision, so a run is compared with the full-width screen without a second
@@ -32,11 +34,13 @@ it is tested only at the walk's stops.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -81,8 +85,8 @@ class PairOutcome:
 class ScreenConfig:
     """One screening configuration. Its field defaults are the command
     line's defaults. It keeps its cutoff table, the walk's cutoffs and the
-    outcomes that screen_batch builds under it, shared across calls; none
-    is a field."""
+    outcomes read from the records screened under it, shared across calls;
+    none is a field."""
 
     threshold: float = 0.5
     e: float = 1e-5
@@ -121,8 +125,8 @@ class ScreenConfig:
 
     @cached_property
     def _outcomes(self) -> dict[int, PairOutcome]:
-        """The outcomes screen_batch has built under this configuration, by
-        _collect's key, shared across its calls. Like table it is no field,
+        """The outcomes read from records screened under this configuration,
+        by Screened's key, shared across records. Like table it is no field,
         and it holds at most (checkpoints + 1)·(k + 1) outcomes."""
         return {}
 
@@ -143,6 +147,65 @@ class BatchSummary:
     agree_with_full: int | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class Screened(Sequence[PairOutcome]):
+    """The outcomes of one screen_batch call as the walk left them, a
+    sequence with a PairOutcome per pair. ids holds the pairs' set ids,
+    (n, 2) uint64; resolved_at the index of the stop in cfg._cutoffs that
+    resolved each pair, as _walk gives it, and counts its match count
+    there; the three arrays are read-only. A pair's outcome is a function
+    of its key, stop index·(k + 1) + count, and is built through
+    cfg._outcomes only when the record is first read, so pairs resolved
+    alike share one (frozen) PairOutcome, also across records of one
+    configuration.
+
+    As on a list, one pair's outcome can be replaced, record[i] = outcome
+    (the benchmark's smoke test doctors a result this way). Reading and
+    writing the record then give the new outcome; the walk's arrays and
+    above() stay the walk's."""
+
+    cfg: ScreenConfig
+    ids: np.ndarray
+    resolved_at: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.ids, self.resolved_at, self.counts):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.resolved_at)
+
+    def __getitem__(self, index):
+        outcomes, which = self.entries
+        if isinstance(index, slice):
+            return list(map(outcomes.__getitem__, which[index].tolist()))
+        return outcomes[which[index]]
+
+    def __setitem__(self, index: int, outcome: PairOutcome) -> None:
+        outcomes, which = self.entries
+        which[operator.index(index)] = len(outcomes)
+        outcomes.append(outcome)
+
+    def __iter__(self) -> Iterator[PairOutcome]:
+        outcomes, which = self.entries
+        return map(outcomes.__getitem__, which.tolist())
+
+    @cached_property
+    def entries(self) -> tuple[list[PairOutcome], np.ndarray]:
+        """The distinct outcomes among the pairs, and per pair the index of
+        its outcome in that list. Both are the record's own, built on the
+        first read; only __setitem__ changes them."""
+        keys = self.resolved_at * (self.cfg.k + 1) + self.counts
+        distinct, which = np.unique(keys, return_inverse=True)
+        return [_outcome(key, self.cfg) for key in distinct.tolist()], which
+
+    def above(self) -> np.ndarray:
+        """Per pair, whether the walk decided it above the threshold:
+        whether its count reaches the upper cutoff of its stop."""
+        return self.counts >= self.cfg._cutoffs[2][self.resolved_at]
+
+
 def build_table(cfg: ScreenConfig) -> ThresholdTable:
     return cfg.table
 
@@ -154,8 +217,8 @@ def screen_batch(
     table: ThresholdTable | None = None,
     *,
     baseline: bool = False,
-) -> tuple[list[PairOutcome], BatchSummary]:
-    """Screen every pair, in order, against cfg.table.
+) -> tuple[Screened, BatchSummary]:
+    """Screen every pair, in order, against cfg.table, into a Screened.
 
     Signatures must come from the family (cfg.master_seed, cfg.k), and a
     table passed in must equal cfg.table: cutoffs solved for another
@@ -187,8 +250,11 @@ def screen_batch(
             f"{table.e_upper}), checkpoints {table.checkpoints} does not match the "
             "configuration's table"
         )
-    walked = _walk(matrix.matrix, pair_rows[:, 0], pair_rows[:, 1], cfg._cutoffs, baseline)
-    return _collect(pairs, *walked, cfg)
+    resolved_at, counts, full_above = _walk(
+        matrix.matrix, pair_rows[:, 0], pair_rows[:, 1], cfg._cutoffs, baseline
+    )
+    screened = Screened(cfg, ids.reshape(-1, 2), resolved_at, counts)
+    return screened, _summary(pairs, screened, full_above)
 
 
 def _full_need(threshold: float, k: int) -> int:
@@ -256,49 +322,46 @@ def _walk(
     return resolved_at, counts, full_above
 
 
-def _collect(
-    pairs: Sequence[tuple[int, int]],
-    resolved_at: np.ndarray,
-    matches: np.ndarray,
-    full_above: np.ndarray | None,
-    cfg: ScreenConfig,
-) -> tuple[list[PairOutcome], BatchSummary]:
-    """Outcomes and summary from the walk's per-pair results. Pairs of one
-    key, stop index·(k + 1) + matches there, share one (frozen)
-    PairOutcome: cfg._outcomes', built by _outcome on a miss. A pair is
-    above the threshold when its count reaches its stop's upper cutoff."""
-    keys = (resolved_at * (cfg.k + 1) + matches).tolist()
-    known = cfg._outcomes
-    for key in set(keys).difference(known):
-        known[key] = _outcome(key, cfg)
-    stops, _, upper = cfg._cutoffs  # a stop is also the comparisons it costs
-    is_above = matches >= upper[resolved_at]
+def _summary(
+    pairs: Sequence[tuple[int, int]], screened: Screened, full_above: np.ndarray | None
+) -> BatchSummary:
+    """The summary of a screened batch, counted from its arrays. full_above
+    is _walk's, None without baseline."""
+    cfg, resolved_at = screened.cfg, screened.resolved_at
+    stops = cfg._cutoffs[0]  # a stop is also the comparisons it costs
+    is_above = screened.above()
     resolved = np.bincount(resolved_at, minlength=len(stops)).tolist()
     accepted = np.bincount(resolved_at[is_above], minlength=len(stops)).tolist()
-    summary = BatchSummary(
-        n_pairs=len(keys),
+    return BatchSummary(
+        n_pairs=len(screened),
         total_comparisons=sum(n * k for n, k in zip(resolved, stops)),
-        baseline_comparisons=len(keys) * cfg.k,
+        baseline_comparisons=len(screened) * cfg.k,
         filtered_at={k: n - a for k, n, a in zip(cfg.schedule, resolved, accepted)},
         output_at=dict(zip(cfg.schedule, accepted)),
         full_comparisons=resolved[-1],
         above_threshold=tuple(tuple(pairs[i]) for i in np.flatnonzero(is_above).tolist()),
         agree_with_full=None if full_above is None else int((is_above == full_above).sum()),
     )
-    return list(map(known.__getitem__, keys)), summary
 
 
 def _outcome(key: int, cfg: ScreenConfig) -> PairOutcome:
-    """The outcome of _collect's key: an early accept or an early discard
-    at a checkpoint, or at the last stop a full comparison."""
+    """The outcome of a Screened key, an early accept or an early discard at
+    a checkpoint, or at the last stop a full comparison: cfg._outcomes', or
+    on a miss a new one kept there."""
+    outcome = cfg._outcomes.get(key)
+    if outcome is not None:
+        return outcome
     index, x = divmod(key, cfg.k + 1)
     stops, _, upper = cfg._cutoffs
     above = x >= upper[index]
     decision = ABOVE if above else BELOW
     if index < len(cfg.schedule):
         kind = OUTPUT_EARLY if above else FILTERED_EARLY
-        return PairOutcome(decision, kind, stops[index], stops[index], x / stops[index])
-    return PairOutcome(decision, FULL_COMPARISON, None, cfg.k, x / cfg.k)
+        outcome = PairOutcome(decision, kind, stops[index], stops[index], x / stops[index])
+    else:
+        outcome = PairOutcome(decision, FULL_COMPARISON, None, cfg.k, x / cfg.k)
+    cfg._outcomes[key] = outcome
+    return outcome
 
 
 def count_early(outcomes: Iterable[PairOutcome]) -> tuple[dict[int, int], dict[int, int]]:

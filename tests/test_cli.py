@@ -6,17 +6,19 @@ import io
 import json
 import os
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from minscreen import minhash
 from minscreen.cache import read_cache
 from minscreen.cli import main
+from minscreen import harness
 from minscreen.harness import (
     OUTCOME_COLUMNS,
-    outcomes_csv,
     read_outcomes_csv,
     report_fr_curves,
     run_screen,
@@ -25,13 +27,14 @@ from minscreen.harness import (
 )
 from minscreen.screening import (
     FILTERED_EARLY,
+    FULL_COMPARISON,
     OUTPUT_EARLY,
     ScreenConfig,
     build_table,
     filtering_rate,
     screen_batch,
 )
-from minscreen.minhash import make_family, sign_many, slot_hash
+from minscreen.minhash import SignatureMatrix, make_family, sign_many, slot_hash
 from minscreen.workload import WorkloadGroup, WorkloadSpec, gen_synthetic, load_sets
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -46,6 +49,24 @@ def small_workload():
         seed=11,
     )
     return gen_synthetic(spec)
+
+
+def written_csv(tmp_path, pairs, outcomes) -> str:
+    path = tmp_path / "written.csv"
+    write_outcomes_csv(str(path), pairs, outcomes)
+    return path.read_bytes().decode("ascii")
+
+
+def csv_writer_text(pairs, outcomes) -> str:
+    """The outcomes CSV that csv.writer makes from the outcomes' fields."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(OUTCOME_COLUMNS)
+    for index, ((id_a, id_b), o) in enumerate(zip(pairs, outcomes, strict=True)):
+        checkpoint = "" if o.resolution_checkpoint is None else o.resolution_checkpoint
+        row = [index, id_a, id_b, o.decision, o.resolution_kind, checkpoint]
+        writer.writerow(row + [o.comparisons_used, repr(o.estimate)])
+    return buf.getvalue()
 
 
 class TestHarness:
@@ -140,50 +161,122 @@ class TestHarness:
         write_outcomes_csv(path, pairs, outcomes)
         pairs_back, outcomes_back = read_outcomes_csv(path)
         assert pairs_back == pairs
-        assert outcomes_back == outcomes
+        assert outcomes_back == list(outcomes)
 
     def test_outcomes_csv_refuses_unequal_lengths_and_keeps_the_file(self, tmp_path):
         """A row per pair or none: with outcomes for fewer (or more) pairs
         nothing is written, and an existing file keeps its bytes."""
         sets, pairs = small_workload()
-        outcomes, _ = run_screen(sets, pairs[:1], ScreenConfig(schedule=(), k=20))
+        cfg = ScreenConfig(schedule=(), k=20)
+        one, _ = run_screen(sets, pairs[:1], cfg)
+        two, _ = run_screen(sets, pairs[:2], cfg)
         path = tmp_path / "outcomes.csv"
         path.write_text("kept\n")
-        for some_pairs, some_outcomes in ((pairs[:3], outcomes), (pairs[:1], outcomes * 2)):
+        for some_pairs, some_outcomes in ((pairs[:3], one), (pairs[:1], two)):
             message = f"{len(some_pairs)} pairs but {len(some_outcomes)} outcomes"
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                outcomes_csv(some_pairs, some_outcomes)
             with pytest.raises(ValueError, match=f"^{message}$"):
                 write_outcomes_csv(str(path), some_pairs, some_outcomes)
             assert path.read_text() == "kept\n"
 
-    def test_outcomes_csv_header_is_pinned(self):
-        text = outcomes_csv([], [])
-        assert text == ",".join(OUTCOME_COLUMNS) + "\n"
+    def test_outcomes_csv_header_is_pinned(self, tmp_path):
+        outcomes, _ = screen_batch([], {}, ScreenConfig(schedule=(), k=10))
+        path = tmp_path / "outcomes.csv"
+        write_outcomes_csv(str(path), [], outcomes)
+        assert path.read_bytes() == (",".join(OUTCOME_COLUMNS) + "\n").encode()
 
     @pytest.mark.parametrize("source", ["shared", "unshared", "full_k", "empty"])
-    def test_outcomes_csv_matches_csv_writer(self, source):
+    def test_outcomes_csv_matches_csv_writer(self, source, tmp_path):
+        """shared: pairs resolved alike in one record; unshared: one record
+        per pair, each under a config that has built no outcome yet."""
         sets, pairs = small_workload()
         cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(50, 100), k=200, master_seed=5)
-        if source == "empty":
-            pairs, outcomes = [], []
-        elif source == "unshared":
+        if source == "unshared":
             signatures = sign_many(make_family(cfg.k, cfg.master_seed), sets)
-            table = build_table(cfg)
-            outcomes = [screen_batch([pair], signatures, cfg, table)[0][0] for pair in pairs]
+            for pair in pairs:
+                outcomes, _ = screen_batch([pair], signatures, replace(cfg))
+                assert written_csv(tmp_path, [pair], outcomes) == csv_writer_text([pair], outcomes)
+            return
+        if source == "empty":
+            pairs, (outcomes, _) = [], screen_batch([], {}, cfg)
         else:
             if source == "full_k":
                 cfg = ScreenConfig(threshold=0.5, schedule=(), k=200, master_seed=5)
             outcomes, _ = run_screen(sets, pairs, cfg)
             assert len({id(o) for o in outcomes}) < len(outcomes)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(OUTCOME_COLUMNS)
-        for index, ((id_a, id_b), o) in enumerate(zip(pairs, outcomes)):
-            checkpoint = "" if o.resolution_checkpoint is None else o.resolution_checkpoint
-            row = [index, id_a, id_b, o.decision, o.resolution_kind, checkpoint]
-            writer.writerow(row + [o.comparisons_used, repr(o.estimate)])
-        assert outcomes_csv(pairs, outcomes) == buf.getvalue()
+        assert written_csv(tmp_path, pairs, outcomes) == csv_writer_text(pairs, outcomes)
+
+    def test_outcomes_csv_writes_extreme_set_ids(self, tmp_path):
+        """Ids of one to twenty digits, 2**64 - 1 included, in one batch,
+        early and full-comparison rows alike."""
+        ids = np.array([0, 9, 10, 10**19, 2**64 - 1], dtype=np.uint64)
+        rng = np.random.default_rng(3)
+        matrix = rng.integers(0, 4, (len(ids), 200), dtype=np.uint64)
+        signatures = SignatureMatrix(ids, matrix, (5, 200))
+        pairs = [(int(a), int(b)) for a in ids for b in ids]
+        for schedule in ((50, 100), ()):
+            cfg = ScreenConfig(threshold=0.3, e=1e-3, schedule=schedule, k=200, master_seed=5)
+            outcomes, _ = screen_batch(pairs, signatures, cfg)
+            if not schedule:
+                assert {o.resolution_kind for o in outcomes} == {FULL_COMPARISON}
+            assert written_csv(tmp_path, pairs, outcomes) == csv_writer_text(pairs, outcomes)
+
+    @pytest.mark.parametrize("n_pairs", [9, 10, 11, 99, 100, 101])
+    def test_outcomes_csv_rows_around_a_new_index_width(self, n_pairs, tmp_path):
+        sets, pairs = small_workload()
+        pairs = (pairs * 2)[:n_pairs]
+        outcomes, _ = run_screen(sets, pairs, ScreenConfig(schedule=(50,), k=200, master_seed=5))
+        assert written_csv(tmp_path, pairs, outcomes) == csv_writer_text(pairs, outcomes)
+
+    @pytest.mark.parametrize("n_pairs", [3, 4, 5, 8, 9])
+    def test_outcomes_csv_rows_around_a_block(self, n_pairs, tmp_path, monkeypatch):
+        """Blocks of 4 rows: one short of a block, a block and one more,
+        two blocks and one more. Each block has its own id width: the first
+        block's ids have one digit, the later blocks' three."""
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", 4)
+        sets, pairs = small_workload()
+        pairs = (pairs[:4] + pairs[-5:])[:n_pairs]
+        assert max(max(pair) for pair in pairs[:4]) < 10 <= min(map(min, pairs[4:]), default=10)
+        outcomes, _ = run_screen(sets, pairs, ScreenConfig(schedule=(50,), k=200, master_seed=5))
+        assert written_csv(tmp_path, pairs, outcomes) == csv_writer_text(pairs, outcomes)
+
+    def test_outcomes_csv_writes_17_significant_digits(self, tmp_path):
+        """At k = 7 a full comparison with one match estimates 1/7, whose
+        repr has 17 significant digits; the one all-matching pair is 1.0."""
+        values = np.arange(7, dtype=np.uint64)
+        other = values + np.uint64(100)
+        other[3] = values[3]
+        ids = np.array([1, 2], dtype=np.uint64)
+        signatures = SignatureMatrix(ids, np.stack([values, other]), (5, 7))
+        pairs = [(1, 2), (2, 1), (1, 1)]
+        outcomes, _ = screen_batch(pairs, signatures, ScreenConfig(schedule=(), k=7, master_seed=5))
+        assert [o.estimate for o in outcomes] == [1 / 7, 1 / 7, 1.0]
+        assert repr(1 / 7) == "0.14285714285714285"
+        assert written_csv(tmp_path, pairs, outcomes) == csv_writer_text(pairs, outcomes)
+
+    def test_outcomes_csv_writes_a_replaced_outcome(self, tmp_path):
+        """An outcome replaced in the record, one no walk gives, is written
+        as the record now reads it; the other rows are unchanged."""
+        sets, pairs = small_workload()
+        cfg = ScreenConfig(schedule=(50,), k=200, master_seed=5)
+        outcomes, _ = run_screen(sets, pairs, cfg)
+        before = written_csv(tmp_path, pairs, outcomes).splitlines()
+        outcomes[3] = replace(outcomes[3], resolution_kind="Doctored", estimate=1 / 3)
+        after = written_csv(tmp_path, pairs, outcomes)
+        assert after == csv_writer_text(pairs, outcomes)
+        changed = [i for i, (a, b) in enumerate(zip(before, after.splitlines())) if a != b]
+        assert changed == [4] and after.splitlines()[4].endswith(",0.3333333333333333")
+
+    def test_outcomes_csv_golden(self, tmp_path):
+        """The outcome CSV of a --baseline screen of `minscreen gen`'s seed-7
+        sets, byte for byte as the row-at-a-time writer wrote it."""
+        sets, pairs = str(tmp_path / "sets.txt"), str(tmp_path / "pairs.txt")
+        groups = [f"--group={j}:100:15-25" for j in ("0.9", "0.5", "0.1")]
+        assert main(["gen", *groups, "--seed", "7", "--out-sets", sets, "--out-pairs", pairs]) == 0
+        out = tmp_path / "outcomes.csv"
+        options = "--baseline --k 400 --seed 42 --threshold 0.5 --e 1e-3 --schedule 100,200,300"
+        argv = ["screen", "--sets", sets, "--pairs", pairs, *options.split(), "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (GOLDEN / "outcomes_gen7_k400.csv").read_bytes()
 
     def test_read_outcomes_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "other.csv"

@@ -284,7 +284,7 @@ def test_screen_batch_identical_pairs_cost_first_checkpoint_only():
 def test_screen_batch_empty_pair_list():
     cfg = ScreenConfig(schedule=(), k=10)
     outcomes, summary = screen_batch([], {}, cfg)
-    assert outcomes == []
+    assert list(outcomes) == []
     assert summary.n_pairs == 0
     assert summary.total_comparisons == 0
     assert summary.above_threshold == ()

@@ -80,6 +80,13 @@ def oracle_screen_batch(pairs, signatures, cfg, table):
     return outcomes, summary
 
 
+def listed(result):
+    """screen_batch's result with its record as a list, to compare with
+    oracle_screen_batch's."""
+    outcomes, summary = result
+    return list(outcomes), summary
+
+
 def crafted_signatures(k: int, n: int, rng: np.random.Generator) -> dict[int, Signature]:
     """Signatures in a few groups: members of a group copy their group's
     base vector except for a random share of slots, so pairs within a group
@@ -133,7 +140,7 @@ def test_batch_walk_matches_per_pair_walk(name):
     if name == "no-discard-rows":
         assert any(row.m_l is None for row in table.rows)
     expected = oracle_screen_batch(pairs, signatures, cfg, table)
-    assert screen_batch(pairs, signatures, cfg) == expected
+    assert listed(screen_batch(pairs, signatures, cfg)) == expected
     outcomes, summary = expected
     kinds = {o.resolution_kind for o in outcomes}
     if cfg.schedule:
@@ -177,7 +184,21 @@ def test_batch_walk_matches_across_many_small_blocks(name, monkeypatch, tmp_path
         assert kinds == {FULL_COMPARISON}
     monkeypatch.setattr(screening, "_STEP_BYTES", 3 * 2 * 8 * 50)
     for signatures in (matrix, stored, plain):
-        assert screen_batch(pairs, signatures, cfg) == expected
+        assert listed(screen_batch(pairs, signatures, cfg)) == expected
+
+
+def test_count_matches_past_2_31_columns_sums_in_int64():
+    """hi - lo >= 2**31 makes _count_matches sum in int64. Column slicing
+    clamps, so a 2 x 3 matrix with hi = 2**31 reads the same three columns
+    as hi = 3, in one step a pair, and must add the same counts."""
+    values = np.array([[1, 2, 3], [1, 5, 3]], dtype=np.uint64)
+    a, b = np.array([0, 0, 1, 1]), np.array([1, 0, 0, 1])
+    counts = []
+    for hi in (3, 2**31):
+        x = np.full(4, 7, dtype=np.int64)
+        screening._count_matches(values, a, b, 0, hi, x)
+        counts.append(x.tolist())
+    assert counts == [[9, 10, 9, 10]] * 2
 
 
 def test_walk_compares_no_column_past_the_last_checkpoint_reached(monkeypatch):
@@ -216,7 +237,7 @@ def test_walk_compares_no_column_past_the_last_checkpoint_reached(monkeypatch):
 
 def test_empty_pair_list_matches_reference():
     cfg = CONFIGS["mid-schedule"]
-    assert screen_batch([], {}, cfg) == oracle_screen_batch([], {}, cfg, build_table(cfg))
+    assert listed(screen_batch([], {}, cfg)) == oracle_screen_batch([], {}, cfg, build_table(cfg))
 
 
 @pytest.mark.parametrize("t", [0.1, 0.3, 1 / 3, 0.5, 0.7, 0.9, 1 - 2**-53])
@@ -313,7 +334,7 @@ def test_one_walk_baseline_agrees_with_a_separate_full_screen(name, monkeypatch)
 
     monkeypatch.setattr(screening, "_count_matches", spy)
     outcomes, summary = screen_batch(pairs, signatures, cfg, baseline=True)
-    assert plain == (outcomes, replace(summary, agree_with_full=None))
+    assert listed(plain) == (list(outcomes), replace(summary, agree_with_full=None))
     full, _ = screen_batch(pairs, signatures, replace(cfg, schedule=()))
     agree = sum(o.decision == f.decision for o, f in zip(outcomes, full))
     assert summary.agree_with_full == agree
@@ -343,7 +364,7 @@ def test_one_walk_baseline_agrees_with_a_separate_full_screen(name, monkeypatch)
 def test_one_walk_baseline_of_an_empty_batch():
     cfg = CONFIGS["mid-schedule"]
     outcomes, summary = screen_batch([], {}, cfg, baseline=True)
-    assert outcomes == [] and summary.agree_with_full == 0
+    assert list(outcomes) == [] and summary.agree_with_full == 0
     assert screen_batch([], {}, cfg)[1].agree_with_full is None
 
 
@@ -373,6 +394,51 @@ def test_one_walk_baseline_stops_when_the_full_decision_is_certain(monkeypatch):
     assert calls == [(len(pairs), 0, 100), *late]
 
 
+def test_a_screened_record_reads_like_a_list():
+    """screen_batch builds no PairOutcome: the record builds one per key
+    when it is read. Indexing (negative too), slicing, iteration and
+    reversal agree; its arrays cannot be written. One outcome can be
+    replaced, as in a list, and is then read back; the walk's arrays and
+    above() keep the walk's results."""
+    cfg = replace(CONFIGS["mid-schedule"])  # none of the outcomes other tests built
+    rng = np.random.default_rng(6)
+    signatures = crafted_signatures(cfg.k, 20, rng)
+    pairs = crafted_pairs(signatures, 50, rng)
+    outcomes, summary = screen_batch(pairs, signatures, cfg)
+    assert isinstance(outcomes, screening.Screened) and cfg._outcomes == {}
+    listed_outcomes = list(outcomes)
+    assert len(cfg._outcomes) == len({o for o in listed_outcomes}) < len(pairs)
+    assert listed_outcomes == oracle_screen_batch(pairs, signatures, cfg, cfg.table)[0]
+    assert [outcomes[i] for i in range(-len(pairs), len(pairs))] == listed_outcomes * 2
+    assert outcomes[3:40:7] == listed_outcomes[3:40:7]
+    assert list(reversed(outcomes)) == listed_outcomes[::-1]
+    assert outcomes.ids.tolist() == [list(pair) for pair in pairs]
+    above = [o.decision == ABOVE for o in listed_outcomes]
+    assert outcomes.above().tolist() == above
+    assert sum(above) == len(summary.above_threshold)
+    with pytest.raises(IndexError):
+        outcomes[len(pairs)]
+    for array in (outcomes.ids, outcomes.resolved_at, outcomes.counts):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    walked = [array.copy() for array in (outcomes.resolved_at, outcomes.counts)]
+    doctored = replace(listed_outcomes[0], decision=BELOW if above[0] else ABOVE)
+    outcomes[0] = doctored
+    outcomes[-1] = listed_outcomes[1]
+    expected = [doctored, *listed_outcomes[1:-1], listed_outcomes[1]]
+    assert list(outcomes) == expected and outcomes[0] is doctored
+    assert outcomes[-1] is listed_outcomes[1] and outcomes[:] == expected
+    assert all(doctored is not o for o in cfg._outcomes.values())
+    assert [outcomes.resolved_at.tolist(), outcomes.counts.tolist()] == [
+        array.tolist() for array in walked
+    ]
+    assert outcomes.above().tolist() == above
+    with pytest.raises(IndexError):
+        outcomes[len(pairs)] = doctored
+    with pytest.raises(TypeError):
+        outcomes[0:1] = [doctored]
+
+
 def test_pairs_resolving_alike_share_one_outcome():
     """Pairs that resolve alike share one outcome, within a call and across
     the calls under one configuration, baseline=True included; a config
@@ -392,7 +458,7 @@ def test_pairs_resolving_alike_share_one_outcome():
     kept, kept_summary = screen_batch(pairs, signatures, cfg, baseline=True)
     assert all(a is b for a, b in zip(first, kept))
     assert replace(kept_summary, agree_with_full=None) == summary
-    assert first == oracle_screen_batch(pairs, signatures, cfg, cfg.table)[0]
+    assert list(first) == oracle_screen_batch(pairs, signatures, cfg, cfg.table)[0]
     other, _ = screen_batch(pairs, signatures, replace(cfg, e=2e-3))
     assert {id(o) for o in other}.isdisjoint(map(id, first))
     assert len(cfg._outcomes) <= (len(cfg.schedule) + 1) * (cfg.k + 1)
@@ -552,7 +618,7 @@ def test_a_table_for_another_configuration_is_refused():
     equal = screening.build_threshold_table(0.5, 1e-3, schedule, 1e-3)
     for table in (None, cfg.table, equal):
         outcomes, _ = screen_batch([(0, 1)], signatures, cfg, table)
-        assert outcomes == [own]
+        assert list(outcomes) == [own]
     foreign = [
         screening.build_threshold_table(0.95, 1e-3, schedule),
         screening.build_threshold_table(0.5, 1e-2, schedule),
@@ -594,7 +660,7 @@ def test_screen_signatures_reuses_a_table_built_before(monkeypatch):
     assert report.e_upper == 1e-3
     # A new config with the same fields has its own table, built once.
     twin = replace(cfg)
-    assert screen_signatures(signatures, [(0, 1), (1, 0)], twin)[0] == outcomes
+    assert list(screen_signatures(signatures, [(0, 1), (1, 0)], twin)[0]) == list(outcomes)
     screen_batch([(0, 1)], signatures, twin)
     assert calls == [(0.5, 1e-3, (100, 200, 300), None)]
 
