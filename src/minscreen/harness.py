@@ -20,7 +20,7 @@ from typing import AbstractSet, BinaryIO, Mapping, Sequence
 import numpy as np
 
 from .minhash import Signature, make_family, sign_many
-from .sets import as_u64, jaccard_at_least_each
+from .sets import as_u64, jaccard_at_least_each, pair_ids
 from .workload import parse_decimal, read_lines, replace_file
 from .screening import (
     ABOVE,
@@ -128,8 +128,12 @@ def run_screen(
     cfg: ScreenConfig,
     baseline: bool = False,
 ) -> tuple[Screened, ExperimentReport]:
-    """Sign the sets the pairs reference, then screen every pair."""
-    ids = dict.fromkeys(chain.from_iterable(pairs))
+    """Sign the sets the pairs reference, then screen every pair. The first
+    id in pair order with no set is named; so is one that is no set id."""
+    try:
+        ids = dict.fromkeys(pair_ids(pairs).tolist())
+    except ValueError:  # the ids as they are: a bad one is named as unknown
+        ids = dict.fromkeys(chain.from_iterable(pairs))
     try:
         referenced = {set_id: sets[set_id] for set_id in ids}
     except KeyError as missing:
@@ -141,10 +145,10 @@ def run_screen(
 def write_outcomes_csv(path: str, pairs: Sequence[tuple[int, int]], outcomes: Screened) -> None:
     """The outcomes of a screen as CSV, one row per pair, by replace_file.
 
-    pairs must be the pairs screened, but only their number is checked,
-    before the file is opened: the set ids written are the record's.
-    Comparing them with pairs would cost about as much again as the write.
-    No field can hold a comma, quote or newline, so the rows are the bytes
+    pairs must be the pairs screened: pairs of another number or other
+    set ids are refused, the first differing pair named, before the file
+    is opened. For a sets.Pairs that check is one array comparison. No
+    field can hold a comma, quote or newline, so the rows are the bytes
     csv.writer would give. Each block of at most _BLOCK_ROWS rows is
     rendered into a uint8 array of fixed-width rows padded with NUL bytes:
     pair_index and the ids by _decimal, and the rest of the row by
@@ -152,6 +156,13 @@ def write_outcomes_csv(path: str, pairs: Sequence[tuple[int, int]], outcomes: Sc
     Dropping the NULs gives the block's bytes."""
     if len(pairs) != len(outcomes):
         raise ValueError(f"{len(pairs)} pairs but {len(outcomes)} outcomes")
+    ids = pair_ids(pairs).reshape(-1, 2)
+    if not np.array_equal(ids, outcomes.ids):
+        index = int(np.flatnonzero((ids != outcomes.ids).any(axis=1))[0])
+        raise ValueError(
+            f"pair {index} is {tuple(ids[index].tolist())} but the outcomes screened "
+            f"{tuple(outcomes.ids[index].tolist())}"
+        )
     replace_file(path, lambda fh: _write_rows(fh, outcomes))
 
 

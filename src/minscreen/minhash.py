@@ -37,7 +37,7 @@ from typing import AbstractSet
 
 import numpy as np
 
-from .sets import U64_MAX, as_u64, as_u64_array
+from .sets import U64_MAX, as_u64, as_u64_array, describe_array, is_u64_array
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
@@ -141,12 +141,12 @@ class SignatureMatrix(Mapping[int, Signature]):
     """
 
     def __init__(self, ids: np.ndarray, matrix: np.ndarray, fingerprint: tuple | None) -> None:
-        if not _is_u64(ids, 1):  # a cast would wrap an int64 -1 to 2**64 - 1
-            raise ValueError(f"need a 1-D uint64 array of set ids, got {_describe(ids)}")
-        if not (_is_u64(matrix, 2) and len(matrix) == len(ids)):
+        if not is_u64_array(ids, 1):  # a cast would wrap an int64 -1 to 2**64 - 1
+            raise ValueError(f"need a 1-D uint64 array of set ids, got {describe_array(ids)}")
+        if not (is_u64_array(matrix, 2) and len(matrix) == len(ids)):
             raise ValueError(
                 f"need a 2-D uint64 matrix, one row per set id ({len(ids)}), "
-                f"got {_describe(matrix)}"
+                f"got {describe_array(matrix)}"
             )
         later = np.flatnonzero(ids[1:] <= ids[:-1])
         if later.size:
@@ -172,11 +172,11 @@ class SignatureMatrix(Mapping[int, Signature]):
         if isinstance(signatures, SignatureMatrix):
             return signatures
         ids, sigs = _by_id(signatures)
-        bad = next((i for i, sig in enumerate(sigs) if not _is_u64(sig.values, 1)), None)
+        bad = next((i for i, sig in enumerate(sigs) if not is_u64_array(sig.values, 1)), None)
         if bad is not None:
             raise ValueError(
                 f"set id {ids[bad]}: need 1-D uint64 signature values, "
-                f"got {_describe(sigs[bad].values)}"
+                f"got {describe_array(sigs[bad].values)}"
             )
         lengths = sorted({sig.k for sig in sigs})
         if len(lengths) > 1:
@@ -210,8 +210,8 @@ class SignatureMatrix(Mapping[int, Signature]):
         a row is its id's offset from the first, found by one unsigned range
         check (an id below the first wraps past the last); otherwise the
         rows come from one search."""
-        if not _is_u64(ids, 1):
-            raise ValueError(f"need a 1-D uint64 array of set ids, got {_describe(ids)}")
+        if not is_u64_array(ids, 1):
+            raise ValueError(f"need a 1-D uint64 array of set ids, got {describe_array(ids)}")
         if self._first is None:  # two ids at least, so take has a row to clip to
             rows = self.ids.searchsorted(ids)
             hit = np.take(self.ids, rows, mode="clip") == ids
@@ -221,18 +221,6 @@ class SignatureMatrix(Mapping[int, Signature]):
         if not hit.all():
             raise KeyError(int(ids[hit.argmin()]))
         return rows.view(np.intp)
-
-
-def _is_u64(array: object, ndim: int) -> bool:
-    """array is a numpy array of ndim axes of unsigned 64-bit integers (either byte order)."""
-    return isinstance(array, np.ndarray) and array.dtype.str[1:] == "u8" and array.ndim == ndim
-
-
-def _describe(array: object) -> str:
-    """The dtype and shape of an array, or the type of anything else, for errors."""
-    if isinstance(array, np.ndarray):
-        return f"{array.dtype} {array.shape}"
-    return str(type(array))
 
 
 def _by_id(mapping: Mapping) -> tuple[np.ndarray, list]:

@@ -193,11 +193,21 @@ class Screened(Sequence[PairOutcome]):
 
     @cached_property
     def entries(self) -> tuple[list[PairOutcome], np.ndarray]:
-        """The distinct outcomes among the pairs, and per pair the index of
-        its outcome in that list. Both are the record's own, built on the
-        first read; only __setitem__ changes them."""
+        """The distinct outcomes among the pairs, in key order, and per pair
+        the index of its outcome in that list. Both are the record's own,
+        built on the first read; only __setitem__ changes them. When the key
+        space, stops·(k + 1), is no larger than the number of pairs, the
+        present keys are marked in a table over it and a key's index is the
+        count of present keys below it; otherwise np.unique sorts the keys."""
+        space = len(self.cfg._cutoffs[0]) * (self.cfg.k + 1)
         keys = self.resolved_at * (self.cfg.k + 1) + self.counts
-        distinct, which = np.unique(keys, return_inverse=True)
+        if space <= len(keys):
+            present = np.zeros(space, dtype=bool)
+            present[keys] = True
+            distinct = np.flatnonzero(present)
+            which = (np.cumsum(present) - 1)[keys]
+        else:
+            distinct, which = np.unique(keys, return_inverse=True)
         return [_outcome(key, self.cfg) for key in distinct.tolist()], which
 
     def above(self) -> np.ndarray:
@@ -228,6 +238,7 @@ def screen_batch(
     pair that survives every checkpoint is decided by its full-width match
     frequency, ties at the threshold counting as above. Each set id must
     pass sets.as_u64 and have a signature; the first that does not is named.
+    A sets.Pairs is read as its array, which the record then shares.
     With baseline=True the walk also settles every pair's full-width
     decision, as the module docstring says, and the summary counts the
     pairs whose decision agrees with it. The outcomes and comparison counts
@@ -254,7 +265,7 @@ def screen_batch(
         matrix.matrix, pair_rows[:, 0], pair_rows[:, 1], cfg._cutoffs, baseline
     )
     screened = Screened(cfg, ids.reshape(-1, 2), resolved_at, counts)
-    return screened, _summary(pairs, screened, full_above)
+    return screened, _summary(screened, full_above)
 
 
 def _full_need(threshold: float, k: int) -> int:
@@ -322,9 +333,7 @@ def _walk(
     return resolved_at, counts, full_above
 
 
-def _summary(
-    pairs: Sequence[tuple[int, int]], screened: Screened, full_above: np.ndarray | None
-) -> BatchSummary:
+def _summary(screened: Screened, full_above: np.ndarray | None) -> BatchSummary:
     """The summary of a screened batch, counted from its arrays. full_above
     is _walk's, None without baseline."""
     cfg, resolved_at = screened.cfg, screened.resolved_at
@@ -339,7 +348,7 @@ def _summary(
         filtered_at={k: n - a for k, n, a in zip(cfg.schedule, resolved, accepted)},
         output_at=dict(zip(cfg.schedule, accepted)),
         full_comparisons=resolved[-1],
-        above_threshold=tuple(tuple(pairs[i]) for i in np.flatnonzero(is_above).tolist()),
+        above_threshold=tuple(map(tuple, screened.ids[is_above].tolist())),
         agree_with_full=None if full_above is None else int((is_above == full_above).sum()),
     )
 

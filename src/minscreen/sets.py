@@ -1,17 +1,20 @@
 """Token sets, exact Jaccard similarity, and the integer and real rules.
 
-Sets are plain Python sets of unsigned 64-bit token identifiers. Similarity
-helpers here are the exact ground truth that the sketching layer is judged
-against, so divisions happen on integers (or exact rationals) only.
+Sets are plain Python sets of unsigned 64-bit token identifiers; pairs of
+set ids, as a pairs file is read, are a Pairs over one (n, 2) uint64 array.
+Similarity helpers here are the exact ground truth that the sketching layer
+is judged against, so divisions happen on integers (or exact rationals)
+only.
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -57,10 +60,57 @@ def as_u64_array(groups: Iterable[Iterable[object]], name: str, count: int = -1)
         raise
 
 
+def is_u64_array(array: object, ndim: int) -> bool:
+    """array is a numpy array of ndim axes of unsigned 64-bit integers (either byte order)."""
+    return isinstance(array, np.ndarray) and array.dtype.str[1:] == "u8" and array.ndim == ndim
+
+
+def describe_array(array: object) -> str:
+    """The dtype and shape of an array, or the type of anything else, for errors."""
+    if isinstance(array, np.ndarray):
+        return f"{array.dtype} {array.shape}"
+    return str(type(array))
+
+
+class Pairs(Sequence[tuple[int, int]]):
+    """Pairs of set ids as one read-only (n, 2) uint64 array, ids, read as
+    a list of (id, id) tuples of Python ints. An index gives such a tuple,
+    a slice a Pairs view of the same memory. == with another Pairs compares
+    the arrays; with anything else it gives what the equal list of tuples
+    would, so a list of lists is unequal. Like a list it is unhashable."""
+
+    def __init__(self, ids: np.ndarray) -> None:
+        if not (is_u64_array(ids, 2) and ids.shape[1] == 2):  # a cast would wrap -1
+            raise ValueError(f"need an (n, 2) uint64 array of set ids, got {describe_array(ids)}")
+        ids.setflags(write=False)
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Pairs(self.ids[index])
+        id_a, id_b = self.ids[operator.index(index)].tolist()
+        return id_a, id_b
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.ids[:, 0].tolist(), self.ids[:, 1].tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Pairs):
+            return np.array_equal(self.ids, other.ids)
+        return list(self) == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 def pair_ids(pairs: Sequence[Sequence[object]]) -> np.ndarray:
-    """The set ids of pairs, in order, as one uint64 array by as_u64_array,
-    or a ValueError naming the first pair that is not two ids or the first
-    bad id."""
+    """The set ids of pairs, in order, as one uint64 array: a Pairs' own
+    ids, flattened, or by as_u64_array, with a ValueError naming the first
+    pair that is not two ids or the first bad id."""
+    if isinstance(pairs, Pairs):
+        return pairs.ids.reshape(-1)
     if set(map(len, pairs)) - {2}:
         index = next(i for i, pair in enumerate(pairs) if len(pair) != 2)
         raise ValueError(f"pair {index} is {tuple(pairs[index])}, not two set ids")

@@ -37,7 +37,7 @@ from typing import AbstractSet, BinaryIO, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .sets import U64_MAX, as_u64, as_u64_array, pair_ids
+from .sets import U64_MAX, Pairs, as_u64, as_u64_array, pair_ids
 
 logger = logging.getLogger(__name__)
 
@@ -205,10 +205,11 @@ def load_sets(path: str) -> dict[int, frozenset[int]]:
     return sets
 
 
-def load_pairs(path: str) -> list[tuple[int, int]]:
-    """Parse a pairs file into an ordered list of (id, id)."""
+def load_pairs(path: str) -> Pairs:
+    """Parse a pairs file into its pairs of set ids, in order, as a Pairs:
+    the scan's one array, with no Python object per pair."""
     ids, _ = _read_ids(path, pairs=True)
-    return list(zip(ids[0::2].tolist(), ids[1::2].tolist()))
+    return Pairs(ids.reshape(-1, 2))
 
 
 def write_sets(path: str, sets: Mapping[int, AbstractSet[int]]) -> None:

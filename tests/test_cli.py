@@ -35,7 +35,14 @@ from minscreen.screening import (
     screen_batch,
 )
 from minscreen.minhash import SignatureMatrix, make_family, sign_many, slot_hash
-from minscreen.workload import WorkloadGroup, WorkloadSpec, gen_synthetic, load_sets
+from minscreen.workload import (
+    WorkloadGroup,
+    WorkloadSpec,
+    gen_synthetic,
+    load_pairs,
+    load_sets,
+    write_pairs,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,6 +62,13 @@ def written_csv(tmp_path, pairs, outcomes) -> str:
     path = tmp_path / "written.csv"
     write_outcomes_csv(str(path), pairs, outcomes)
     return path.read_bytes().decode("ascii")
+
+
+def load_pairs_of(tmp_path, pairs):
+    """pairs as load_pairs reads them back from the file write_pairs writes."""
+    path = tmp_path / "pairs.txt"
+    write_pairs(str(path), pairs)
+    return load_pairs(str(path))
 
 
 def csv_writer_text(pairs, outcomes) -> str:
@@ -177,6 +191,25 @@ class TestHarness:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 write_outcomes_csv(str(path), some_pairs, some_outcomes)
             assert path.read_text() == "kept\n"
+
+    def test_outcomes_csv_refuses_other_pairs_and_keeps_the_file(self, tmp_path):
+        """Pairs of the right number but other set ids are refused before
+        the file is opened, the first differing pair named."""
+        sets, pairs = small_workload()
+        outcomes, _ = run_screen(sets, pairs[:4], ScreenConfig(schedule=(), k=20))
+        path = tmp_path / "outcomes.csv"
+        path.write_text("kept\n")
+        swapped = [*pairs[:2], pairs[2][::-1], pairs[3]]
+        for other, index in ((swapped, 2), (load_pairs_of(tmp_path, swapped), 2), (pairs[4:8], 0)):
+            message = (
+                f"pair {index} is {tuple(other[index])} but the outcomes screened "
+                f"{tuple(pairs[index])}"
+            )
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                write_outcomes_csv(str(path), other, outcomes)
+            assert path.read_text() == "kept\n"
+        write_outcomes_csv(str(path), load_pairs_of(tmp_path, pairs[:4]), outcomes)
+        assert path.read_text() == csv_writer_text(pairs[:4], outcomes)
 
     def test_outcomes_csv_header_is_pinned(self, tmp_path):
         outcomes, _ = screen_batch([], {}, ScreenConfig(schedule=(), k=10))

@@ -14,6 +14,7 @@ from minscreen.cache import read_cache, write_cache
 from minscreen.cli import main
 from minscreen.harness import run_screen, screen_signatures
 from minscreen.minhash import Signature, make_family, sign, sign_many
+from minscreen.sets import Pairs
 from minscreen.screening import (
     ABOVE,
     BELOW,
@@ -462,6 +463,57 @@ def test_pairs_resolving_alike_share_one_outcome():
     other, _ = screen_batch(pairs, signatures, replace(cfg, e=2e-3))
     assert {id(o) for o in other}.isdisjoint(map(id, first))
     assert len(cfg._outcomes) <= (len(cfg.schedule) + 1) * (cfg.k + 1)
+
+
+@pytest.mark.parametrize("name", ["mid-schedule", "no-schedule"])
+def test_pairs_screen_and_write_as_the_equal_list_does(name, tmp_path):
+    """A Pairs, as load_pairs gives it, is screened and written as the equal
+    list of tuples: the same walk arrays and summary, with and without
+    baseline, and the same CSV bytes. The record keeps the Pairs' ids."""
+    cfg = CONFIGS[name]
+    rng = np.random.default_rng(12)
+    signatures = crafted_signatures(cfg.k, 40, rng)
+    listed_pairs = crafted_pairs(signatures, 300, rng)
+    pairs = Pairs(np.array(listed_pairs, dtype=np.uint64))
+    for baseline in (False, True):
+        written = []
+        for given in (listed_pairs, pairs):
+            outcomes, summary = screen_batch(given, signatures, cfg, baseline=baseline)
+            path = tmp_path / f"{type(given).__name__}.csv"
+            harness.write_outcomes_csv(str(path), given, outcomes)
+            arrays = [outcomes.ids, outcomes.resolved_at, outcomes.counts]
+            written.append(([a.tolist() for a in arrays], summary, path.read_bytes()))
+        assert written[0] == written[1]
+        assert np.shares_memory(outcomes.ids, pairs.ids)
+        assert 0 < len(summary.above_threshold) < len(pairs)
+        assert all(type(v) is int for pair in summary.above_threshold for v in pair)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_entries_are_the_same_by_table_and_by_sort(extra, monkeypatch):
+    """Screened.entries looks the keys up in a table over the key space,
+    stops·(k + 1), when that is no larger than the number of pairs (the
+    join workload: 10,010 keys, 101,025 pairs), and sorts them by np.unique
+    otherwise. Both give the distinct keys' outcomes in key order and each
+    pair's index among them, which __setitem__ can then change."""
+    cfg = ScreenConfig(threshold=0.5, e=0.2, schedule=(4,), k=8)
+    stops = np.array(cfg._cutoffs[0])
+    space = len(stops) * (cfg.k + 1)
+    rng = np.random.default_rng(space + extra)
+    resolved_at = rng.integers(0, len(stops), space + extra)
+    counts = rng.integers(0, stops[resolved_at] + 1)
+    ids = np.zeros((space + extra, 2), dtype=np.uint64)
+    record = screening.Screened(cfg, ids, resolved_at, counts)
+    unique, sorts = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda *args, **kw: sorts.append(args) or unique(*args, **kw))
+    outcomes, which = record.entries
+    assert len(sorts) == (extra < 0)
+    distinct, inverse = unique(resolved_at * (cfg.k + 1) + counts, return_inverse=True)
+    assert len(distinct) < space + extra
+    assert outcomes == [screening._outcome(key, cfg) for key in distinct.tolist()]
+    assert which.tolist() == inverse.tolist()
+    record[0] = outcomes[-1]
+    assert record[0] is outcomes[-1] and which[0] == len(distinct)
 
 
 def _one_in_39_signatures(k: int = 1000):

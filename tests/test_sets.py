@@ -1,5 +1,5 @@
-"""Exact Jaccard, the exhaustive permutation oracle (oracles.py) and the
-integer and real rules."""
+"""Exact Jaccard, the exhaustive permutation oracle (oracles.py), the
+integer and real rules, and Pairs."""
 
 import random
 import re
@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 from minscreen.sets import (
+    U64_MAX,
+    Pairs,
     as_real,
     as_u64,
     as_u64_array,
     jaccard_at_least_each,
     jaccard_fraction,
+    pair_ids,
 )
 from oracles import exhaustive_collision_probability
 
@@ -191,3 +194,63 @@ def test_array_form_names_the_first_bad_value_in_order():
     with pytest.raises(ValueError, match="^set id -1 outside unsigned 64-bit range$"):
         as_u64_array([(0, 1), (-1, 2.5)], "set id")
     assert as_u64_array([], "set id").tolist() == []
+
+
+@pytest.mark.parametrize(
+    "ids, got",
+    [
+        (np.array([[0, 1]], dtype=np.int64), "int64 (1, 2)"),
+        (np.array([0, 1], dtype=np.uint64), "uint64 (2,)"),
+        (np.zeros((2, 3), dtype=np.uint64), "uint64 (2, 3)"),
+        ([(0, 1)], "<class 'list'>"),
+    ],
+)
+def test_pairs_take_only_an_n_by_2_uint64_array(ids, got):
+    """A cast would wrap an int64 -1 to 2**64 - 1, so none is made."""
+    message = f"need an (n, 2) uint64 array of set ids, got {got}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Pairs(ids)
+
+
+def test_pairs_read_like_a_list_of_tuples_over_one_read_only_array():
+    ids = np.array([[0, 1], [2, U64_MAX], [U64_MAX, 3], [4, 4]], dtype=np.uint64)
+    pairs = Pairs(ids)
+    listed = [(0, 1), (2, U64_MAX), (U64_MAX, 3), (4, 4)]
+    assert pairs.ids is ids and not ids.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        pairs.ids[0, 0] = 7
+    assert len(pairs) == 4 and list(pairs) == listed
+    assert [pairs[i] for i in range(-4, 4)] == listed * 2
+    assert pairs[1] == (2, U64_MAX) and all(type(v) is int for v in pairs[1] + pairs[-2])
+    with pytest.raises(IndexError):
+        pairs[4]
+    with pytest.raises(TypeError):
+        pairs[1.0]
+    part = pairs[1::2]
+    assert isinstance(part, Pairs) and np.shares_memory(part.ids, ids)
+    assert part == listed[1::2] and pairs[:0] == []
+    assert list(reversed(pairs)) == listed[::-1]
+    assert (U64_MAX, 3) in pairs and pairs.index((4, 4)) == 3 and pairs.count((0, 1)) == 1
+    assert pair_ids(pairs).tolist() == [v for pair in listed for v in pair]
+    assert np.shares_memory(pair_ids(pairs), ids)
+
+
+def test_pairs_compare_as_the_equal_list_of_tuples_would():
+    pairs = Pairs(np.array([[0, 1], [2, 3]], dtype=np.uint64))
+    assert pairs == [(0, 1), (2, 3)] and [(0, 1), (2, 3)] == pairs
+    assert not pairs != [(0, 1), (2, 3)]
+    assert pairs != [(0, 1), (3, 2)] and pairs != [(0, 1)] and pairs != [(0, 1), (2, 3), (4, 5)]
+    assert pairs != [[0, 1], [2, 3]]  # as [(0, 1)] != [[0, 1]]
+    assert (pairs == [(0, 1), (2, 3)]) is True and (pairs != [[0, 1], [2, 3]]) is True
+    assert pairs != ((0, 1), (2, 3)) and pairs != "01" and pairs != None  # noqa: E711
+    assert pairs == Pairs(np.array([[0, 1], [2, 3]], dtype=np.uint64))
+    assert pairs[:1] == Pairs(np.array([[0, 1]], dtype=np.uint64))
+    assert pairs != Pairs(np.array([[0, 1], [2, 4]], dtype=np.uint64)) and pairs != pairs[:1]
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(pairs)
+
+
+def test_no_pairs_is_falsy():
+    empty = Pairs(np.empty((0, 2), dtype=np.uint64))
+    assert not empty and len(empty) == 0 and list(empty) == [] and empty == []
+    assert Pairs(np.zeros((1, 2), dtype=np.uint64))

@@ -17,7 +17,7 @@ import pytest
 
 from minscreen import workload
 from minscreen.cli import main
-from minscreen.sets import jaccard_fraction
+from minscreen.sets import Pairs, jaccard_fraction
 from minscreen.workload import (
     WorkloadGroup,
     WorkloadSpec,
@@ -457,6 +457,25 @@ class TestCanonicalScan:
                 tracemalloc.stop()
 
         assert peak(load_pairs) <= 1.1 * peak(pairs_from_lines)
+
+    def test_loading_pairs_keeps_no_python_object_per_pair(self, tmp_path):
+        """load_pairs gives the scan's one array as a Pairs. Its peak is the
+        scan's arrays, under four times the file's bytes plus the 16 bytes
+        of each pair's ids: a tuple per pair and its list slot, 64 bytes or
+        more a pair, would not fit under that bound."""
+        pairs = list(itertools.combinations(range(300), 2))
+        path = tmp_path / "pairs.txt"
+        write_pairs(str(path), pairs)
+        tracemalloc.start()
+        try:
+            loaded = load_pairs(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(loaded, Pairs) and loaded.ids.shape == (44_850, 2)
+        assert loaded.ids.dtype == np.uint64 and not loaded.ids.flags.writeable
+        assert loaded == pairs
+        assert peak < 4 * (path.stat().st_size + 16 * len(pairs))
 
 
 class TestRoundTrips:
