@@ -20,7 +20,7 @@ from typing import AbstractSet, BinaryIO, Mapping, Sequence
 import numpy as np
 
 from .minhash import Signature, make_family, sign_many
-from .sets import as_u64, jaccard_at_least_each, pair_ids
+from .sets import Pairs, as_u64, jaccard_at_least_each, pair_ids
 from .workload import parse_decimal, read_lines, replace_file
 from .screening import (
     ABOVE,
@@ -129,11 +129,14 @@ def run_screen(
     baseline: bool = False,
 ) -> tuple[Screened, ExperimentReport]:
     """Sign the sets the pairs reference, then screen every pair. The first
-    id in pair order with no set is named; so is one that is no set id."""
+    id in pair order with no set is named; so is one that is no set id.
+    The pairs are converted to ids once, and screened as a sets.Pairs."""
     try:
-        ids = dict.fromkeys(pair_ids(pairs).tolist())
+        pairs = Pairs(pair_ids(pairs).reshape(-1, 2))
     except ValueError:  # the ids as they are: a bad one is named as unknown
         ids = dict.fromkeys(chain.from_iterable(pairs))
+    else:
+        ids = dict.fromkeys(pairs.ids.reshape(-1).tolist())
     try:
         referenced = {set_id: sets[set_id] for set_id in ids}
     except KeyError as missing:

@@ -13,15 +13,18 @@ bounds P(X > m_u) but the walk accepts at X >= m_u, and at k = 100,
 T = 0.5, e = 1e-3 P(X >= m_u | T) is 1.76e-3.
 
 screen_batch walks a batch checkpoint by checkpoint rather than pair by
-pair, over one signature matrix. For each interval [k_{i-1}, k_i) it
-gathers only the unresolved pairs' slots of that interval straight from the
-matrix, adds the matches to their running counts, and drops the pairs the
-checkpoint resolves. A pair resolved at checkpoint k therefore costs k slot
-comparisons in time as well as in the count, and no column past the last
-checkpoint a pair reaches is read. The plain full-width screen is the same
-call with an empty schedule. The result is a Screened record of the walk's
-arrays, per pair the resolving stop and the match count there; its
-PairOutcomes are built only when it is read.
+pair, over one signature matrix. For each interval [k_{i-1}, k_i) it adds
+the unresolved pairs' matches in that interval's columns to their running
+counts, and drops the pairs the checkpoint resolves. A pair resolved at
+checkpoint k is counted as k slot comparisons: comparisons are the walk's
+accounting, and no column past the last checkpoint a pair reaches is read.
+In time, a batch with few pairs per signature row gathers both rows of each
+pair, about n·w slot comparisons for n pairs and w columns; a dense batch,
+many pairs among R rows, sorts each column of those rows once and counts
+every pair from the collisions, about R·w·log R. The plain full-width
+screen is the same call with an empty schedule. The result is a Screened
+record of the walk's arrays, per pair the resolving stop and the match
+count there; its PairOutcomes are built only when it is read.
 
 With baseline=True the same walk also settles each pair's full-width
 decision, so a run is compared with the full-width screen without a second
@@ -63,6 +66,20 @@ DEFAULT_SCHEDULE = tuple(range(100, 1000, 100))
 # OS after every step, and a full-K pass over 9,000 pairs at K = 1000 took
 # 30k minor page faults and three times as long.
 _STEP_BYTES = 1 << 18
+
+# A batch of at least _DENSE_PAIRS pairs over at most sqrt(_DENSE_TABLE ·
+# pairs) signature rows is dense: sorting each column of those rows costs
+# less than gathering both rows of every pair, and the row-pair table holds
+# at most _DENSE_TABLE counts per pair. Crediting one row pair of a run of
+# equal slots costs about as much as _COLLISION_COST gathered slot
+# comparisons; all three were measured on a 2-CPU Xeon (numpy 2.4). Taking
+# _COLLISION_COLUMNS columns at a time keeps the row pairs credited at once
+# below 4 per pair, about 250 bytes of scratch per pair, however wide the
+# interval (a full-width screen is one interval of K columns).
+_DENSE_PAIRS = 1000
+_DENSE_TABLE = 8
+_COLLISION_COST = 32
+_COLLISION_COLUMNS = 128
 
 
 @dataclass(frozen=True)
@@ -279,13 +296,93 @@ def _count_matches(
     values: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int, x: np.ndarray
 ) -> None:
     """Add to x[i] the equal slots in columns [lo, hi) between matrix rows
-    a[i] and b[i], compared in steps that gather at most _STEP_BYTES and
-    summed in int32, which holds any count of fewer than 2**31 columns."""
+    a[i] and b[i]. A dense batch, at least _DENSE_PAIRS pairs over a matrix
+    of at most sqrt(_DENSE_TABLE · pairs) rows, is counted from the slot
+    collisions of those rows (_count_collisions), _COLLISION_COLUMNS
+    columns at a time. Any other batch, and columns whose collisions
+    _count_collisions declines, are gathered (_gather_matches). Both ways
+    give the same counts."""
+    n = len(a)
+    if n >= _DENSE_PAIRS and len(values) ** 2 <= _DENSE_TABLE * n:
+        for start in range(lo, hi, _COLLISION_COLUMNS):
+            end = min(start + _COLLISION_COLUMNS, hi)
+            if not _count_collisions(values, a, b, start, end, x):
+                _gather_matches(values, a, b, start, end, x)
+    else:
+        _gather_matches(values, a, b, lo, hi, x)
+
+
+def _gather_matches(
+    values: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int, x: np.ndarray
+) -> None:
+    """Add to x[i] the equal slots in columns [lo, hi) between matrix rows
+    a[i] and b[i], compared in steps that gather at most _STEP_BYTES of
+    both rows of each pair and summed in int32, which holds any count of
+    fewer than 2**31 columns."""
     step = max(1, _STEP_BYTES // (2 * 8 * (hi - lo)))
     dtype = np.int32 if hi - lo < 2**31 else np.int64
     for i in range(0, len(a), step):
         part = slice(i, i + step)
         x[part] += (values[a[part], lo:hi] == values[b[part], lo:hi]).sum(axis=1, dtype=dtype)
+
+
+def _count_collisions(
+    values: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int, x: np.ndarray
+) -> bool:
+    """Add to x[i] the equal slots in columns [lo, hi) between matrix rows
+    a[i] and b[i] from the collisions of all R rows: each of the w columns
+    is sorted once, every two rows inside a run of equal values are one
+    match of that row pair, and one bincount over ordered row-pair keys
+    (each pair in both orders, w on the diagonal for a self-pair) is the
+    table each pair reads its count from. Duplicate and reversed pairs so
+    count as the gather counts them. Returns False, with x untouched, when
+    the runs hold more row pairs than the gather's n·w comparisons buy:
+    crediting one costs about _COLLISION_COST comparisons."""
+    n, w, r = len(a), hi - lo, len(values)
+    columns = np.ascontiguousarray(values[:, lo:hi].T)
+    order = columns.argsort(axis=1)
+    ranked = np.take_along_axis(columns, order, axis=1)
+    same = np.zeros((w, r), dtype=bool)  # rank j of a column equals rank j - 1
+    np.equal(ranked[:, 1:], ranked[:, :-1], out=same[:, 1:])
+    later = np.flatnonzero(same)
+    # depth: how many ranks of its run precede each later rank
+    starts = np.ones(len(later), dtype=bool)
+    np.not_equal(later[1:], later[:-1] + 1, out=starts[1:])
+    index = np.arange(len(later))
+    depth = index - np.maximum.accumulate(np.where(starts, index, 0)) + 1
+    emitted = int(depth.sum())
+    if emitted * _COLLISION_COST > n * w:
+        return False
+    if emitted == len(later):  # runs of two only
+        earlier = later - 1
+    else:
+        later = np.repeat(later, depth)
+        earlier = later - np.arange(1, emitted + 1) + np.repeat(np.cumsum(depth) - depth, depth)
+    rows = order.reshape(-1)
+    u, v = rows[later], rows[earlier]
+    table = np.bincount(np.concatenate((u * r + v, v * r + u)), minlength=r * r)
+    table[:: r + 1] = w
+    x += table[a * r + b]
+    return True
+
+
+def _referenced_rows(
+    values: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The matrix cut to the rows pairs (a[i], b[i]) reference, and a and b
+    renumbered into it, when that makes the batch dense for _count_matches
+    and the matrix holds other rows; otherwise the three as they are."""
+    n = len(a)
+    if n < _DENSE_PAIRS or len(values) ** 2 <= _DENSE_TABLE * n:
+        return values, a, b
+    referenced = np.zeros(len(values), dtype=bool)
+    referenced[a] = True
+    referenced[b] = True
+    rows = np.flatnonzero(referenced)
+    if len(rows) ** 2 > _DENSE_TABLE * n:
+        return values, a, b
+    renumbered = np.cumsum(referenced) - 1
+    return values[rows], renumbered[a], renumbered[b]
 
 
 def _walk(
@@ -301,9 +398,11 @@ def _walk(
     full-width count reaches need (else None). alive lists the walked pairs
     and x their running counts; with baseline, is_open marks those still
     unresolved, the others waiting for their full-width decision to settle.
+    A dense batch is walked over the rows it references alone.
     """
     stops, lower, upper = cutoffs
     k, need = stops[-1], upper[-1]
+    values, a, b = _referenced_rows(values, a, b)
     resolved_at = np.empty(len(a), dtype=np.int64)
     counts = np.empty(len(a), dtype=np.int64)
     alive = np.arange(len(a))

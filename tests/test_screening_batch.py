@@ -1,6 +1,7 @@
 """The checkpoint-major batch walk against a per-pair reference walk, and the
 checks screen_batch makes before it compares anything."""
 
+import itertools
 import re
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -13,8 +14,8 @@ from minscreen.binomial import ThresholdTable
 from minscreen.cache import read_cache, write_cache
 from minscreen.cli import main
 from minscreen.harness import run_screen, screen_signatures
-from minscreen.minhash import Signature, make_family, sign, sign_many
-from minscreen.sets import Pairs
+from minscreen.minhash import Signature, SignatureMatrix, make_family, sign, sign_many
+from minscreen.sets import Pairs, pair_ids
 from minscreen.screening import (
     ABOVE,
     BELOW,
@@ -27,7 +28,7 @@ from minscreen.screening import (
     build_table,
     screen_batch,
 )
-from minscreen.workload import write_text
+from minscreen.workload import WorkloadSpec, gen_synthetic, parse_group, write_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -739,3 +740,208 @@ def test_a_baseline_run_screens_once(monkeypatch):
     full, _ = screen_batch(pairs, sign_many(family, sets), replace(cfg, schedule=()))
     agree = sum(o.decision == f.decision for o, f in zip(outcomes, full))
     assert report.accuracy == agree / len(pairs) < 1.0
+
+
+def reference_counts(signatures, pairs, lo, hi):
+    """Per pair, by set id, the equal slots in columns [lo, hi)."""
+    return [
+        int((signatures[i].values[lo:hi] == signatures[j].values[lo:hi]).sum()) for i, j in pairs
+    ]
+
+
+def collision_spy(monkeypatch):
+    """Wrap screening._count_collisions; each call appends (pairs, matrix
+    rows, lo, hi, whether it counted)."""
+    calls = []
+    count = screening._count_collisions
+
+    def spy(values, a, b, lo, hi, x):
+        counted = count(values, a, b, lo, hi, x)
+        calls.append((len(a), len(values), lo, hi, counted))
+        return counted
+
+    monkeypatch.setattr(screening, "_count_collisions", spy)
+    return calls
+
+
+def sweep_case(rng: np.random.Generator):
+    """Signatures under gapped set ids and pairs among them, with
+    duplicate, reversed and self pairs. Half the cases have 1–4 distinct
+    values per column (runs of three or more, all-equal columns); the
+    others draw each slot from one of a few shared values or a fresh one."""
+    rows, k = int(rng.integers(1, 25)), int(rng.integers(1, 41))
+    if rng.random() < 0.5:
+        distinct = rng.integers(1, 5, size=k)
+        values = (rng.integers(0, 4, size=(rows, k)) % distinct).astype(np.uint64)
+    else:
+        values = rng.integers(2**32, 2**64 - 1, size=(rows, k), dtype=np.uint64)
+        shared = rng.random((rows, k)) < rng.uniform(0.0, 0.9)
+        values[shared] = rng.integers(0, 3, size=int(shared.sum())).astype(np.uint64)
+    ids = np.cumsum(rng.integers(2, 9, size=rows)) + 2**40
+    signatures = {int(i): Signature(v, fingerprint=(42, k)) for i, v in zip(ids, values)}
+    ids = ids.tolist()
+    pairs = [
+        (ids[i], ids[j]) for i, j in rng.integers(0, rows, size=(int(rng.integers(1, 60)), 2))
+    ]
+    pairs += [(b, a) for a, b in pairs[:5]] + pairs[:5] + [(ids[0], ids[0])]
+    lo = int(rng.integers(0, k))
+    return signatures, pairs, lo, int(rng.integers(lo + 1, k + 1))
+
+
+def test_collision_counts_equal_the_gathered_counts(monkeypatch):
+    """A seeded sweep of 240 cases: _count_matches adds each pair's equal
+    slots in [lo, hi), as a per-pair reference counts them, both when it
+    gathers (these batches are too small to be dense) and when every batch
+    is made dense, no run of collisions declined and the columns are
+    counted 7 at a time. Rows are found by search, since the set ids have
+    gaps."""
+    rng = np.random.default_rng(2024)
+    calls = collision_spy(monkeypatch)
+    for case in range(240):
+        signatures, pairs, lo, hi = sweep_case(rng)
+        matrix = SignatureMatrix.stack(signatures)
+        assert matrix._first is None or len(matrix) == 1
+        rows = matrix.rows(pair_ids(pairs)).reshape(-1, 2)
+        start = rng.integers(0, 50, size=len(pairs))
+        expected = (start + reference_counts(signatures, pairs, lo, hi)).tolist()
+        for dense in (False, True):
+            calls.clear()
+            x = start.copy()
+            with monkeypatch.context() as patch:
+                if dense:
+                    patch.setattr(screening, "_DENSE_PAIRS", 1)
+                    patch.setattr(screening, "_DENSE_TABLE", 10**6)
+                    patch.setattr(screening, "_COLLISION_COST", 0)
+                    patch.setattr(screening, "_COLLISION_COLUMNS", 7)
+                screening._count_matches(matrix.matrix, rows[:, 0], rows[:, 1], lo, hi, x)
+            assert x.tolist() == expected, case
+            tiles = [(len(pairs), len(matrix), s, min(s + 7, hi), True) for s in range(lo, hi, 7)]
+            assert calls == (tiles if dense else [])
+
+
+def test_an_all_equal_block_is_gathered(monkeypatch):
+    """1,000 pairs over 60 rows are dense, but in a block whose columns are
+    all equal every two rows collide in every slot: the runs hold far more
+    row pairs than the 1,000·w comparisons, so the collision counter
+    declines and the gather counts w per pair. Over an interval of two
+    128-column tiles, only the all-equal tile is gathered."""
+    calls = collision_spy(monkeypatch)
+    rng = np.random.default_rng(5)
+    values = rng.integers(0, 2**64 - 1, size=(60, 256), dtype=np.uint64)
+    values[:, 128:] = values[0, 128:]
+    a, b = rng.integers(0, 60, size=(2, 1000))
+    x = np.zeros(1000, dtype=np.int64)
+    screening._count_matches(values, a, b, 128, 256, x)
+    assert calls == [(1000, 60, 128, 256, False)]
+    assert x.tolist() == [128] * 1000
+    calls.clear()
+    x[:] = 0
+    screening._count_matches(values, a, b, 0, 256, x)
+    assert calls == [(1000, 60, 0, 128, True), (1000, 60, 128, 256, False)]
+    assert x.tolist() == np.where(a == b, 256, 128).tolist()
+
+
+def gen_sets(per_group: int) -> dict[int, frozenset[int]]:
+    """gen's seed-7 sets of 15–25 tokens, per_group pairs at each of
+    J = 1/10, 1/2 and 9/10, as the benchmark generates them."""
+    groups = tuple(parse_group(f"{j}:{per_group}:15-25") for j in ("1/10", "1/2", "9/10"))
+    sets, _ = gen_synthetic(WorkloadSpec(groups=groups, seed=7))
+    return sets
+
+
+def test_a_dense_batch_is_counted_from_collisions(monkeypatch):
+    """All 1,770 pairs of 60 gen sets are dense: the walk counts the first
+    interval from collisions. With and without baseline, and with an empty
+    schedule, its records equal the per-pair oracle's, and those of the
+    same pairs screened 100 at a time, which are too few to be dense.
+    Pairs among a few sets of a larger matrix are counted over the rows
+    they reference alone."""
+    cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(100, 200, 300), k=400)
+    sets = gen_sets(10)
+    signatures = sign_many(make_family(cfg.k, cfg.master_seed), sets)
+    pairs = list(itertools.combinations(sorted(sets), 2))
+    assert len(pairs) == 1770
+    expected = oracle_screen_batch(pairs, signatures, cfg, cfg.table)
+    calls = collision_spy(monkeypatch)
+    chunked = []
+    for offset in range(0, len(pairs), 100):
+        chunked += screen_batch(pairs[offset : offset + 100], signatures, cfg)[0]
+    assert calls == []
+    assert chunked == expected[0]
+    for baseline in (False, True):
+        calls.clear()
+        outcomes, summary = screen_batch(pairs, signatures, cfg, baseline=baseline)
+        assert calls[0] == (len(pairs), len(sets), 0, 100, True)
+        assert (list(outcomes), replace(summary, agree_with_full=None)) == expected
+    # A full-width screen counts K = 400 columns 128 at a time.
+    calls.clear()
+    full_cfg = replace(cfg, schedule=())
+    full, _ = screen_batch(pairs, signatures, full_cfg)
+    assert [(lo, hi) for _, _, lo, hi, _ in calls] == [(0, 128), (128, 256), (256, 384), (384, 400)]
+    assert list(full) == oracle_screen_batch(pairs, signatures, full_cfg, full_cfg.table)[0]
+    assert summary.agree_with_full == sum(
+        o.decision == f.decision for o, f in zip(outcomes, full)
+    )
+    # 1,770 pairs among 60 of 600 sets: the walk keeps the 60 rows alone.
+    more = {**sets, **{i + 60: tokens for i, tokens in gen_sets(100).items()}}
+    signatures = sign_many(make_family(cfg.k, cfg.master_seed), more)
+    calls.clear()
+    assert listed(screen_batch(pairs, signatures, cfg)) == expected
+    assert calls[0] == (len(pairs), len(sets), 0, 100, True)
+
+
+def test_sparse_batches_are_never_counted_from_collisions(monkeypatch):
+    """A 100-pair slice, 1,200 generated pairs that reference 2,400 rows,
+    and all 190 pairs of 20 sets, too few to be dense, are gathered at
+    every stop."""
+    cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(50, 100, 150), k=200)
+    sets, generated = gen_synthetic(
+        WorkloadSpec(
+            groups=tuple(parse_group(f"{j}:400:15-25") for j in ("1/10", "1/2", "9/10")), seed=7
+        )
+    )
+    signatures = sign_many(make_family(cfg.k, cfg.master_seed), sets)
+    calls = collision_spy(monkeypatch)
+    count = screening._count_matches
+    reads = []
+
+    def spy(values, a, b, lo, hi, x):
+        reads.append(len(a))
+        return count(values, a, b, lo, hi, x)
+
+    monkeypatch.setattr(screening, "_count_matches", spy)
+    for pairs in (generated[:100], generated, list(itertools.combinations(range(20), 2))):
+        expected = oracle_screen_batch(pairs, signatures, cfg, cfg.table)
+        for baseline in (False, True):
+            outcomes, summary = screen_batch(pairs, signatures, cfg, baseline=baseline)
+            assert (list(outcomes), replace(summary, agree_with_full=None)) == expected
+    assert len(generated) == 1200 and max(reads) == 1200
+    assert calls == []
+
+
+def test_run_screen_converts_a_list_of_pairs_once(monkeypatch):
+    """run_screen gives a list of pairs and the equal Pairs the same record
+    and report, and walks a list into ids once per call."""
+    cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(20, 40), k=100, master_seed=5)
+    rng = np.random.default_rng(31)
+    _, sets, _ = signed_sets(cfg.k, 30, rng)
+    pairs = crafted_pairs(sets, 200, rng)
+    walked = []
+    original = pair_ids
+
+    def spy(given):
+        walked.append(type(given))
+        return original(given)
+
+    monkeypatch.setattr(harness, "pair_ids", spy)
+    monkeypatch.setattr(screening, "pair_ids", spy)
+    results = {}
+    for given in (pairs, Pairs(np.array(pairs, dtype=np.uint64))):
+        walked.clear()
+        for baseline in (False, True):
+            outcomes, report = run_screen(sets, given, cfg, baseline=baseline)
+            results.setdefault(baseline, []).append(
+                (outcomes.ids.tolist(), list(outcomes), replace(report, wall_time_ms=0.0))
+            )
+        assert walked.count(list) == (2 if given is pairs else 0)
+    assert all(first == second for first, second in results.values())
