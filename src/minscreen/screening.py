@@ -353,36 +353,14 @@ def _count_collisions(
     emitted = int(depth.sum())
     if emitted * _COLLISION_COST > n * w:
         return False
-    if emitted == len(later):  # runs of two only
-        earlier = later - 1
-    else:
-        later = np.repeat(later, depth)
-        earlier = later - np.arange(1, emitted + 1) + np.repeat(np.cumsum(depth) - depth, depth)
+    later = np.repeat(later, depth)
+    earlier = later - np.arange(1, emitted + 1) + np.repeat(np.cumsum(depth) - depth, depth)
     rows = order.reshape(-1)
     u, v = rows[later], rows[earlier]
     table = np.bincount(np.concatenate((u * r + v, v * r + u)), minlength=r * r)
     table[:: r + 1] = w
     x += table[a * r + b]
     return True
-
-
-def _referenced_rows(
-    values: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The matrix cut to the rows pairs (a[i], b[i]) reference, and a and b
-    renumbered into it, when that makes the batch dense for _count_matches
-    and the matrix holds other rows; otherwise the three as they are."""
-    n = len(a)
-    if n < _DENSE_PAIRS or len(values) ** 2 <= _DENSE_TABLE * n:
-        return values, a, b
-    referenced = np.zeros(len(values), dtype=bool)
-    referenced[a] = True
-    referenced[b] = True
-    rows = np.flatnonzero(referenced)
-    if len(rows) ** 2 > _DENSE_TABLE * n:
-        return values, a, b
-    renumbered = np.cumsum(referenced) - 1
-    return values[rows], renumbered[a], renumbered[b]
 
 
 def _walk(
@@ -398,11 +376,9 @@ def _walk(
     full-width count reaches need (else None). alive lists the walked pairs
     and x their running counts; with baseline, is_open marks those still
     unresolved, the others waiting for their full-width decision to settle.
-    A dense batch is walked over the rows it references alone.
     """
     stops, lower, upper = cutoffs
     k, need = stops[-1], upper[-1]
-    values, a, b = _referenced_rows(values, a, b)
     resolved_at = np.empty(len(a), dtype=np.int64)
     counts = np.empty(len(a), dtype=np.int64)
     alive = np.arange(len(a))
