@@ -204,6 +204,27 @@ class TestSignMany:
         want = {set_id: ref_signature(family, tokens) for set_id, tokens in sets.items()}
         return family, sets, want
 
+    @pytest.fixture(scope="class")
+    def sizes_corpus(self):
+        """Sets whose chunks take every turn of the plan: many sets of one
+        size and of near-equal sizes; runs of sizes where one more set
+        stays within the padding limit of an eighth and where it would
+        pass it; chunks of more sets than tokens per set and of fewer; one
+        set of more than 64 Ki tokens, so larger than any block budget the
+        oracle test sets; and K = 13, no multiple of any block width
+        above 1."""
+        rng = random.Random(47)
+        family = make_family(13, 5)
+        sizes = [1, 1, 2, 3, 3, 3, 4] + [20] * 40 + [21, 21, 22, 23] * 6
+        sizes += [70] * 10 + [80] + [170] * 10 + [200] + [rng.randint(300, 900) for _ in range(4)]
+        sizes.append((1 << 16) + 1)
+        rng.shuffle(sizes)
+        sets = {}
+        for set_id, size in enumerate(sizes):
+            sets[set_id * 3 + 1] = frozenset(rng.sample(range(1 << 62), size))
+        want = {set_id: ref_signature(family, tokens) for set_id, tokens in sets.items()}
+        return family, sets, want
+
     @pytest.mark.parametrize(
         "budget",
         [
@@ -214,98 +235,133 @@ class TestSignMany:
         ],
     )
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_matches_oracle_on_every_split(self, corpus, monkeypatch, budget, cpus):
-        family, sets, want = corpus
+    @pytest.mark.parametrize("name", ["corpus", "sizes_corpus"])
+    def test_matches_oracle_on_every_split(self, request, monkeypatch, name, budget, cpus):
+        family, sets, want = request.getfixturevalue(name)
         monkeypatch.setattr(minhash, "_BLOCK_HASHES", budget)
         monkeypatch.setattr(minhash, "_BLOCKS_PER_WORKER", 1)
         monkeypatch.setattr(minhash, "_cpu_count", lambda: cpus)
         got = sign_many(family, sets)
         assert {set_id: sig.values.tolist() for set_id, sig in got.items()} == want
         for set_id, tokens in sets.items():
-            assert np.array_equal(got[set_id].values, sign(family, tokens).values)
+            if len(tokens) < 1000:
+                assert np.array_equal(got[set_id].values, sign(family, tokens).values)
             assert got[set_id].fingerprint == family.fingerprint
 
+    @staticmethod
+    def record_jobs(monkeypatch) -> list:
+        """Wrap minhash._hash_ranges; each job appends (thread id, its
+        slot ranges)."""
+        calls = []
+        hash_ranges = minhash._hash_ranges
+
+        def recording(family, out, ranges, scratch, minima):
+            calls.append((threading.get_ident(), ranges))
+            hash_ranges(family, out, ranges, scratch, minima)
+
+        monkeypatch.setattr(minhash, "_hash_ranges", recording)
+        return calls
+
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_blocks_are_shared_out_to_one_task_per_cpu(self, corpus, monkeypatch, cpus):
+    def test_ranges_are_shared_out_to_one_job_per_cpu(self, corpus, monkeypatch, cpus):
+        """Every job has ranges, and every job runs on a pool thread when
+        there are several; one set alone is split across the jobs too."""
         family, sets, want = corpus
         monkeypatch.setattr(minhash, "_BLOCK_HASHES", 4 * 64)
         monkeypatch.setattr(minhash, "_BLOCKS_PER_WORKER", 1)
         monkeypatch.setattr(minhash, "_cpu_count", lambda: cpus)
-        calls = []
-        hash_blocks = minhash._hash_blocks
+        calls = self.record_jobs(monkeypatch)
+        for signed in (sets, {5: sets[5]}):
+            calls.clear()
+            got = sign_many(family, signed)
+            assert {set_id: sig.values.tolist() for set_id, sig in got.items()} == {
+                set_id: want[set_id] for set_id in signed
+            }
+            assert len(calls) == cpus
+            assert all(ranges for _, ranges in calls)
+            if cpus > 1:
+                assert threading.get_ident() not in {ident for ident, _ in calls}
 
-        def recording(*args):
-            calls.append((threading.get_ident(), len(args[4])))
-            hash_blocks(*args)
-
-        monkeypatch.setattr(minhash, "_hash_blocks", recording)
-        got = sign_many(family, sets)
-        assert {set_id: sig.values.tolist() for set_id, sig in got.items()} == want
-        assert len(calls) == cpus
-        if cpus > 1:
-            assert threading.get_ident() not in {ident for ident, _ in calls}
-        blocks = minhash._blocks([0, *np.cumsum(self.SIZES).tolist()], self.K)
-        assert sum(n for _, n in calls) == len(blocks)
-
-    def test_few_blocks_stay_on_the_calling_thread(self, corpus, monkeypatch):
+    def test_a_plan_of_few_blocks_stays_on_the_calling_thread(self, corpus, monkeypatch):
         family, sets, _ = corpus
         monkeypatch.setattr(minhash, "_cpu_count", lambda: 8)
-        calls = []
-        hash_blocks = minhash._hash_blocks
-
-        def recording(*args):
-            calls.append(threading.get_ident())
-            hash_blocks(*args)
-
-        monkeypatch.setattr(minhash, "_hash_blocks", recording)
+        calls = self.record_jobs(monkeypatch)
         sign_many(family, sets)
-        assert calls == [threading.get_ident()]
+        assert [ident for ident, _ in calls] == [threading.get_ident()]
 
-    def test_blocks_respect_the_budget_and_cover_every_slot(self, monkeypatch):
-        monkeypatch.setattr(minhash, "_BLOCK_HASHES", 100)
-        sizes = [1, 2, 3, 30, 1, 1, 7, 200]
-        offsets = [0, *np.cumsum(sizes).tolist()]
-        k = 20
-        blocks = minhash._blocks(offsets, k)
-        covered = np.zeros((len(sizes), k), dtype=int)
-        for first, end, lo, hi in blocks:
-            rows = offsets[end] - offsets[first]
-            assert end == first + 1 or rows * k <= 100
-            assert lo < hi
-            covered[first:end, lo:hi] += 1
-        assert (covered == 1).all()
-        # sets of 30 and 200 tokens are hashed in ranges of 3 and 1 slots
-        assert [hi - lo for first, _, lo, hi in blocks if first == 3] == [3] * 6 + [2]
-        assert len([b for b in blocks if b[0] == 7]) == k
-
-    @pytest.mark.parametrize("k", [1, 16, 1000, 4000, 70000])
-    @pytest.mark.parametrize("budget", [1, 64, 1 << 16])
-    def test_block_plan_equals_an_independent_enumeration(self, monkeypatch, k, budget):
-        """Maximal runs of whole sets within budget // k tokens over all k
-        slots; a set larger than that alone, in slot ranges of the widest
-        width within the budget (one slot at least)."""
+    @pytest.mark.parametrize("k", [1, 13, 300])
+    @pytest.mark.parametrize("budget", [1, 64, 256, 1 << 16])
+    def test_plan_covers_every_slot_of_every_set_once(self, monkeypatch, k, budget):
+        """Over random sizes with runs of equal ones: every (set, slot) is
+        in exactly one range. Each chunk holds sets in increasing size,
+        consecutive in the stable size order, each padded by repeats of its
+        own tokens; with two sets or more it holds at most budget // 4
+        padded tokens, at most an eighth of them padding, and has its
+        longer axis innermost. A block holds at most budget hash values,
+        or one slot of one set."""
         monkeypatch.setattr(minhash, "_BLOCK_HASHES", budget)
-        rng = random.Random(k * 3 + budget)
-        limit = budget // k
-        # two sets that fill a run exactly, then random sizes
-        exact = [limit // 2, limit - limit // 2] if limit > 1 else []
-        for _ in range(2):
-            sizes = exact + [rng.randint(1, rng.choice((2, 3 * limit + 2, 300))) for _ in range(7)]
-            want, run, tokens = [], 0, 0
-            for i, size in enumerate(sizes):
-                if tokens and tokens + size > limit:
-                    want.append((run, i, 0, k))
-                    run, tokens = i, 0
-                if size > limit:
-                    width = max(1, budget // size)
-                    want += [(i, i + 1, lo, min(lo + width, k)) for lo in range(0, k, width)]
-                    run = i + 1
-                else:
-                    tokens += size
-            if tokens:
-                want.append((run, len(sizes), 0, k))
-            offsets = [0, *np.cumsum(sizes).tolist()]
-            assert minhash._blocks(offsets, k) == want
+        monkeypatch.setattr(minhash, "_cpu_count", lambda: 2)
+        rng = random.Random(k * 7 + budget)
+        sizes = [rng.choice((1, 2, 5, 20, 21, 64)) for _ in range(30)]
+        sizes += [rng.randint(1, min(3 * budget, 20_000)) for _ in range(10)] + [20] * 25
+        rng.shuffle(sizes)
+        sets = {i: frozenset(range(1000 * i, 1000 * i + size)) for i, size in enumerate(sizes)}
+        calls = self.record_jobs(monkeypatch)
+        sign_many(make_family(k, 3), sets)
+        covered = np.zeros((len(sizes), k), dtype=int)
+        chunks = {}
+        for _, ranges in calls:
+            for chunk, lo, hi, w in ranges:
+                rows, tokens, axis = chunk
+                covered[rows, lo:hi] += 1
+                assert 0 <= lo < hi <= k
+                assert (hi - lo) % w == 0 or hi == k
+                assert w * tokens.size <= budget or (w == 1 and len(rows) == 1)
+                chunks[id(tokens)] = chunk
+        assert (covered == 1).all()
+        order = np.argsort(sizes, kind="stable").tolist()
+        placed = []
+        for rows, tokens, axis in sorted(chunks.values(), key=lambda c: order.index(c[0][0])):
+            held = [sizes[row] for row in rows.tolist()]
+            assert held == sorted(held)
+            longest = held[-1]
+            if len(rows) >= longest:
+                assert (tokens.shape, axis) == ((longest, len(rows)), 1)
+            else:
+                assert (tokens.shape, axis) == ((len(rows), longest), 2)
+            per_set = tokens if axis == 2 else tokens.T
+            for row, padded in zip(rows.tolist(), per_set.tolist()):
+                assert set(padded) == sets[row]
+            if len(rows) > 1:
+                assert tokens.size <= budget // 4
+                assert 8 * (tokens.size - sum(held)) <= tokens.size
+            placed += rows.tolist()
+        assert placed == order
+
+    @pytest.mark.parametrize("budget", [1, 16, 64, 256, 1 << 16])
+    def test_chunks_equal_a_set_by_set_enumeration(self, monkeypatch, budget):
+        """Going through the sizes in order, a set joins the open chunk
+        unless the chunk would then hold more than budget // 4 padded
+        tokens, or more than an eighth of them padding; then it opens the
+        next chunk."""
+        monkeypatch.setattr(minhash, "_BLOCK_HASHES", budget)
+        rng = random.Random(budget)
+        for _ in range(20):
+            sizes = sorted(
+                rng.choice((rng.randint(1, 9), rng.randint(1, 300), 20, 70, 80, 82))
+                for _ in range(rng.randint(1, 120))
+            )
+            want, first, tokens = [], 0, 0
+            for end, size in enumerate(sizes):
+                count = end - first + 1
+                if end > first and (
+                    count * size > budget // 4 or 8 * (count * size - tokens - size) > count * size
+                ):
+                    want.append((first, end))
+                    first, tokens = end, 0
+                tokens += size
+            want.append((first, len(sizes)))
+            assert list(minhash._chunks(np.array(sizes))) == want
 
     def test_keeps_input_order(self):
         """Rows come in increasing set id order, whatever the mapping's

@@ -190,7 +190,7 @@ def test_batch_walk_matches_across_many_small_blocks(name, monkeypatch, tmp_path
 
 
 def test_count_matches_past_2_31_columns_sums_in_int64():
-    """hi - lo >= 2**31 makes _count_matches sum in int64. Column slicing
+    """hi - lo >= 2**31 makes _gather_matches sum in int64. Column slicing
     clamps, so a 2 x 3 matrix with hi = 2**31 reads the same three columns
     as hi = 3, in one step a pair, and must add the same counts."""
     values = np.array([[1, 2, 3], [1, 5, 3]], dtype=np.uint64)
@@ -198,23 +198,35 @@ def test_count_matches_past_2_31_columns_sums_in_int64():
     counts = []
     for hi in (3, 2**31):
         x = np.full(4, 7, dtype=np.int64)
-        screening._count_matches(values, a, b, 0, hi, x)
+        screening._gather_matches(values, a, b, 0, hi, x)
         counts.append(x.tolist())
     assert counts == [[9, 10, 9, 10]] * 2
+
+
+def count_spy(monkeypatch) -> list[tuple[int, int, int]]:
+    """Wrap the match counter each walk picks (screening._counter); each
+    interval it counts appends (pairs, lo, hi)."""
+    calls = []
+    pick = screening._counter
+
+    def spy(values, n):
+        count = pick(values, n)
+
+        def recording(values, a, b, lo, hi, x):
+            calls.append((len(a), lo, hi))
+            count(values, a, b, lo, hi, x)
+
+        return recording
+
+    monkeypatch.setattr(screening, "_counter", spy)
+    return calls
 
 
 def test_walk_compares_no_column_past_the_last_checkpoint_reached(monkeypatch):
     """Each interval is compared once, for exactly the pairs still alive
     at its start, and the walk stops at the last checkpoint any pair
     reaches; with schedule=() every pair's K columns are compared once."""
-    calls = []
-    count = screening._count_matches
-
-    def spy(values, a, b, lo, hi, x):
-        calls.append((len(a), lo, hi))
-        return count(values, a, b, lo, hi, x)
-
-    monkeypatch.setattr(screening, "_count_matches", spy)
+    calls = count_spy(monkeypatch)
     rng = np.random.default_rng(9)
     signatures = crafted_signatures(200, 40, rng)
     pairs = crafted_pairs(signatures, 300, rng)
@@ -327,14 +339,7 @@ def test_one_walk_baseline_agrees_with_a_separate_full_screen(name, monkeypatch)
     signatures.update(boundary)
     pairs += [(0, i) for i in sorted(boundary)]
     plain = screen_batch(pairs, signatures, cfg)
-    calls = []
-    count = screening._count_matches
-
-    def spy(values, a, b, lo, hi, x):
-        calls.append(len(a) * (hi - lo))
-        return count(values, a, b, lo, hi, x)
-
-    monkeypatch.setattr(screening, "_count_matches", spy)
+    calls = count_spy(monkeypatch)
     outcomes, summary = screen_batch(pairs, signatures, cfg, baseline=True)
     assert listed(plain) == (list(outcomes), replace(summary, agree_with_full=None))
     full, _ = screen_batch(pairs, signatures, replace(cfg, schedule=()))
@@ -359,7 +364,7 @@ def test_one_walk_baseline_agrees_with_a_separate_full_screen(name, monkeypatch)
         )
     calls.clear()
     _, _, full_above = screening._walk(values, a, b, cfg._cutoffs, baseline=True)
-    assert sum(calls) == read
+    assert sum(n * (hi - lo) for n, lo, hi in calls) == read
     assert full_above.tolist() == (prefix[:, -1] >= need).tolist()
 
 
@@ -375,14 +380,7 @@ def test_one_walk_baseline_stops_when_the_full_decision_is_certain(monkeypatch):
     are discarded at checkpoint 100, and their full-width decision is
     certain at 600, where 0 matches plus the 400 slots left fall short of
     need = 500: with baseline=True no column at or past 600 is read."""
-    calls = []
-    count = screening._count_matches
-
-    def spy(values, a, b, lo, hi, x):
-        calls.append((len(a), lo, hi))
-        return count(values, a, b, lo, hi, x)
-
-    monkeypatch.setattr(screening, "_count_matches", spy)
+    calls = count_spy(monkeypatch)
     cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=tuple(range(100, 1000, 100)), k=1000)
     sets = {i: frozenset(range(30 * i, 30 * i + 30)) for i in range(12)}
     signatures = sign_many(make_family(cfg.k, cfg.master_seed), sets)
@@ -764,13 +762,19 @@ def collision_spy(monkeypatch):
     return calls
 
 
-def sweep_case(rng: np.random.Generator):
+def sweep_case(rng: np.random.Generator, clustered: bool = False):
     """Signatures under gapped set ids and pairs among them, with
     duplicate, reversed and self pairs. Half the cases have 1–4 distinct
     values per column (runs of three or more, all-equal columns); the
-    others draw each slot from one of a few shared values or a fresh one."""
-    rows, k = int(rng.integers(1, 25)), int(rng.integers(1, 41))
-    if rng.random() < 0.5:
+    others draw each slot from one of a few shared values or a fresh one.
+    A clustered case is a block of near-duplicates: 30 rows, each sharing
+    30–80% of its slots with the first row, the others fresh."""
+    rows, k = (30 if clustered else int(rng.integers(1, 25))), int(rng.integers(1, 41))
+    if clustered:
+        values = rng.integers(2**32, 2**64 - 1, size=(rows, k), dtype=np.uint64)
+        shared = rng.random((rows, k)) < rng.uniform(0.3, 0.8, size=(rows, 1))
+        values[shared] = np.broadcast_to(values[0], (rows, k))[shared]
+    elif rng.random() < 0.5:
         distinct = rng.integers(1, 5, size=k)
         values = (rng.integers(0, 4, size=(rows, k)) % distinct).astype(np.uint64)
     else:
@@ -789,21 +793,26 @@ def sweep_case(rng: np.random.Generator):
 
 
 def test_collision_counts_equal_the_gathered_counts(monkeypatch):
-    """A seeded sweep of 240 cases: _count_matches adds each pair's equal
-    slots in [lo, hi), as a per-pair reference counts them, both when it
-    gathers (these batches are too small to be dense) and when every batch
-    is made dense, no run of collisions declined and the columns are
-    counted 7 at a time. Rows are found by search, since the set ids have
-    gaps."""
+    """A seeded sweep of 240 cases, then 20 clustered ones: one walk's
+    counter (_counter), called at two stops that split [lo, hi), adds each
+    pair's equal slots there, as a per-pair reference counts them, both
+    when it gathers (these batches are too small to be dense) and when
+    every batch is made dense, with the columns counted 7 at a time. In the
+    first 240 cases no run of collisions is declined; in a clustered block
+    the first tile is declined and the rest of the walk is gathered. Rows
+    are found by search, since the set ids have gaps."""
     rng = np.random.default_rng(2024)
     calls = collision_spy(monkeypatch)
-    for case in range(240):
-        signatures, pairs, lo, hi = sweep_case(rng)
+    for case in range(260):
+        clustered = case >= 240
+        signatures, pairs, lo, hi = sweep_case(rng, clustered)
         matrix = SignatureMatrix.stack(signatures)
         assert matrix._first is None or len(matrix) == 1
         rows = matrix.rows(pair_ids(pairs)).reshape(-1, 2)
         start = rng.integers(0, 50, size=len(pairs))
         expected = (start + reference_counts(signatures, pairs, lo, hi)).tolist()
+        mid = (lo + hi + 1) // 2
+        stops = [(lo, mid), (mid, hi)] if mid < hi else [(lo, hi)]
         for dense in (False, True):
             calls.clear()
             x = start.copy()
@@ -811,12 +820,19 @@ def test_collision_counts_equal_the_gathered_counts(monkeypatch):
                 if dense:
                     patch.setattr(screening, "_DENSE_PAIRS", 1)
                     patch.setattr(screening, "_DENSE_TABLE", 10**6)
-                    patch.setattr(screening, "_COLLISION_COST", 0)
                     patch.setattr(screening, "_COLLISION_COLUMNS", 7)
-                screening._count_matches(matrix.matrix, rows[:, 0], rows[:, 1], lo, hi, x)
+                    if not clustered:
+                        patch.setattr(screening, "_COLLISION_COST", 0)
+                count = screening._counter(matrix.matrix, len(pairs))
+                for first, end in stops:
+                    count(matrix.matrix, rows[:, 0], rows[:, 1], first, end, x)
             assert x.tolist() == expected, case
-            tiles = [(len(pairs), len(matrix), s, min(s + 7, hi), True) for s in range(lo, hi, 7)]
-            assert calls == (tiles if dense else [])
+            tiles = [
+                (len(pairs), len(matrix), s, min(s + 7, end), not clustered)
+                for first, end in stops
+                for s in range(first, end, 7)
+            ]
+            assert calls == ((tiles[:1] if clustered else tiles) if dense else []), case
 
 
 def test_an_all_equal_block_is_gathered(monkeypatch):
@@ -831,12 +847,12 @@ def test_an_all_equal_block_is_gathered(monkeypatch):
     values[:, 128:] = values[0, 128:]
     a, b = rng.integers(0, 60, size=(2, 1000))
     x = np.zeros(1000, dtype=np.int64)
-    screening._count_matches(values, a, b, 128, 256, x)
+    screening._counter(values, 1000)(values, a, b, 128, 256, x)
     assert calls == [(1000, 60, 128, 256, False)]
     assert x.tolist() == [128] * 1000
     calls.clear()
     x[:] = 0
-    screening._count_matches(values, a, b, 0, 256, x)
+    screening._counter(values, 1000)(values, a, b, 0, 256, x)
     assert calls == [(1000, 60, 0, 128, True), (1000, 60, 128, 256, False)]
     assert x.tolist() == np.where(a == b, 256, 128).tolist()
 
@@ -902,20 +918,13 @@ def test_sparse_batches_are_never_counted_from_collisions(monkeypatch):
     )
     signatures = sign_many(make_family(cfg.k, cfg.master_seed), sets)
     calls = collision_spy(monkeypatch)
-    count = screening._count_matches
-    reads = []
-
-    def spy(values, a, b, lo, hi, x):
-        reads.append(len(a))
-        return count(values, a, b, lo, hi, x)
-
-    monkeypatch.setattr(screening, "_count_matches", spy)
+    reads = count_spy(monkeypatch)
     for pairs in (generated[:100], generated, list(itertools.combinations(range(20), 2))):
         expected = oracle_screen_batch(pairs, signatures, cfg, cfg.table)
         for baseline in (False, True):
             outcomes, summary = screen_batch(pairs, signatures, cfg, baseline=baseline)
             assert (list(outcomes), replace(summary, agree_with_full=None)) == expected
-    assert len(generated) == 1200 and max(reads) == 1200
+    assert len(generated) == 1200 and max(n for n, _, _ in reads) == 1200
     assert calls == []
 
 
