@@ -266,12 +266,14 @@ def sign_many(family: HashFamily, sets: Mapping[int, AbstractSet[int]]) -> Signa
     slots of one chunk, at most _BLOCK_HASHES hash values where it can be,
     and costs three numpy calls: one contiguous add of the w slots' key_add,
     the one numpy mixer (_mix) and one minimum over the token axis into a
-    slot-major buffer. The buffer goes into the chunk's rows of the matrix
-    by one transposed assignment per slot range (_hash_ranges). The slot
-    ranges run as one job on the calling thread, or, with several blocks
-    per CPU, as one job per CPU on a thread pool (numpy releases the GIL
-    inside each ufunc); a chunk's slots are split across the jobs, so that
-    one large set keeps every CPU busy too (_jobs). Jobs write disjoint
+    slot-major buffer. A chunk of fewer tokens than a block has slots, such
+    as a lone small set, puts the slots innermost instead. The buffer goes
+    into the chunk's rows of the matrix by one transposed assignment per
+    slot range (_hash_ranges). The slot ranges run as one job on the
+    calling thread, or, with several blocks per CPU, as one job per CPU on
+    a thread pool (numpy releases the GIL inside each ufunc); a chunk's
+    slots are split across the jobs, so that one large set keeps every CPU
+    busy too (_jobs). Jobs write disjoint
     parts of the matrix and a slotwise minimum is exact, so the values do
     not depend on the plan, on the number of threads or on the order of the
     sets. On a 2-CPU Xeon, 18,000 sets of 15-25 tokens at K = 1000 sign at
@@ -383,15 +385,24 @@ def _hash_ranges(
     """Fill out[rows, lo:hi] for each slot range ((rows, tokens, axis), lo,
     hi, w): per block of w slots, the keyed hashes of the token matrix and
     their minima over its token axis into the minima buffer, slot-major;
-    then one transposed assignment of the range's minima."""
+    then one transposed assignment of the range's minima. A block is laid
+    out (w, *tokens.shape), or, for a chunk of fewer tokens than w (a
+    lone small set), (*tokens.shape, w): the longest axis innermost."""
     for (rows, tokens, axis), lo, hi, w in ranges:
         found = minima[: (hi - lo) * len(rows)].reshape(hi - lo, len(rows))
         for start in range(lo, hi, w):
             end = min(start + w, hi)
             size = (end - start) * tokens.size
-            x = scratch[:size].reshape(end - start, *tokens.shape)
-            t = scratch[size : 2 * size].reshape(x.shape)
-            np.add(tokens, family.key_add[start:end, None, None], out=x)
-            _mix(x, family.key_mid[start:end, None, None], t)
-            np.minimum.reduce(x, axis=axis, out=found[start - lo : end - lo])
+            if w > tokens.size:
+                x = scratch[:size].reshape(*tokens.shape, end - start)
+                t = scratch[size : 2 * size].reshape(x.shape)
+                np.add(tokens[..., None], family.key_add[start:end], out=x)
+                _mix(x, family.key_mid[start:end], t)
+                np.minimum.reduce(x, axis=axis - 1, out=found.T[:, start - lo : end - lo])
+            else:
+                x = scratch[:size].reshape(end - start, *tokens.shape)
+                t = scratch[size : 2 * size].reshape(x.shape)
+                np.add(tokens, family.key_add[start:end, None, None], out=x)
+                _mix(x, family.key_mid[start:end, None, None], t)
+                np.minimum.reduce(x, axis=axis, out=found[start - lo : end - lo])
         out[rows, lo:hi] = found.T

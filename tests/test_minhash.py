@@ -209,7 +209,8 @@ class TestSignMany:
         """Sets whose chunks take every turn of the plan: many sets of one
         size and of near-equal sizes; runs of sizes where one more set
         stays within the padding limit of an eighth and where it would
-        pass it; chunks of more sets than tokens per set and of fewer; one
+        pass it; chunks of more sets than tokens per set and of fewer, and
+        of fewer tokens than a block's slots (laid out slots innermost); one
         set of more than 64 Ki tokens, so larger than any block budget the
         oracle test sets; and K = 13, no multiple of any block width
         above 1."""
@@ -297,8 +298,8 @@ class TestSignMany:
         consecutive in the stable size order, each padded by repeats of its
         own tokens; with two sets or more it holds at most budget // 4
         padded tokens, at most an eighth of them padding, and has its
-        longer axis innermost. A block holds at most budget hash values,
-        or one slot of one set."""
+        longer axis innermost. A block is the most slots within budget
+        hash values, or one slot of one set."""
         monkeypatch.setattr(minhash, "_BLOCK_HASHES", budget)
         monkeypatch.setattr(minhash, "_cpu_count", lambda: 2)
         rng = random.Random(k * 7 + budget)
@@ -317,6 +318,7 @@ class TestSignMany:
                 assert 0 <= lo < hi <= k
                 assert (hi - lo) % w == 0 or hi == k
                 assert w * tokens.size <= budget or (w == 1 and len(rows) == 1)
+                assert w == max(1, budget // tokens.size)
                 chunks[id(tokens)] = chunk
         assert (covered == 1).all()
         order = np.argsort(sizes, kind="stable").tolist()
