@@ -14,7 +14,6 @@ import io
 import json
 import time
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import AbstractSet, BinaryIO, Mapping, Sequence
 
 import numpy as np
@@ -128,15 +127,12 @@ def run_screen(
     cfg: ScreenConfig,
     baseline: bool = False,
 ) -> tuple[Screened, ExperimentReport]:
-    """Sign the sets the pairs reference, then screen every pair. The first
-    id in pair order with no set is named; so is one that is no set id.
-    The pairs are converted to ids once, and screened as a sets.Pairs."""
-    try:
-        pairs = Pairs(pair_ids(pairs).reshape(-1, 2))
-    except ValueError:  # the ids as they are: a bad one is named as unknown
-        ids = dict.fromkeys(chain.from_iterable(pairs))
-    else:
-        ids = dict.fromkeys(pairs.ids.reshape(-1).tolist())
+    """Sign the sets the pairs reference, then screen every pair. The pairs
+    are converted once, by sets.pair_ids, and screened as a sets.Pairs, so
+    a list that is not pairs of set ids gets screen_batch's error before any
+    set is signed. The first id in pair order with no set is named."""
+    pairs = Pairs(pair_ids(pairs).reshape(-1, 2))
+    ids = dict.fromkeys(pairs.ids.reshape(-1).tolist())
     try:
         referenced = {set_id: sets[set_id] for set_id in ids}
     except KeyError as missing:

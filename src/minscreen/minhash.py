@@ -342,14 +342,14 @@ def _token_matrix(
     """The chunk of the sets of matrix rows, in increasing size: the rows,
     their tokens as one matrix, each set padded to the largest size by
     repeating its last token, and the token axis of a block of w slots,
-    (w, *matrix.shape). The longer axis is innermost: the matrix is (size,
-    sets) when there are at least as many sets as tokens per set, else
-    (sets, size)."""
+    (w, *matrix.shape). The padded index is built once, (sets, size). The
+    longer axis is innermost: with at least as many sets as tokens per set
+    the matrix is taken by the index's transpose, (size, sets), which take,
+    unlike toks[index.T], also lays out with the sets innermost in memory."""
     size = int(sizes[rows[-1]])
-    if len(rows) >= size:
-        index = np.minimum(np.arange(size)[:, None], sizes[rows] - 1) + starts[rows]
-        return rows, toks[index], 1
     index = np.minimum(np.arange(size), sizes[rows, None] - 1) + starts[rows, None]
+    if len(rows) >= size:
+        return rows, toks.take(index.T), 1
     return rows, toks[index], 2
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -292,39 +292,6 @@ def _full_need(threshold: float, k: int) -> int:
     return bisect_left(range(k + 1), threshold, key=lambda x: x / k)
 
 
-def _counter(values: np.ndarray, n: int) -> Callable[..., None]:
-    """The match counter of one walk of n pairs over the signature rows
-    values, chosen once, at its first stop: each call (values, a, b, lo,
-    hi, x) adds to x[i] the equal slots in columns [lo, hi) between rows
-    a[i] and b[i]. A batch that is not dense there (_is_dense) never
-    becomes dense, since its pair count only falls, and is gathered at
-    every stop (_gather_matches). A dense batch is counted from the slot
-    collisions of its rows (_count_collisions), _COLLISION_COLUMNS columns
-    at a time, until it stops being dense or a tile is declined; the rest
-    of the walk is gathered, so a cluster of near-duplicates pays for one
-    declined sort, not for one per tile. All ways give the same counts."""
-    if not _is_dense(len(values), n):
-        return _gather_matches
-    collide = True
-
-    def count(
-        values: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int, x: np.ndarray
-    ) -> None:
-        nonlocal collide
-        for start in range(lo, hi, _COLLISION_COLUMNS):
-            end = min(start + _COLLISION_COLUMNS, hi)
-            collide = (
-                collide
-                and _is_dense(len(values), len(a))
-                and _count_collisions(values, a, b, start, end, x)
-            )
-            if not collide:
-                _gather_matches(values, a, b, start, hi, x)
-                return
-
-    return count
-
-
 def _is_dense(rows: int, n: int) -> bool:
     """Whether n pairs over a matrix of that many rows are a dense batch:
     at least _DENSE_PAIRS pairs over at most sqrt(_DENSE_TABLE · n) rows."""
@@ -382,6 +349,26 @@ def _count_collisions(
     return True
 
 
+def _collide(
+    values: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int, x: np.ndarray
+) -> bool:
+    """Add to x[i] the equal slots in columns [lo, hi) between rows a[i] and
+    b[i] of values, counted from the slot collisions of its rows
+    (_count_collisions), _COLLISION_COLUMNS columns at a time, while the
+    pairs are a dense batch (_is_dense). From the first tile where they are
+    not, or the first declined tile, the rest of [lo, hi) is gathered in one
+    call (_gather_matches), and the result is False: the walk gathers from
+    there on. A batch that is not dense never becomes dense, since its pair
+    count only falls, and a cluster of near-duplicates so pays for one
+    declined sort, not for one per tile. Both ways give the same counts."""
+    for start in range(lo, hi, _COLLISION_COLUMNS):
+        end = min(start + _COLLISION_COLUMNS, hi)
+        if not (_is_dense(len(values), len(a)) and _count_collisions(values, a, b, start, end, x)):
+            _gather_matches(values, a, b, start, hi, x)
+            return False
+    return True
+
+
 def _walk(
     values: np.ndarray,
     a: np.ndarray,
@@ -395,6 +382,8 @@ def _walk(
     full-width count reaches need (else None). alive lists the walked pairs
     and x their running counts; with baseline, is_open marks those still
     unresolved, the others waiting for their full-width decision to settle.
+    Intervals go to _collide until it returns False, then each in one call
+    to _gather_matches, as a batch not dense at the first stop is gathered.
     """
     stops, lower, upper = cutoffs
     k, need = stops[-1], upper[-1]
@@ -404,13 +393,16 @@ def _walk(
     x = np.zeros(len(a), dtype=np.int64)
     full_above = np.empty(len(a), dtype=bool) if baseline else None
     is_open = np.ones(len(a), dtype=bool)
-    count = _counter(values, len(a))
+    collide = True
     lo = 0
     for index, hi in enumerate(stops):
         if not alive.size:
             break
         if hi > lo:
-            count(values, a, b, lo, hi, x)
+            if collide:
+                collide = _collide(values, a, b, lo, hi, x)
+            else:
+                _gather_matches(values, a, b, lo, hi, x)
             lo = hi
         done = (x <= lower[index]) | (x >= upper[index])
         if baseline:

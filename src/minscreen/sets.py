@@ -102,8 +102,6 @@ class Pairs(Sequence[tuple[int, int]]):
             return np.array_equal(self.ids, other.ids)
         return list(self) == other
 
-    __hash__ = None  # type: ignore[assignment]
-
 
 def pair_ids(pairs: Sequence[Sequence[object]]) -> np.ndarray:
     """The set ids of pairs, in order, as one uint64 array: a Pairs' own

@@ -298,7 +298,7 @@ class TestSignMany:
         consecutive in the stable size order, each padded by repeats of its
         own tokens; with two sets or more it holds at most budget // 4
         padded tokens, at most an eighth of them padding, and has its
-        longer axis innermost. A block is the most slots within budget
+        longer axis innermost, in memory too. A block is the most slots within budget
         hash values, or one slot of one set."""
         monkeypatch.setattr(minhash, "_BLOCK_HASHES", budget)
         monkeypatch.setattr(minhash, "_cpu_count", lambda: 2)
@@ -331,6 +331,7 @@ class TestSignMany:
                 assert (tokens.shape, axis) == ((longest, len(rows)), 1)
             else:
                 assert (tokens.shape, axis) == ((len(rows), longest), 2)
+            assert tokens.flags.c_contiguous
             per_set = tokens if axis == 2 else tokens.T
             for row, padded in zip(rows.tolist(), per_set.tolist()):
                 assert set(padded) == sets[row]

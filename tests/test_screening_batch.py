@@ -204,21 +204,16 @@ def test_count_matches_past_2_31_columns_sums_in_int64():
 
 
 def count_spy(monkeypatch) -> list[tuple[int, int, int]]:
-    """Wrap the match counter each walk picks (screening._counter); each
-    interval it counts appends (pairs, lo, hi)."""
+    """Wrap screening._gather_matches, which sees each interval of a sparse
+    walk once; each interval it counts appends (pairs, lo, hi)."""
     calls = []
-    pick = screening._counter
+    gather = screening._gather_matches
 
-    def spy(values, n):
-        count = pick(values, n)
+    def spy(values, a, b, lo, hi, x):
+        calls.append((len(a), lo, hi))
+        gather(values, a, b, lo, hi, x)
 
-        def recording(values, a, b, lo, hi, x):
-            calls.append((len(a), lo, hi))
-            count(values, a, b, lo, hi, x)
-
-        return recording
-
-    monkeypatch.setattr(screening, "_counter", spy)
+    monkeypatch.setattr(screening, "_gather_matches", spy)
     return calls
 
 
@@ -541,7 +536,10 @@ def test_reduced_signatures_are_refused(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("missing", [-5, 2**64, 2**70])
+OUTSIDE_U64 = [-5, 2**64, 2**70]
+
+
+@pytest.mark.parametrize("missing", OUTSIDE_U64)
 def test_unknown_ids_outside_uint64_are_named(missing):
     """An id outside the unsigned 64-bit range is named by sets.as_u64."""
     cfg = ScreenConfig(schedule=(), k=1000)
@@ -564,11 +562,15 @@ def test_first_missing_id_in_pair_order_is_named():
 
 def test_signing_names_the_first_unknown_id_in_pair_order():
     """screen --sets signs the sets the pairs reference; an id with no set
-    is named in pair order, before any sorting of the ids."""
+    is named in pair order, before any sorting of the ids. An id that is no
+    set id is named as sets.as_u64 names it, before any id is looked up."""
     cfg = ScreenConfig(schedule=(), k=100)
     sets = {0: {1, 2}, 1: {2, 3}}
-    for pairs, unknown in (([(0, 1), (1, 9), (5, 0)], 9), ([(0, "a"), (1, 2)], "a")):
-        with pytest.raises(ValueError, match=f"^pair list references unknown set id {unknown}$"):
+    for pairs, message in (
+        ([(0, 1), (1, 9), (5, 0)], "pair list references unknown set id 9"),
+        ([(0, "a"), (1, 2)], "set id 'a' is not an integer"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_screen(sets, pairs, cfg)
 
 
@@ -583,20 +585,39 @@ def test_non_integer_ids_are_named_not_truncated():
             screen_batch([(0, 1), (0, bad)], {0: a, 1: b}, cfg)
 
 
-@pytest.mark.parametrize(
-    "pairs, message",
-    [
-        ([(0, 1, 2), (5,)], "pair 0 is (0, 1, 2), not two set ids"),
-        ([(0, 1), (2, 5, 4)], "pair 1 is (2, 5, 4), not two set ids"),
-        ([(0,), (2, 5)], "pair 0 is (0,), not two set ids"),
-    ],
-)
+NOT_TWO_IDS = [
+    ([(0, 1, 2), (5,)], "pair 0 is (0, 1, 2), not two set ids"),
+    ([(0, 1), (2, 5, 4)], "pair 1 is (2, 5, 4), not two set ids"),
+    ([(0,), (2, 5)], "pair 0 is (0,), not two set ids"),
+]
+
+
+@pytest.mark.parametrize("pairs, message", NOT_TWO_IDS)
 def test_a_pair_is_exactly_two_set_ids(pairs, message):
     """A malformed pair is named by its index, not screened as the ids
     that happen to fall into its place."""
     a, b = _one_in_39_signatures()
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         screen_batch(pairs, {0: a, 1: b}, ScreenConfig(schedule=(), k=1000))
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [pairs for pairs, _ in NOT_TWO_IDS]
+    + [pairs for bad in OUTSIDE_U64 for pairs in ([(0, 1), (1, bad)], [(bad, 0)])],
+)
+def test_run_screen_refuses_a_malformed_list_before_signing(pairs, monkeypatch):
+    """A list that is not pairs of set ids gets screen_batch's message from
+    run_screen, and no set is signed."""
+    cfg = ScreenConfig(schedule=(), k=1000)
+    a, b = _one_in_39_signatures()
+    with pytest.raises(ValueError) as expected:
+        screen_batch(pairs, {0: a, 1: b}, cfg)
+    signed = []
+    monkeypatch.setattr(harness, "sign_many", lambda *args: signed.append(args))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        run_screen({0: {1, 2}, 1: {2, 3}}, pairs, cfg)
+    assert signed == []
 
 
 def test_cli_names_an_id_above_uint64_range(tmp_path, capsys):
@@ -793,14 +814,15 @@ def sweep_case(rng: np.random.Generator, clustered: bool = False):
 
 
 def test_collision_counts_equal_the_gathered_counts(monkeypatch):
-    """A seeded sweep of 240 cases, then 20 clustered ones: one walk's
-    counter (_counter), called at two stops that split [lo, hi), adds each
-    pair's equal slots there, as a per-pair reference counts them, both
-    when it gathers (these batches are too small to be dense) and when
-    every batch is made dense, with the columns counted 7 at a time. In the
-    first 240 cases no run of collisions is declined; in a clustered block
-    the first tile is declined and the rest of the walk is gathered. Rows
-    are found by search, since the set ids have gaps."""
+    """A seeded sweep of 240 cases, then 20 clustered ones: two stops that
+    split [lo, hi), counted as _walk counts them (_collide until it returns
+    False, then _gather_matches), add each pair's equal slots there, as a
+    per-pair reference counts them, both when the batch is gathered (these
+    batches are too small to be dense) and when every batch is made dense,
+    with the columns counted 7 at a time. In the first 240 cases no run of
+    collisions is declined; in a clustered block the first tile is declined
+    and the rest of the walk is gathered. Rows are found by search, since
+    the set ids have gaps."""
     rng = np.random.default_rng(2024)
     calls = collision_spy(monkeypatch)
     for case in range(260):
@@ -823,9 +845,13 @@ def test_collision_counts_equal_the_gathered_counts(monkeypatch):
                     patch.setattr(screening, "_COLLISION_COLUMNS", 7)
                     if not clustered:
                         patch.setattr(screening, "_COLLISION_COST", 0)
-                count = screening._counter(matrix.matrix, len(pairs))
+                collide = True
                 for first, end in stops:
-                    count(matrix.matrix, rows[:, 0], rows[:, 1], first, end, x)
+                    args = (matrix.matrix, rows[:, 0], rows[:, 1], first, end, x)
+                    if collide:
+                        collide = screening._collide(*args)
+                    else:
+                        screening._gather_matches(*args)
             assert x.tolist() == expected, case
             tiles = [
                 (len(pairs), len(matrix), s, min(s + 7, end), not clustered)
@@ -847,12 +873,12 @@ def test_an_all_equal_block_is_gathered(monkeypatch):
     values[:, 128:] = values[0, 128:]
     a, b = rng.integers(0, 60, size=(2, 1000))
     x = np.zeros(1000, dtype=np.int64)
-    screening._counter(values, 1000)(values, a, b, 128, 256, x)
+    assert not screening._collide(values, a, b, 128, 256, x)
     assert calls == [(1000, 60, 128, 256, False)]
     assert x.tolist() == [128] * 1000
     calls.clear()
     x[:] = 0
-    screening._counter(values, 1000)(values, a, b, 0, 256, x)
+    assert not screening._collide(values, a, b, 0, 256, x)
     assert calls == [(1000, 60, 0, 128, True), (1000, 60, 128, 256, False)]
     assert x.tolist() == np.where(a == b, 256, 128).tolist()
 
@@ -867,11 +893,15 @@ def gen_sets(per_group: int) -> dict[int, frozenset[int]]:
 
 def test_a_dense_batch_is_counted_from_collisions(monkeypatch):
     """All 1,770 pairs of 60 gen sets are dense: the walk counts the first
-    interval from collisions. With and without baseline, and with an empty
+    interval from collisions. Without baseline, only 10 pairs are left after
+    it, too few to be dense, and the rest of the walk is gathered; with
+    baseline a pair stays until its full-width decision is certain, which
+    none is before 300, so [0, 100), [100, 200) and [200, 300) are all
+    counted from collisions. With and without baseline, and with an empty
     schedule, its records equal the per-pair oracle's, and those of the
-    same pairs screened 100 at a time, which are too few to be dense.
-    The same pairs among 60 of 660 signed sets are not dense for the
-    660-row matrix and are gathered."""
+    same pairs screened 100 at a time, which are too few to be dense. The
+    same pairs among 60 of 660 signed sets are not dense for the 660-row
+    matrix and are gathered."""
     cfg = ScreenConfig(threshold=0.5, e=1e-3, schedule=(100, 200, 300), k=400)
     sets = gen_sets(10)
     signatures = sign_many(make_family(cfg.k, cfg.master_seed), sets)
@@ -888,6 +918,8 @@ def test_a_dense_batch_is_counted_from_collisions(monkeypatch):
         calls.clear()
         outcomes, summary = screen_batch(pairs, signatures, cfg, baseline=baseline)
         assert calls[0] == (len(pairs), len(sets), 0, 100, True)
+        tiles = [(0, 100), (100, 200), (200, 300)] if baseline else [(0, 100)]
+        assert calls == [(len(pairs), len(sets), lo, hi, True) for lo, hi in tiles]
         assert (list(outcomes), replace(summary, agree_with_full=None)) == expected
     # A full-width screen counts K = 400 columns 128 at a time.
     calls.clear()
